@@ -48,6 +48,7 @@ test-fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseIfNoneMatch -fuzztime $(FUZZTIME) ./internal/server/
 	$(GO) test -run '^$$' -fuzz FuzzPageRoundTrip -fuzztime $(FUZZTIME) ./internal/pagestore/
 	$(GO) test -run '^$$' -fuzz FuzzVMDifferential -fuzztime $(FUZZTIME) ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzCacheDifferential -fuzztime $(FUZZTIME) ./internal/cache/
 
 # The scheduler's determinism contract: the full quick suite must be
 # byte-identical at parallelism 1 and 8 (manifests and merged snapshot),

@@ -120,6 +120,7 @@ func BenchmarkCacheAccess(b *testing.B) {
 	for i := range addrs {
 		addrs[i] = uint64(rng.Int63n(1 << 30))
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Access(1, addrs[i%len(addrs)])

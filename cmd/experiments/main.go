@@ -28,6 +28,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -37,25 +38,31 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run is the command with its arguments and output streams as
+// parameters, so tests can drive it in-process.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("experiments", flag.ExitOnError)
+	fs.SetOutput(stderr)
 	var (
-		name     = flag.String("run", "all", "experiment name or 'all'")
-		quick    = flag.Bool("quick", false, "reduced input sizes")
-		list     = flag.Bool("list", false, "list experiments and exit")
-		jsonMode = flag.Bool("json", false, "emit machine-readable manifests on stdout")
-		parallel = flag.Int("parallel", 0, "worker count for experiments and their inner trials (<=0: GOMAXPROCS); output is identical at any level")
-		rootSeed = flag.Int64("seed", 0, "root seed re-parameterizing every experiment deterministically (0: the paper-pinned seeds)")
-		engine   = flag.String("engine", "compiled", "VM execution engine: compiled (threaded code) or interp (kept for differential runs)")
+		name     = fs.String("run", "all", "experiment name or 'all'")
+		quick    = fs.Bool("quick", false, "reduced input sizes")
+		list     = fs.Bool("list", false, "list experiments and exit")
+		jsonMode = fs.Bool("json", false, "emit machine-readable manifests on stdout")
+		parallel = fs.Int("parallel", 0, "worker count for experiments and their inner trials (<=0: GOMAXPROCS); output is identical at any level")
+		rootSeed = fs.Int64("seed", 0, "root seed re-parameterizing every experiment deterministically (0: the paper-pinned seeds)")
+		engine   = fs.String("engine", "compiled", "VM execution engine: compiled (threaded code) or interp (kept for differential runs)")
 	)
 	var cli obs.CLI
-	cli.Bind(flag.CommandLine)
-	flag.Parse()
+	cli.Bind(fs)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	eng, err := vm.ParseEngine(*engine)
 	if err != nil {
@@ -65,7 +72,7 @@ func run() error {
 
 	if *list {
 		for _, r := range experiments.All() {
-			fmt.Println(r.Name)
+			fmt.Fprintln(stdout, r.Name)
 		}
 		return nil
 	}
@@ -103,22 +110,22 @@ func run() error {
 		// the streamed output never interleaves or reorders.
 		OnResult: func(o *experiments.Outcome) {
 			if o.Err != nil {
-				fmt.Fprintf(os.Stderr, "=== %s: FAILED: %v\n\n", o.Runner.Name, o.Err)
+				fmt.Fprintf(stderr, "=== %s: FAILED: %v\n\n", o.Runner.Name, o.Err)
 				return
 			}
 			mergeMetrics(reg, o.Runner.Name, o.Result.Metrics)
 			if *jsonMode {
 				manifests = append(manifests, o.Manifest)
-				fmt.Fprintf(os.Stderr, "%s ok in %s\n", o.Runner.Name, o.Duration.Round(time.Millisecond))
+				fmt.Fprintf(stderr, "%s ok in %s\n", o.Runner.Name, o.Duration.Round(time.Millisecond))
 				return
 			}
-			fmt.Print(o.Result)
-			fmt.Fprintf(os.Stderr, "(%s in %s)\n\n", o.Runner.Name, o.Duration.Round(time.Millisecond))
+			fmt.Fprint(stdout, o.Result)
+			fmt.Fprintf(stderr, "(%s in %s)\n\n", o.Runner.Name, o.Duration.Round(time.Millisecond))
 		},
 	})
 
 	if *jsonMode {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if single && len(manifests) == 1 {
 			if err := enc.Encode(manifests[0]); err != nil {

@@ -33,8 +33,9 @@ type PrimeProbe struct {
 	poolLines int
 
 	threshold int
-	// setLines caches, per global set, the attacker lines mapping to it.
-	setLines map[int][]uint64
+	// evsets memoizes, per global set, the pool's lowest lines mapping
+	// to it, as many as the largest eviction set requested so far.
+	evsets [][]uint64
 
 	// TimerFault, when armed (chaos runs), jitters individual timer
 	// readings of probe latencies; TimerSamples readings are taken per
@@ -95,20 +96,14 @@ func (p *PrimeProbe) measure(addr uint64) int {
 // poolBytes at poolBase (its "own data" in the paper's step 1). Buffer
 // lines are indexed lazily into per-set eviction candidates.
 func NewPrimeProbe(c *cache.Cache, actor int, poolBase, poolBytes uint64) *PrimeProbe {
-	lineSize := uint64(c.Config().LineSize)
-	p := &PrimeProbe{
+	cfg := c.Config()
+	return &PrimeProbe{
 		c:         c,
 		actor:     actor,
 		poolBase:  poolBase,
-		poolLines: int(poolBytes / lineSize),
-		setLines:  map[int][]uint64{},
+		poolLines: int(poolBytes / uint64(cfg.LineSize)),
+		evsets:    make([][]uint64, cfg.Slices*cfg.Sets),
 	}
-	for i := 0; i < p.poolLines; i++ {
-		addr := poolBase + uint64(i)*lineSize
-		gs := c.GlobalSet(addr)
-		p.setLines[gs] = append(p.setLines[gs], addr)
-	}
-	return p
 }
 
 // Calibrate measures hit and miss latencies over the attacker's own lines
@@ -138,15 +133,40 @@ func (p *PrimeProbe) Calibrate(samples int) int {
 func (p *PrimeProbe) Threshold() int { return p.threshold }
 
 // EvictionSet returns `ways` attacker line addresses mapping to the given
-// global set.
+// global set: the pool's lowest such lines, in ascending order.
 func (p *PrimeProbe) EvictionSet(globalSet, ways int) ([]uint64, error) {
-	lines := p.setLines[globalSet]
+	var lines []uint64
+	if globalSet >= 0 && globalSet < len(p.evsets) {
+		if lines = p.evsets[globalSet]; len(lines) < ways {
+			lines = p.scanSet(globalSet, ways)
+			p.evsets[globalSet] = lines
+		}
+	}
 	if len(lines) < ways {
 		p.evsetFail.Inc()
 		return nil, fmt.Errorf("%w: set %d has %d/%d candidate lines",
 			ErrNoEvictionSet, globalSet, len(lines), ways)
 	}
 	return lines[:ways], nil
+}
+
+// scanSet collects up to limit pool lines of a global set, lowest first.
+// Only every Sets-th pool line shares the set's index within a slice,
+// so the scan strides over those and keeps the ones the slice hash
+// sends to the set's slice.
+func (p *PrimeProbe) scanSet(globalSet, limit int) []uint64 {
+	cfg := p.c.Config()
+	slice, set := globalSet/cfg.Sets, globalSet%cfg.Sets
+	// Pool line i has line address LineOf(poolBase)+i.
+	first := (set - int(p.c.LineOf(p.poolBase)%uint64(cfg.Sets)) + cfg.Sets) % cfg.Sets
+	var lines []uint64
+	for i := first; i < p.poolLines && len(lines) < limit; i += cfg.Sets {
+		addr := p.poolBase + uint64(i*cfg.LineSize)
+		if p.c.SliceOf(addr) == slice {
+			lines = append(lines, addr)
+		}
+	}
+	return lines
 }
 
 // Prime loads the eviction set into the cache (attack step 1).
@@ -163,24 +183,23 @@ func (p *PrimeProbe) Prime(ev []uint64) {
 }
 
 // Probe measures the eviction set and returns the number of lines whose
-// latency exceeded the threshold (i.e. were evicted by the victim), along
-// with each line's latency (attack step 3).
-func (p *PrimeProbe) Probe(ev []uint64) (evicted int, lats []int) {
+// latency exceeded the threshold, i.e. were evicted by the victim (attack
+// step 3). The latencies themselves go to the pp.probe_latency histogram.
+func (p *PrimeProbe) Probe(ev []uint64) (evicted int) {
 	if p.threshold == 0 {
 		p.Calibrate(0)
 	}
 	p.probes.Inc()
-	lats = make([]int, len(ev))
-	for i, a := range ev {
-		lats[i] = p.measure(a)
+	for _, a := range ev {
+		lat := p.measure(a)
 		p.probedLines.Inc()
-		p.probeLat.Observe(int64(lats[i]))
-		if lats[i] > p.threshold {
+		p.probeLat.Observe(int64(lat))
+		if lat > p.threshold {
 			evicted++
 		}
 	}
 	p.evictionsObs.Add(uint64(evicted))
-	return evicted, lats
+	return evicted
 }
 
 // ProbeSets primes-then-probes each of the given global sets around a call
@@ -199,7 +218,7 @@ func (p *PrimeProbe) ProbeSets(sets []int, ways int, victim func()) ([]int, erro
 	victim()
 	var hot []int
 	for i, ev := range evs {
-		if n, _ := p.Probe(ev); n > 0 {
+		if p.Probe(ev) > 0 {
 			hot = append(hot, sets[i])
 		}
 	}

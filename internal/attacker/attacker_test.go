@@ -2,9 +2,11 @@ package attacker
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"github.com/zipchannel/zipchannel/internal/cache"
+	"github.com/zipchannel/zipchannel/internal/obs"
 )
 
 func newCache() *cache.Cache {
@@ -44,6 +46,48 @@ func TestEvictionSetMapsToTargetSet(t *testing.T) {
 	}
 }
 
+func TestEvictionSetsAreLowestPoolLines(t *testing.T) {
+	c := newCache()
+	const base, lines = 1<<30 + 5*64, 1 << 12 // base is not set-aligned
+	p := NewPrimeProbe(c, attackerActor, base, lines*64)
+	bySet := map[int][]uint64{}
+	for i := uint64(0); i < lines; i++ {
+		gs := c.GlobalSet(base + i*64)
+		bySet[gs] = append(bySet[gs], base+i*64)
+	}
+	for gs := 0; gs < 128; gs++ {
+		for _, ways := range []int{1, 4, 2} { // growing, then a memoized prefix
+			ev, err := p.EvictionSet(gs, ways)
+			if err != nil {
+				t.Fatalf("EvictionSet(%d, %d): %v", gs, ways, err)
+			}
+			if want := bySet[gs][:ways]; !reflect.DeepEqual(ev, want) {
+				t.Fatalf("EvictionSet(%d, %d) = %#x, want the pool's lowest lines %#x", gs, ways, ev, want)
+			}
+		}
+	}
+}
+
+func TestPrimeProbeRoundDoesNotAllocate(t *testing.T) {
+	c := newCache()
+	p := NewPrimeProbe(c, attackerActor, 1<<30, 1<<22)
+	p.AttachObs(obs.NewRegistry())
+	p.Calibrate(100)
+	ev, err := p.EvictionSet(c.GlobalSet(0x7f0000), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	round := func() {
+		p.Prime(ev)
+		c.Access(victimActor, 0x7f0000)
+		p.Probe(ev)
+	}
+	round()
+	if n := testing.AllocsPerRun(100, round); n != 0 {
+		t.Errorf("a Prime+Probe round allocates %.1f times", n)
+	}
+}
+
 func TestEvictionSetTooSmallPool(t *testing.T) {
 	c := newCache()
 	p := NewPrimeProbe(c, attackerActor, 1<<30, 128) // 2 lines only
@@ -74,14 +118,14 @@ func TestPrimeProbeDetectsVictimAccess(t *testing.T) {
 
 	// Round 1: no victim access -> no evictions.
 	p.Prime(ev)
-	if n, _ := p.Probe(ev); n != 0 {
+	if n := p.Probe(ev); n != 0 {
 		t.Errorf("probe without victim reported %d evictions", n)
 	}
 
 	// Round 2: the victim touches its address -> exactly one eviction.
 	p.Prime(ev)
 	c.Access(victimActor, victimAddr)
-	if n, _ := p.Probe(ev); n != 1 {
+	if n := p.Probe(ev); n != 1 {
 		t.Errorf("probe after victim access reported %d evictions, want 1", n)
 	}
 }
@@ -129,7 +173,7 @@ func TestPrimeProbeWithCATSingleWay(t *testing.T) {
 	}
 	p.Prime(ev)
 	c.Access(victimActor, victimAddr)
-	if n, _ := p.Probe(ev); n != 1 {
+	if n := p.Probe(ev); n != 1 {
 		t.Errorf("single-way prime+probe missed the victim access (n=%d)", n)
 	}
 }

@@ -98,18 +98,6 @@ func (c Config) withDefaults() Config {
 // explicitly assigned one; its mask allows every way.
 const DefaultCoS = 0
 
-type way struct {
-	valid bool
-	line  uint64 // line address (paddr >> log2(lineSize))
-	owner int    // actor that brought the line in
-	lru   uint64 // logical timestamp for LRU
-}
-
-type set struct {
-	ways []way
-	plru uint64 // tree-PLRU state bits
-}
-
 // Result describes one access.
 type Result struct {
 	Hit     bool
@@ -120,20 +108,37 @@ type Result struct {
 	Victim  int    // owner of the evicted line, -1 if none
 }
 
-// cosCounters is the per-class-of-service hit/miss split.
-type cosCounters struct {
+// actorView is an actor's resolved CAT state: the ways it may allocate
+// into and its class of service's hit/miss counters.
+type actorView struct {
+	mask         uint64
 	hits, misses *obs.Counter
 }
 
 // Cache is the simulated LLC. Not safe for concurrent use: the attack
 // harness interleaves victim and attacker deterministically.
+//
+// The sets are stored flat, as parallel arrays indexed by way: the ways
+// of global set g (slice*Sets + set) are [g*Ways, (g+1)*Ways). A tag is
+// the line address plus one, so 0 marks an invalid way; line ^0, which
+// Result.Evicted already reserves for "none", cannot be cached.
 type Cache struct {
 	cfg    Config
-	slices [][]set
+	tags   []uint64       // line address + 1, or 0
+	owners []int          // actor that brought the line in
+	stamps []uint64       // logical time of the last touch, kept under LRU only
+	plru   []uint64       // tree-PLRU state bits per global set, kept under TreePLRU only
 	cos    map[int]uint64 // class of service -> allowed-way bitmask
 	actor  map[int]int    // actor -> class of service
 	clock  uint64
 	rng    *rand.Rand
+
+	// views memoizes actorView per actor, and last the most recent one
+	// (accesses come in long single-actor runs). SetCoSMask and
+	// AssignActor clear both.
+	views     map[int]*actorView
+	last      *actorView
+	lastActor int
 
 	reg       *obs.Registry
 	prefix    string
@@ -141,11 +146,9 @@ type Cache struct {
 	misses    *obs.Counter
 	evictions *obs.Counter
 	flushes   *obs.Counter
-	cosStats  map[int]cosCounters
 
 	setBits   int
 	lineBits  int
-	sliceBits int
 	sliceMask []uint64 // per slice bit: the comb of line bits whose parity it is
 }
 
@@ -157,6 +160,9 @@ func New(cfg Config) *Cache {
 		panic(fmt.Sprintf("cache: sets (%d), slices (%d), and line size (%d) must be powers of two",
 			cfg.Sets, cfg.Slices, cfg.LineSize))
 	}
+	if cfg.Ways > 64 {
+		panic(fmt.Sprintf("cache: ways (%d) must be at most 64: way masks and PLRU state are 64-bit words", cfg.Ways))
+	}
 	reg := cfg.Obs
 	if reg == nil {
 		reg = obs.NewRegistry() // private: accessors work unattached
@@ -165,34 +171,31 @@ func New(cfg Config) *Cache {
 	if prefix == "" {
 		prefix = "cache"
 	}
+	sets := cfg.Slices * cfg.Sets
 	c := &Cache{
 		cfg:       cfg,
+		tags:      make([]uint64, sets*cfg.Ways),
+		owners:    make([]int, sets*cfg.Ways),
+		stamps:    make([]uint64, sets*cfg.Ways),
+		plru:      make([]uint64, sets),
 		cos:       map[int]uint64{DefaultCoS: waymask(cfg.Ways)},
 		actor:     map[int]int{},
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
+		views:     map[int]*actorView{},
 		reg:       reg,
 		prefix:    prefix,
 		hits:      reg.Counter(prefix + ".hits"),
 		misses:    reg.Counter(prefix + ".misses"),
 		evictions: reg.Counter(prefix + ".evictions"),
 		flushes:   reg.Counter(prefix + ".flushes"),
-		cosStats:  map[int]cosCounters{},
 		setBits:   bits.TrailingZeros(uint(cfg.Sets)),
 		lineBits:  bits.TrailingZeros(uint(cfg.LineSize)),
-		sliceBits: bits.TrailingZeros(uint(cfg.Slices)),
 	}
-	c.slices = make([][]set, cfg.Slices)
-	for s := range c.slices {
-		sets := make([]set, cfg.Sets)
-		for i := range sets {
-			sets[i].ways = make([]way, cfg.Ways)
-		}
-		c.slices[s] = sets
-	}
-	c.sliceMask = make([]uint64, c.sliceBits)
+	sliceBits := bits.TrailingZeros(uint(cfg.Slices))
+	c.sliceMask = make([]uint64, sliceBits)
 	for b := range c.sliceMask {
 		var m uint64
-		for p := uint(b); p < 64; p += uint(c.sliceBits + 1) {
+		for p := uint(b); p < 64; p += uint(sliceBits + 1) {
 			m |= 1 << p
 		}
 		c.sliceMask[b] = m
@@ -220,28 +223,38 @@ func (c *Cache) Flushes() uint64 { return c.flushes.Value() }
 // Accesses returns hits+misses.
 func (c *Cache) Accesses() uint64 { return c.Hits() + c.Misses() }
 
-// cosOf resolves an actor's class of service.
-func (c *Cache) cosOf(actor int) int {
-	cos, ok := c.actor[actor]
-	if !ok {
-		cos = DefaultCoS
+// view resolves an actor's way mask and per-CoS hit/miss counters
+// (<prefix>.cos<N>.hits / .misses, registered on first use).
+func (c *Cache) view(actor int) *actorView {
+	if c.last != nil && c.lastActor == actor {
+		return c.last
 	}
-	return cos
-}
-
-// cosCountersFor lazily resolves the per-CoS hit/miss counters
-// (<prefix>.cos<N>.hits / .misses).
-func (c *Cache) cosCountersFor(cos int) cosCounters {
-	cc, ok := c.cosStats[cos]
+	v, ok := c.views[actor]
 	if !ok {
+		cos, ok := c.actor[actor]
+		if !ok {
+			cos = DefaultCoS
+		}
+		mask, ok := c.cos[cos]
+		if !ok || mask == 0 {
+			mask = waymask(c.cfg.Ways)
+		}
 		base := c.prefix + ".cos" + strconv.Itoa(cos)
-		cc = cosCounters{
+		v = &actorView{
+			mask:   mask,
 			hits:   c.reg.Counter(base + ".hits"),
 			misses: c.reg.Counter(base + ".misses"),
 		}
-		c.cosStats[cos] = cc
+		c.views[actor] = v
 	}
-	return cc
+	c.last, c.lastActor = v, actor
+	return v
+}
+
+// forgetViews drops every resolved actorView after a CAT change.
+func (c *Cache) forgetViews() {
+	clear(c.views)
+	c.last = nil
 }
 
 // SetCoSMask defines a class of service as a bitmask over ways; this is
@@ -249,18 +262,14 @@ func (c *Cache) cosCountersFor(cos int) cosCounters {
 // effective cache and shut out system noise (§V-C1).
 func (c *Cache) SetCoSMask(cos int, mask uint64) {
 	c.cos[cos] = mask & waymask(c.cfg.Ways)
+	c.forgetViews()
 }
 
 // AssignActor pins an actor (victim, attacker, noise process) to a class
 // of service.
-func (c *Cache) AssignActor(actor, cos int) { c.actor[actor] = cos }
-
-func (c *Cache) maskFor(actor int) uint64 {
-	m, ok := c.cos[c.cosOf(actor)]
-	if !ok || m == 0 {
-		m = waymask(c.cfg.Ways)
-	}
-	return m
+func (c *Cache) AssignActor(actor, cos int) {
+	c.actor[actor] = cos
+	c.forgetViews()
 }
 
 // LineOf returns the line address of a physical address.
@@ -274,22 +283,20 @@ func (c *Cache) AddrOfLine(line uint64) uint64 { return line << uint(c.lineBits)
 // hash.
 func (c *Cache) SetOf(paddr uint64) (slice, set int) {
 	line := c.LineOf(paddr)
-	return c.SliceOf(paddr), int(line & uint64(c.cfg.Sets-1))
+	return c.sliceOfLine(line), int(line & uint64(c.cfg.Sets-1))
 }
 
 // SliceOf computes the slice via an xor-folding hash over the line
 // address, in the spirit of the reverse-engineered Intel complex
 // addressing function (Liu et al., §V-C1).
-func (c *Cache) SliceOf(paddr uint64) int {
-	if c.cfg.Slices == 1 {
-		return 0
-	}
-	line := c.LineOf(paddr)
+func (c *Cache) SliceOf(paddr uint64) int { return c.sliceOfLine(c.LineOf(paddr)) }
+
+func (c *Cache) sliceOfLine(line uint64) int {
 	var out int
-	for b := 0; b < c.sliceBits; b++ {
+	for b, m := range c.sliceMask {
 		// Each slice bit is the parity of a distinct comb of line bits;
 		// the combs are precomputed masks, so a bit costs one popcount.
-		out |= (bits.OnesCount64(line&c.sliceMask[b]) & 1) << uint(b)
+		out |= (bits.OnesCount64(line&m) & 1) << uint(b)
 	}
 	return out
 }
@@ -300,43 +307,48 @@ func (c *Cache) GlobalSet(paddr uint64) int {
 	return sl*c.cfg.Sets + st
 }
 
+// ways returns the line's global set and its ways' tags.
+func (c *Cache) ways(line uint64) (gs int, tags []uint64) {
+	gs = c.sliceOfLine(line)*c.cfg.Sets + int(line&uint64(c.cfg.Sets-1))
+	base := gs * c.cfg.Ways
+	return gs, c.tags[base : base+c.cfg.Ways]
+}
+
 // Access simulates one access by actor to physical address paddr and
 // returns the hit/miss outcome with a noisy latency.
 func (c *Cache) Access(actor int, paddr uint64) Result {
 	c.clock++
+	v := c.view(actor)
 	line := c.LineOf(paddr)
-	sl, st := c.SetOf(paddr)
-	s := &c.slices[sl][st]
-	res := Result{Set: sl*c.cfg.Sets + st, Slice: sl, Evicted: ^uint64(0), Victim: -1}
+	gs, tags := c.ways(line)
+	res := Result{Set: gs, Slice: gs >> c.setBits, Evicted: ^uint64(0), Victim: -1}
 
-	cc := c.cosCountersFor(c.cosOf(actor))
-	for i := range s.ways {
-		w := &s.ways[i]
-		if w.valid && w.line == line {
-			w.lru = c.clock
-			c.touchPLRU(s, i)
+	tag := line + 1
+	for i, t := range tags {
+		if t == tag {
+			c.touch(gs, i)
 			res.Hit = true
 			res.Latency = c.latency(c.cfg.HitLatency)
 			c.hits.Inc()
-			cc.hits.Inc()
+			v.hits.Inc()
 			return res
 		}
 	}
 
 	// Miss: allocate within the actor's CAT mask.
 	c.misses.Inc()
-	cc.misses.Inc()
+	v.misses.Inc()
 	res.Latency = c.latency(c.cfg.MissLatency)
-	mask := c.maskFor(actor)
-	victim := c.pickVictim(s, mask)
-	w := &s.ways[victim]
-	if w.valid {
-		res.Evicted = w.line
-		res.Victim = w.owner
+	i := c.pickVictim(gs, tags, v.mask)
+	w := gs*c.cfg.Ways + i
+	if tags[i] != 0 {
+		res.Evicted = tags[i] - 1
+		res.Victim = c.owners[w]
 		c.evictions.Inc()
 	}
-	*w = way{valid: true, line: line, owner: actor, lru: c.clock}
-	c.touchPLRU(s, victim)
+	tags[i] = tag
+	c.owners[w] = actor
+	c.touch(gs, i)
 	return res
 }
 
@@ -350,11 +362,10 @@ func (c *Cache) Probe(actor int, paddr uint64) int {
 // affects all ways regardless of CoS, like the real instruction.
 func (c *Cache) Flush(paddr uint64) {
 	line := c.LineOf(paddr)
-	sl, st := c.SetOf(paddr)
-	s := &c.slices[sl][st]
-	for i := range s.ways {
-		if s.ways[i].valid && s.ways[i].line == line {
-			s.ways[i] = way{}
+	_, tags := c.ways(line)
+	for i, t := range tags {
+		if t == line+1 {
+			tags[i] = 0
 			c.flushes.Inc()
 			return
 		}
@@ -365,9 +376,9 @@ func (c *Cache) Flush(paddr uint64) {
 // introspection; a real attacker infers this from Probe latency).
 func (c *Cache) Contains(paddr uint64) bool {
 	line := c.LineOf(paddr)
-	sl, st := c.SetOf(paddr)
-	for _, w := range c.slices[sl][st].ways {
-		if w.valid && w.line == line {
+	_, tags := c.ways(line)
+	for _, t := range tags {
+		if t == line+1 {
 			return true
 		}
 	}
@@ -378,13 +389,14 @@ func (c *Cache) Contains(paddr uint64) bool {
 // [slice][set]. Exported so tools can render which sets an attack run
 // actually touched.
 func (c *Cache) Heatmap() [][]int {
-	hm := make([][]int, len(c.slices))
-	for sl, sets := range c.slices {
-		hm[sl] = make([]int, len(sets))
-		for st := range sets {
+	hm := make([][]int, c.cfg.Slices)
+	for sl := range hm {
+		hm[sl] = make([]int, c.cfg.Sets)
+		for st := range hm[sl] {
+			base := (sl*c.cfg.Sets + st) * c.cfg.Ways
 			n := 0
-			for _, w := range sets[st].ways {
-				if w.valid {
+			for _, t := range c.tags[base : base+c.cfg.Ways] {
+				if t != 0 {
 					n++
 				}
 			}
@@ -408,88 +420,89 @@ func (c *Cache) EmitHeatmap() {
 
 // OccupancyOf returns how many valid lines actor owns in the set of paddr.
 func (c *Cache) OccupancyOf(actor int, paddr uint64) int {
-	sl, st := c.SetOf(paddr)
+	gs, tags := c.ways(c.LineOf(paddr))
+	owners := c.owners[gs*c.cfg.Ways:]
 	n := 0
-	for _, w := range c.slices[sl][st].ways {
-		if w.valid && w.owner == actor {
+	for i, t := range tags {
+		if t != 0 && owners[i] == actor {
 			n++
 		}
 	}
 	return n
 }
 
-func (c *Cache) pickVictim(s *set, mask uint64) int {
-	// Prefer an invalid way within the mask.
-	for i := range s.ways {
-		if mask&(1<<uint(i)) != 0 && !s.ways[i].valid {
+// touch records a hit on, or fill of, way i of global set gs in the
+// state its replacement policy reads.
+func (c *Cache) touch(gs, i int) {
+	switch c.cfg.Replacement {
+	case LRU:
+		c.stamps[gs*c.cfg.Ways+i] = c.clock
+	case TreePLRU:
+		c.touchPLRU(gs, i)
+	}
+}
+
+// pickVictim chooses the way a miss fills: the lowest invalid way in
+// the mask, else the policy's choice among the mask's ways. The mask is
+// never empty (view substitutes all ways for an empty one).
+func (c *Cache) pickVictim(gs int, tags []uint64, mask uint64) int {
+	if c.cfg.Replacement == LRU {
+		// One ascending pass: an invalid way ends it, else the oldest
+		// stamp wins (the lowest way among equals).
+		stamps := c.stamps[gs*c.cfg.Ways:]
+		best, oldest := 0, ^uint64(0)
+		for m := mask; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros64(m)
+			if tags[i] == 0 {
+				return i
+			}
+			if stamps[i] < oldest {
+				best, oldest = i, stamps[i]
+			}
+		}
+		return best
+	}
+	for m := mask; m != 0; m &= m - 1 {
+		if i := bits.TrailingZeros64(m); tags[i] == 0 {
 			return i
 		}
 	}
-	switch c.cfg.Replacement {
-	case LRU:
-		best, bestLRU := -1, ^uint64(0)
-		for i := range s.ways {
-			if mask&(1<<uint(i)) == 0 {
-				continue
-			}
-			if s.ways[i].lru < bestLRU {
-				best, bestLRU = i, s.ways[i].lru
-			}
-		}
-		if best >= 0 {
-			return best
-		}
-	case TreePLRU:
-		if v := c.plruVictim(s, mask); v >= 0 {
-			return v
-		}
-	case RandomRepl:
-		candidates := make([]int, 0, len(s.ways))
-		for i := range s.ways {
-			if mask&(1<<uint(i)) != 0 {
-				candidates = append(candidates, i)
-			}
-		}
-		if len(candidates) > 0 {
-			return candidates[c.rng.Intn(len(candidates))]
-		}
+	if c.cfg.Replacement == TreePLRU {
+		return c.plruVictim(gs, mask)
 	}
-	return 0 // empty mask: fall back to way 0
+	// RandomRepl: a uniform pick among the mask's ways in ascending order.
+	for k := c.rng.Intn(bits.OnesCount64(mask)); k > 0; k-- {
+		mask &= mask - 1
+	}
+	return bits.TrailingZeros64(mask)
 }
 
 // plruVictim walks the PLRU tree, constrained to ways in the mask; if the
 // tree leads outside the mask it falls back to the first allowed way.
-func (c *Cache) plruVictim(s *set, mask uint64) int {
-	n := len(s.ways)
+func (c *Cache) plruVictim(gs int, mask uint64) int {
+	n := c.cfg.Ways
 	idx := 1 // tree node index, 1-based heap layout
 	for idx < n {
-		bit := (s.plru >> uint(idx)) & 1
+		bit := (c.plru[gs] >> uint(idx)) & 1
 		idx = idx*2 + int(bit)
 	}
-	v := idx - n
-	if v >= 0 && v < n && mask&(1<<uint(v)) != 0 {
+	if v := idx - n; mask&(1<<uint(v)) != 0 {
 		return v
 	}
-	for i := 0; i < n; i++ {
-		if mask&(1<<uint(i)) != 0 {
-			return i
-		}
-	}
-	return -1
+	return bits.TrailingZeros64(mask)
 }
 
 // touchPLRU flips the tree bits away from the touched way.
-func (c *Cache) touchPLRU(s *set, wayIdx int) {
-	n := len(s.ways)
+func (c *Cache) touchPLRU(gs, wayIdx int) {
+	n := c.cfg.Ways
 	idx := wayIdx + n
 	for idx > 1 {
 		parent := idx / 2
-		bit := uint64(idx & 1) // which child we are
 		// Point the parent away from us.
-		if bit == 0 {
-			s.plru |= 1 << uint(parent)
+		if idx&1 == 0 {
+			c.plru[gs] |= 1 << uint(parent)
 		} else {
-			s.plru &^= 1 << uint(parent)
+			c.plru[gs] &^= 1 << uint(parent)
 		}
 		idx = parent
 	}

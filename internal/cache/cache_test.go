@@ -232,3 +232,32 @@ func TestBadGeometryPanics(t *testing.T) {
 	}()
 	New(Config{Sets: 3})
 }
+
+func TestTooManyWaysPanics(t *testing.T) {
+	New(Config{Ways: 64}) // the widest way mask still fits
+	defer func() {
+		if recover() == nil {
+			t.Error("65 ways should panic: way masks are 64-bit")
+		}
+	}()
+	New(Config{Ways: 65})
+}
+
+func TestAccessDoesNotAllocate(t *testing.T) {
+	for _, pol := range []Policy{LRU, TreePLRU, RandomRepl} {
+		c := New(Config{Sets: 16, Ways: 4, Slices: 2, Replacement: pol, Seed: 1})
+		c.SetCoSMask(1, 0b0110)
+		c.AssignActor(2, 1)
+		i := 0
+		step := func() {
+			// Eight same-set lines over a 2-way mask: misses and evictions.
+			c.Access(1+i%2, uint64(i%8)*16*64)
+			i++
+		}
+		step() // resolves both actors' CoS views and counters
+		step()
+		if n := testing.AllocsPerRun(1000, step); n != 0 {
+			t.Errorf("%v: Access allocates %.1f times per call", pol, n)
+		}
+	}
+}

@@ -5,7 +5,10 @@
 // 8-candidate first byte, and the zlib rolling-hash partial recovery.
 package recovery
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // UnknownObservation marks an iteration whose cache measurement was lost
 // (noise, exhausted frames); recovery treats it as unconstrained.
@@ -107,39 +110,17 @@ func RecoverBzip(trace BzipTrace, n, lineSize int) (*BzipResult, error) {
 		jiv[i] = interval{lo, hi}
 	}
 
-	// Candidate sets per byte as 256-bit masks.
-	cand := make([][4]uint64, n)
-	full := [4]uint64{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}
+	// Candidate sets per byte, each constrained by its interval's high byte.
+	cand := make([]byteSet, n)
 	for i := range cand {
-		cand[i] = full
-	}
-	has := func(m *[4]uint64, v int) bool { return m[v/64]&(1<<uint(v%64)) != 0 }
-	unset := func(m *[4]uint64, v int) { m[v/64] &^= 1 << uint(v%64) }
-	count := func(m *[4]uint64) int {
-		c := 0
-		for _, w := range m {
-			for ; w != 0; w &= w - 1 {
-				c++
-			}
-		}
-		return c
-	}
-
-	// Initial constraint from each interval's high byte.
-	for i := 0; i < n; i++ {
-		lo, hi := jiv[i].lo>>8, jiv[i].hi>>8
-		for v := 0; v < 256; v++ {
-			if v < lo || v > hi {
-				unset(&cand[i], v)
-			}
-		}
+		cand[i].addRange(jiv[i].lo>>8, jiv[i].hi>>8)
 	}
 
 	// Remember which bytes the direct observation alone pinned down, so
 	// the result can report how many the redundancy passes corrected.
 	directKnown := make([]bool, n)
 	for i := 0; i < n; i++ {
-		directKnown[i] = count(&cand[i]) == 1
+		directKnown[i] = cand[i].count() == 1
 	}
 
 	// Arc-consistency sweeps around the ring: j_i = b[i]<<8 | b[i+1].
@@ -149,41 +130,25 @@ func RecoverBzip(trace BzipTrace, n, lineSize int) (*BzipResult, error) {
 			next := (i + 1) % n
 			iv := jiv[i]
 			// Refine b[i]: keep x only if some y in cand[next] fits.
-			for x := 0; x < 256; x++ {
-				if !has(&cand[i], x) {
-					continue
+			for m := cand[i]; ; {
+				x := m.pop()
+				if x < 0 {
+					break
 				}
-				lo, hi := iv.lo-(x<<8), iv.hi-(x<<8)
-				ok := false
-				for y := max(lo, 0); y <= min(hi, 255); y++ {
-					if has(&cand[next], y) {
-						ok = true
-						break
-					}
-				}
-				if !ok {
-					unset(&cand[i], x)
+				if !cand[next].anyIn(iv.lo-(x<<8), iv.hi-(x<<8)) {
+					cand[i].remove(x)
 					changed = true
 				}
 			}
-			// Refine b[next]: keep y only if some x in cand[i] fits.
-			for y := 0; y < 256; y++ {
-				if !has(&cand[next], y) {
-					continue
+			// Refine b[next]: keep y only if some x in cand[i] fits, i.e.
+			// x in [ceil((lo-y)/256), floor((hi-y)/256)].
+			for m := cand[next]; ; {
+				y := m.pop()
+				if y < 0 {
+					break
 				}
-				ok := false
-				for x := 0; x < 256; x++ {
-					if !has(&cand[i], x) {
-						continue
-					}
-					j := x<<8 | y
-					if j >= iv.lo && j <= iv.hi {
-						ok = true
-						break
-					}
-				}
-				if !ok {
-					unset(&cand[next], y)
+				if !cand[i].anyIn((iv.lo-y+255)>>8, (iv.hi-y)>>8) {
+					cand[next].remove(y)
 					changed = true
 				}
 			}
@@ -195,33 +160,78 @@ func RecoverBzip(trace BzipTrace, n, lineSize int) (*BzipResult, error) {
 
 	res := &BzipResult{Block: make([]byte, n), Known: make([]bool, n)}
 	for i := 0; i < n; i++ {
-		c := count(&cand[i])
-		switch {
-		case c == 1:
+		switch m := cand[i]; m.count() {
+		case 1:
 			res.Known[i] = true
 			if !directKnown[i] {
 				res.Corrected++
 			}
-			for v := 0; v < 256; v++ {
-				if has(&cand[i], v) {
-					res.Block[i] = byte(v)
-					break
-				}
-			}
-		case c == 0:
+			res.Block[i] = byte(m.pop())
+		case 0:
 			// Contradiction (noisy trace): fall back to the raw interval's
 			// midpoint high byte.
 			res.Block[i] = byte(((jiv[i].lo + jiv[i].hi) / 2) >> 8)
 		default:
 			// Ambiguous: pick the lowest candidate (§IV-D notes the
 			// attacker at least knows the 0x00-0x03 vs 0xf4-0xff class).
-			for v := 0; v < 256; v++ {
-				if has(&cand[i], v) {
-					res.Block[i] = byte(v)
-					break
-				}
-			}
+			res.Block[i] = byte(m.pop())
 		}
 	}
 	return res, nil
+}
+
+// byteSet is a set of byte values as a 256-bit mask.
+type byteSet [4]uint64
+
+// wordRange returns the bits of word w that fall in [lo, hi].
+func wordRange(w, lo, hi int) uint64 {
+	m := ^uint64(0)
+	if lo > w*64 {
+		m <<= uint(lo - w*64)
+	}
+	if hi < w*64+63 {
+		m &= ^uint64(0) >> uint(w*64+63-hi)
+	}
+	return m
+}
+
+// addRange adds the values in [lo, hi] ∩ [0, 255].
+func (s *byteSet) addRange(lo, hi int) {
+	lo, hi = max(lo, 0), min(hi, 255)
+	for w := lo / 64; lo <= hi && w <= hi/64; w++ {
+		s[w] |= wordRange(w, lo, hi)
+	}
+}
+
+// anyIn reports whether s holds a value in [lo, hi].
+func (s *byteSet) anyIn(lo, hi int) bool {
+	lo, hi = max(lo, 0), min(hi, 255)
+	for w := lo / 64; lo <= hi && w <= hi/64; w++ {
+		if s[w]&wordRange(w, lo, hi) != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+func (s *byteSet) remove(v int) { s[v/64] &^= 1 << uint(v%64) }
+
+func (s *byteSet) count() int {
+	n := 0
+	for _, w := range s {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// pop removes and returns the lowest value, or -1 when s is empty.
+func (s *byteSet) pop() int {
+	for w := range s {
+		if s[w] != 0 {
+			v := bits.TrailingZeros64(s[w])
+			s[w] &= s[w] - 1
+			return w*64 + v
+		}
+	}
+	return -1
 }

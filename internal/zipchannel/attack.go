@@ -161,10 +161,17 @@ func (r *Result) String() string {
 
 // pageState is the attacker's bookkeeping for one vetted ftab page.
 type pageState struct {
-	frame   uint64
-	sets    []int        // global set per line index 0..63
-	evict   [][]uint64   // eviction set per line index
-	exclude map[int]bool // sets known-noisy, treated as false positives
+	frame uint64
+	sets  []int      // global set per line index 0..63
+	evict [][]uint64 // eviction set per line index
+	skip  []bool     // per line index: its set is known-noisy, a false positive
+}
+
+// exclude marks the lines whose sets are in noisy as skipped.
+func (ps *pageState) exclude(noisy map[int]bool) {
+	for k, gs := range ps.sets {
+		ps.skip[k] = noisy[gs]
+	}
 }
 
 // Attack runs the end-to-end extraction of input while the enclave

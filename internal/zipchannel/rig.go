@@ -150,7 +150,8 @@ func (r *rig) finish(res *Result) {
 // vetPage builds (and, with frame selection, searches for) the monitored
 // eviction sets of one victim table page (§V-C2).
 func (r *rig) vetPage(pageVA uint64) (*pageState, error) {
-	ps := &pageState{exclude: map[int]bool{}}
+	lines := sgx.PageSize / r.c.Config().LineSize
+	ps := &pageState{skip: make([]bool, lines)}
 	remaps := 0
 	for {
 		frame, ok := r.enc.FrameOf(pageVA)
@@ -160,7 +161,7 @@ func (r *rig) vetPage(pageVA uint64) (*pageState, error) {
 		ps.frame = frame
 		ps.sets = ps.sets[:0]
 		ps.evict = ps.evict[:0]
-		for k := 0; k < sgx.PageSize/r.c.Config().LineSize; k++ {
+		for k := 0; k < lines; k++ {
 			paddr := frame*sgx.PageSize + uint64(k*r.c.Config().LineSize)
 			gs := r.c.GlobalSet(paddr)
 			ps.sets = append(ps.sets, gs)
@@ -183,7 +184,7 @@ func (r *rig) vetPage(pageVA uint64) (*pageState, error) {
 		r.injectNoise() // a fault delivery's worth of kernel traffic
 		noisy := map[int]bool{}
 		for k, ev := range ps.evict {
-			if n, _ := r.pp.Probe(ev); n > 0 {
+			if r.pp.Probe(ev) > 0 {
 				noisy[ps.sets[k]] = true
 			}
 		}
@@ -196,12 +197,12 @@ func (r *rig) vetPage(pageVA uint64) (*pageState, error) {
 			// Give up searching: log the noisy sets as known false
 			// positives (the paper's timeout path).
 			r.vetTimeouts.Inc()
-			ps.exclude = noisy
+			ps.exclude(noisy)
 			return ps, nil
 		}
 		if _, err := r.enc.RemapPage(pageVA); err != nil {
 			r.vetTimeouts.Inc()
-			ps.exclude = noisy
+			ps.exclude(noisy)
 			return ps, nil
 		}
 		remaps++
@@ -227,7 +228,7 @@ func (r *rig) pageFor(pageVA uint64) (*pageState, error) {
 // prime fills the monitored sets of a vetted page.
 func (r *rig) prime(ps *pageState) {
 	for k, ev := range ps.evict {
-		if !ps.exclude[ps.sets[k]] {
+		if !ps.skip[k] {
 			r.pp.Prime(ev)
 		}
 	}
@@ -240,10 +241,10 @@ func (r *rig) probeLine(ps *pageState) int {
 	hot := -1
 	count := 0
 	for k, ev := range ps.evict {
-		if ps.exclude[ps.sets[k]] {
+		if ps.skip[k] {
 			continue
 		}
-		if n, _ := r.pp.Probe(ev); n > 0 {
+		if r.pp.Probe(ev) > 0 {
 			hot = k
 			count++
 		}
