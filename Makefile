@@ -49,6 +49,7 @@ test-fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzPageRoundTrip -fuzztime $(FUZZTIME) ./internal/pagestore/
 	$(GO) test -run '^$$' -fuzz FuzzVMDifferential -fuzztime $(FUZZTIME) ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzCacheDifferential -fuzztime $(FUZZTIME) ./internal/cache/
+	$(GO) test -run '^$$' -fuzz FuzzSetUnion -fuzztime $(FUZZTIME) ./internal/taint/
 
 # The scheduler's determinism contract: the full quick suite must be
 # byte-identical at parallelism 1 and 8 (manifests and merged snapshot),
@@ -334,9 +335,11 @@ test-chaos-cluster:
 	kill -INT $$pid1 $$pid2 2>/dev/null; wait $$pid1 $$pid2 2>/dev/null || true; \
 	echo "test-chaos-cluster: zero errors through a SIGKILL+restart; peer probation opened and recovered"
 
-# Regenerate golden files (obs snapshot, experiments example manifest).
+# Regenerate golden files (obs snapshot, TaintChannel reports,
+# experiments example manifest).
 golden:
 	$(GO) test ./internal/obs/ -run TestSnapshotGolden -update
+	$(GO) test ./internal/core/ -run TestReportGolden -update
 	$(GO) run ./cmd/experiments -run sgx -quick -json 2>/dev/null > cmd/experiments/testdata/sgx-quick.json
 
 clean:

@@ -129,10 +129,16 @@ func (b *byteShadow) clean() bool { return b.mask == 0 }
 type Analyzer struct {
 	cfg Config
 
-	regs      [isa.NumRegs]taint.Word
-	shadow    shadowMem
-	flagTaint *taint.Set
-	flagPC    int
+	regs   [isa.NumRegs]taint.Word
+	shadow shadowMem
+	// flagSrc latches the shadow word(s) the last flag setter (flagPC)
+	// derived the flags from: cmp/test's two truncated operands, or an
+	// ALU op's result in flagSrc[0] with flagSrc[1] clean. The flag taint
+	// is the union of all their tags; steady-state readers only test its
+	// emptiness (flagsTainted), and recordBranch builds the set only for
+	// a retained sample.
+	flagSrc [2]taint.Word
+	flagPC  int
 
 	// transfers is the per-block taint transfer table of the attached
 	// program (blocktaint.go), indexed like vm.Blocks. lastSkip is the
@@ -272,16 +278,15 @@ func (a *Analyzer) step(v *vm.VM, in *isa.Instr) {
 		a.trackReg(v, in, in.Dst.Reg)
 
 	case isa.OpCmp, isa.OpTest:
-		a.tmpDst.CopyFrom(&a.regs[in.Dst.Reg])
-		a.tmpDst.TruncateIn(w)
-		a.operandShadow(&a.tmpSrc, in.Src, w)
-		a.flagTaint = taint.Union(a.tmpDst.AllTags(), a.tmpSrc.AllTags())
+		a.flagSrc[0].CopyFrom(&a.regs[in.Dst.Reg])
+		a.flagSrc[0].TruncateIn(w)
+		a.operandShadow(&a.flagSrc[1], in.Src, w)
 		a.flagPC = v.PC
-		touched = !a.flagTaint.IsEmpty()
+		touched = a.flagsTainted()
 
 	case isa.OpJe, isa.OpJne, isa.OpJl, isa.OpJle, isa.OpJg, isa.OpJge,
 		isa.OpJb, isa.OpJbe, isa.OpJa, isa.OpJae:
-		if !a.flagTaint.IsEmpty() {
+		if a.flagsTainted() {
 			a.recordBranch(v, in)
 			touched = true
 		}
@@ -350,12 +355,18 @@ func (a *Analyzer) aluTaint(v *vm.VM, in *isa.Instr) bool {
 		a.loadShadow(&a.tmpDst, addr, w)
 		old := &a.tmpDst
 		oldClean := old.IsClean()
+		// The and/or mask rules read the concrete old memory value, and
+		// only for a clean destination and a tainted source. A failing
+		// load faults the instruction itself, so its error is dropped.
+		var dstVal uint64
+		if oldClean && !src.IsClean() && (in.Op == isa.OpAnd || in.Op == isa.OpOr) {
+			dstVal, _ = v.Mem.Load(addr, w)
+		}
 		// Combine into tmpDst (aliasing old, which combine permits), then
-		// derive the flag taint from the *untruncated* result, matching
-		// the historical memory-destination rule.
-		a.combine(old, in.Op, old, src, v, in, w)
-		a.flagTaint = old.AllTags()
-		a.flagPC = v.PC
+		// latch the flags from the *untruncated* result, matching the
+		// historical memory-destination rule.
+		a.combine(old, in.Op, old, src, dstVal, v, in, w)
+		a.latchFlags(old, v.PC)
 		old.TruncateIn(w)
 		a.storeShadowTracked(v, in, addr, w, old)
 		return !oldClean || !src.IsClean() || addrT
@@ -369,20 +380,34 @@ func (a *Analyzer) aluTaint(v *vm.VM, in *isa.Instr) bool {
 	d := &a.regs[in.Dst.Reg]
 	d.TruncateIn(w)
 	dClean := d.IsClean()
-	a.combine(d, in.Op, d, src, v, in, w)
+	a.combine(d, in.Op, d, src, v.Regs[in.Dst.Reg], v, in, w)
 	d.TruncateIn(w)
-	a.flagTaint = d.AllTags()
-	a.flagPC = v.PC
+	a.latchFlags(d, v.PC)
 	touched := !dClean || !src.IsClean()
 	a.trackReg(v, in, in.Dst.Reg)
 	return touched
 }
 
+// latchFlags makes word, the result of a one-operand flag setter, the
+// flag latch's source.
+func (a *Analyzer) latchFlags(word *taint.Word, pc int) {
+	a.flagSrc[0].CopyFrom(word)
+	a.flagSrc[1].Reset()
+	a.flagPC = pc
+}
+
+// flagsTainted reports whether the latched flags carry any taint, from
+// the live-bit masks alone.
+func (a *Analyzer) flagsTainted() bool {
+	return a.flagSrc[0].Mask()|a.flagSrc[1].Mask() != 0
+}
+
 // combine applies the per-opcode taint transfer function (the paper's
 // Fig 1 decision tree plus the §III-B special cases for and-masks and
 // shifts), storing the result into out. out may alias d; it must not
-// alias s.
-func (a *Analyzer) combine(out *taint.Word, op isa.Op, d, s *taint.Word, v *vm.VM, in *isa.Instr, w int) {
+// alias s. dstVal is the destination's concrete pre-instruction value,
+// which the and/or rules use as the mask when d is clean.
+func (a *Analyzer) combine(out *taint.Word, op isa.Op, d, s *taint.Word, dstVal uint64, v *vm.VM, in *isa.Instr, w int) {
 	switch op {
 	case isa.OpAdd, isa.OpSub:
 		if a.cfg.CarryAware {
@@ -400,7 +425,7 @@ func (a *Analyzer) combine(out *taint.Word, op isa.Op, d, s *taint.Word, v *vm.V
 			return
 		}
 		if d.IsClean() {
-			out.SetOrMask(s, v.Regs[in.Dst.Reg])
+			out.SetOrMask(s, dstVal)
 			return
 		}
 		out.SetMergePerBit(d, s)
@@ -411,7 +436,7 @@ func (a *Analyzer) combine(out *taint.Word, op isa.Op, d, s *taint.Word, v *vm.V
 			return
 		}
 		if d.IsClean() {
-			out.SetAndMask(s, v.Regs[in.Dst.Reg])
+			out.SetAndMask(s, dstVal)
 			return
 		}
 		out.SetMergePerBit(d, s)
@@ -617,9 +642,10 @@ func (a *Analyzer) recordBranch(v *vm.VM, in *isa.Instr) {
 	}
 	f.Count++
 	if len(f.Samples) < a.cfg.MaxSamplesPerGadget {
+		flags := taint.Union(a.flagSrc[0].AllTags(), a.flagSrc[1].AllTags())
 		var word taint.Word
 		for i := 0; i < taint.WordBits; i++ {
-			word.SetBit(i, a.flagTaint)
+			word.SetBit(i, flags)
 		}
 		f.Samples = append(f.Samples, AccessSample{
 			Step: v.Steps, Addr: uint64(a.flagPC), AddrTaint: word,

@@ -270,7 +270,7 @@ func computeTransfer(p *isa.Program, b vm.Block) (taint.Transfer, []memAccess, b
 func (a *Analyzer) enterBlock(v *vm.VM, blockID int) bool {
 	e := &a.transfers.entries[blockID]
 	if blockID != a.lastSkip {
-		if !e.t.Skippable(&a.regs, false, !a.flagTaint.IsEmpty()) {
+		if !e.t.Skippable(&a.regs, false, a.flagsTainted()) {
 			return true
 		}
 		if e.t.TouchesMem && a.shadow.live > 0 && !e.memExact {
@@ -289,7 +289,8 @@ func (a *Analyzer) enterBlock(v *vm.VM, blockID int) bool {
 	a.lastSkip = blockID
 	a.instrCount += uint64(e.t.Len)
 	if e.t.FlagPC >= 0 {
-		a.flagTaint = nil
+		a.flagSrc[0].Reset()
+		a.flagSrc[1].Reset()
 		a.flagPC = int(e.t.FlagPC)
 	}
 	e.t.Apply(&a.regs)

@@ -50,9 +50,9 @@ type internShard struct {
 
 var internPool [internShards]*internShard
 
-// singletons caches single-tag sets, the shadow of every freshly read
-// input byte; indexed by tag value within a small direct-mapped window,
-// falling back to the general pool for large tags.
+// singletonCache maps a tag to its canonical single-tag set, the shadow
+// of every freshly read input byte: an RWMutex-guarded map in front of
+// the general pool, so repeat lookups take only the read lock.
 var singletonCache struct {
 	mu sync.RWMutex
 	m  map[Tag]*Set
