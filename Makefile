@@ -46,6 +46,7 @@ test-fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzRoundTrip -fuzztime $(FUZZTIME) ./internal/compress/huffcoding/
 	$(GO) test -run '^$$' -fuzz FuzzParseCacheControl -fuzztime $(FUZZTIME) ./internal/server/
 	$(GO) test -run '^$$' -fuzz FuzzParseIfNoneMatch -fuzztime $(FUZZTIME) ./internal/server/
+	$(GO) test -run '^$$' -fuzz FuzzParseTraceparent -fuzztime $(FUZZTIME) ./internal/obs/
 	$(GO) test -run '^$$' -fuzz FuzzPageRoundTrip -fuzztime $(FUZZTIME) ./internal/pagestore/
 	$(GO) test -run '^$$' -fuzz FuzzVMDifferential -fuzztime $(FUZZTIME) ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzCacheDifferential -fuzztime $(FUZZTIME) ./internal/cache/
@@ -151,9 +152,11 @@ bench-cluster:
 	echo "bench-cluster: 2-instance tiered cluster byte-identical to single-LRU baseline ($$d1)"
 
 # One-iteration hot-path smoke (CI runs this so compile or gross perf
-# regressions on the taint/LZ77 paths surface in PRs).
+# regressions on the taint/LZ77 paths and the in-process /v1 request
+# path surface in PRs).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkTaintAnalysis|BenchmarkLZ77Compress' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkServeHit|BenchmarkServeMiss' -benchtime 1x ./internal/server/
 
 # Quick cross-layer check: SGX attack telemetry end to end.
 smoke:
@@ -335,10 +338,11 @@ test-chaos-cluster:
 	kill -INT $$pid1 $$pid2 2>/dev/null; wait $$pid1 $$pid2 2>/dev/null || true; \
 	echo "test-chaos-cluster: zero errors through a SIGKILL+restart; peer probation opened and recovered"
 
-# Regenerate golden files (obs snapshot, TaintChannel reports,
-# experiments example manifest).
+# Regenerate golden files (obs snapshot, server /metrics, TaintChannel
+# reports, experiments example manifest).
 golden:
 	$(GO) test ./internal/obs/ -run TestSnapshotGolden -update
+	$(GO) test ./internal/server/ -run TestMetricsGolden -update
 	$(GO) test ./internal/core/ -run TestReportGolden -update
 	$(GO) run ./cmd/experiments -run sgx -quick -json 2>/dev/null > cmd/experiments/testdata/sgx-quick.json
 

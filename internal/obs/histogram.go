@@ -12,8 +12,10 @@ const numBuckets = 65
 
 // Histogram accumulates int64 observations into fixed log-spaced
 // (power-of-two) buckets, so snapshots are deterministic under a fixed
-// seed regardless of observation order. The zero value is ready to use;
-// all methods are no-ops on a nil receiver.
+// seed regardless of observation order. Create one with NewHistogram
+// (or Registry.Histogram): a zero-value Histogram starts min and max at
+// 0, so it misreports the min of positive observations and the max of
+// negative ones. All methods are no-ops on a nil receiver.
 type Histogram struct {
 	count   atomic.Uint64
 	sum     atomic.Int64

@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -163,6 +164,18 @@ func TestSpanDualClock(t *testing.T) {
 	if wall["work"] == 0 {
 		t.Error("wall total should be nonzero")
 	}
+	// A second End records nothing.
+	sim += 500
+	sp.End()
+	if got := r.Counter("work.calls").Value(); got != 1 {
+		t.Errorf("calls after second End = %d, want 1", got)
+	}
+	if got := r.Histogram("work.sim").Count(); got != 1 {
+		t.Errorf("sim observations after second End = %d, want 1", got)
+	}
+	if got := r.WallTotals()["work"]; got != wall["work"] {
+		t.Errorf("wall total moved on second End: %d -> %d", wall["work"], got)
+	}
 	// Without a sim clock, no sim histogram is created.
 	r2 := NewRegistry()
 	r2.StartSpan("w2").End()
@@ -194,6 +207,27 @@ func TestTraceSinkNDJSON(t *testing.T) {
 		if obj["seq"] != float64(i+1) {
 			t.Errorf("line %d seq = %v, want %d", i, obj["seq"], i+1)
 		}
+	}
+
+	// An untraced span's event carries no trace identity keys.
+	buf.Reset()
+	sp := r.StartSpan("phase")
+	sim += 3
+	sp.End()
+	var obj map[string]any
+	if err := json.Unmarshal(buf.Bytes(), &obj); err != nil {
+		t.Fatalf("span event is not JSON: %v (%s)", err, buf.Bytes())
+	}
+	keys := make([]string, 0, len(obj))
+	for k := range obj {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	if got, want := strings.Join(keys, ","), "ev,name,seq,sim,sim_cycles,wall_ns"; got != want {
+		t.Errorf("span event keys = %s, want %s", got, want)
+	}
+	if obj["ev"] != "span" || obj["name"] != "phase" || obj["sim_cycles"] != float64(3) {
+		t.Errorf("span event = %v", obj)
 	}
 }
 

@@ -8,15 +8,18 @@ import (
 	"time"
 )
 
-// This file is the request-scoped half of the telemetry layer: a span-tree
-// tracer with W3C-style trace/span IDs, propagated across process
-// boundaries via the `traceparent` header and across function boundaries
-// via context.Context. It extends — without replacing — the flat Span
-// timer in span.go: a TraceSpan carries identity (trace ID, span ID,
-// parent span ID) so the NDJSON sink records a linkable tree, while the
-// metric side effects stay exactly those of Span (a ".calls" counter, a
-// snapshot-visible ".sim" histogram when a simulation clock is installed,
-// wall nanoseconds in the hidden wall table).
+// This file is the telemetry layer's one span type, TraceSpan, a timer
+// with a simulation-clock / wall-clock dual. Ending a span increments
+// "<name>.calls", observes the elapsed sim cycles into a snapshot-visible
+// "<name>.sim" histogram when a simulation clock is installed, and adds
+// wall nanoseconds to the hidden wall table. Spans come from two places:
+//
+//   - Registry.StartSpan, a flat timer with no identity (the attack and
+//     dataset phases), and
+//   - Tracer.StartSpan, a node of a span tree with W3C-style trace/span
+//     IDs, propagated across process boundaries via the `traceparent`
+//     header and across function boundaries via context.Context, so the
+//     NDJSON sink records a linkable tree.
 //
 // The determinism contract (DESIGN.md §9):
 //
@@ -66,15 +69,15 @@ func (sc SpanContext) Traceparent() string {
 }
 
 // ParseTraceparent parses a W3C traceparent header. It accepts any
-// version byte (per spec, unknown versions are parsed as version 00 if
-// the tail matches) and rejects malformed lengths, non-hex digits, and
-// all-zero IDs.
+// version byte but ff (per spec, a later version is parsed as version 00
+// and may append '-'-separated fields after the flags) and rejects
+// malformed lengths, non-hex digits, and all-zero IDs.
 func ParseTraceparent(h string) (SpanContext, bool) {
 	// version(2) - trace(32) - span(16) - flags(2)
 	if len(h) < 55 || h[2] != '-' || h[35] != '-' || h[52] != '-' {
 		return SpanContext{}, false
 	}
-	if len(h) > 55 && h[55] != '-' {
+	if len(h) > 55 && (h[:2] == "00" || h[55] != '-') {
 		return SpanContext{}, false // version 00 must be exactly 55 chars
 	}
 	var sc SpanContext
@@ -210,11 +213,7 @@ func (t *Tracer) StartSpan(ctx context.Context, name string) (context.Context, *
 	if t == nil {
 		return ctx, nil
 	}
-	sp := &TraceSpan{
-		t:         t,
-		name:      name,
-		wallStart: time.Now(),
-	}
+	sp := t.reg.newSpan(name)
 	switch {
 	case SpanFromContext(ctx) != nil:
 		parent := SpanFromContext(ctx)
@@ -228,27 +227,39 @@ func (t *Tracer) StartSpan(ctx context.Context, name string) (context.Context, *
 			sp.sc = SpanContext{Trace: t.ids.TraceID(), Span: t.ids.SpanID()}
 		}
 	}
-	if t.regHasClock() {
-		sp.hasClock = true
-		sp.simStart = t.reg.SimNow()
-	}
 	return ContextWithSpan(ctx, sp), sp
 }
 
-func (t *Tracer) regHasClock() bool {
-	if t == nil || t.reg == nil {
-		return false
+// StartSpan begins a span with no trace identity: the same metric side
+// effects as a traced span, and a trace event without trace/span IDs.
+// Returns nil (a no-op span) on a nil registry.
+func (r *Registry) StartSpan(name string) *TraceSpan {
+	if r == nil {
+		return nil
 	}
-	t.reg.mu.RLock()
-	has := t.reg.simClock != nil
-	t.reg.mu.RUnlock()
-	return has
+	return r.newSpan(name)
 }
 
-// TraceSpan is one node of a request's span tree. All methods are no-ops
-// on a nil receiver; End is idempotent.
+// newSpan starts the clocks of a span recording into r (which may be
+// nil: the span then records nothing).
+func (r *Registry) newSpan(name string) *TraceSpan {
+	sp := &TraceSpan{r: r, name: name, wallStart: time.Now()}
+	if r != nil {
+		r.mu.RLock()
+		clock := r.simClock
+		r.mu.RUnlock()
+		if clock != nil {
+			sp.hasClock = true
+			sp.simStart = clock()
+		}
+	}
+	return sp
+}
+
+// TraceSpan is one timed span, traced (a node of a request's span tree)
+// or not. All methods are no-ops on a nil receiver; End is idempotent.
 type TraceSpan struct {
-	t         *Tracer
+	r         *Registry
 	name      string
 	sc        SpanContext
 	parent    SpanID
@@ -294,9 +305,9 @@ func (sp *TraceSpan) SetAttr(key string, value any) {
 // End closes the span: it increments "<name>.calls", observes the sim
 // duration into the snapshot-visible "<name>.sim" histogram when a sim
 // clock is installed, adds wall nanoseconds to the hidden wall table,
-// and emits a "span" trace event with the full identity triple when a
-// sink is attached. Safe to call more than once; only the first End
-// records.
+// and emits a "span" trace event when a sink is attached — with the
+// identity triple only for a traced span. Safe to call more than once;
+// only the first End records.
 func (sp *TraceSpan) End() {
 	if sp == nil {
 		return
@@ -310,7 +321,7 @@ func (sp *TraceSpan) End() {
 	attrs := sp.attrs
 	sp.mu.Unlock()
 
-	r := sp.t.reg
+	r := sp.r
 	wallNS := uint64(time.Since(sp.wallStart).Nanoseconds())
 	r.Counter(sp.name + ".calls").Inc()
 	r.wallCounter(sp.name).Add(wallNS)
@@ -322,13 +333,15 @@ func (sp *TraceSpan) End() {
 	if sink := r.traceSink(); sink != nil {
 		fields := map[string]any{
 			"name":       sp.name,
-			"trace":      sp.sc.Trace.String(),
-			"span":       sp.sc.Span.String(),
 			"sim_cycles": simDur,
 			"wall_ns":    wallNS,
 		}
-		if !sp.parent.IsZero() {
-			fields["parent"] = sp.parent.String()
+		if sp.sc.Valid() {
+			fields["trace"] = sp.sc.Trace.String()
+			fields["span"] = sp.sc.Span.String()
+			if !sp.parent.IsZero() {
+				fields["parent"] = sp.parent.String()
+			}
 		}
 		if len(attrs) > 0 {
 			fields["attrs"] = attrs

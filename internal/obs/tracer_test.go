@@ -40,6 +40,67 @@ func TestParseTraceparentRejects(t *testing.T) {
 	}
 }
 
+// TestParseTraceparentVersions pins the version rules: a version-00
+// header is exactly 55 bytes, while a later version may carry extra
+// '-'-separated fields after the flags.
+func TestParseTraceparentVersions(t *testing.T) {
+	const id = "4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7"
+	cases := []struct {
+		h    string
+		want bool
+	}{
+		{"00-" + id + "-01", true},
+		{"00-" + id + "-00", true},
+		{"00-" + strings.ToUpper(id) + "-01", true},
+		{"00-" + id + "-01-extra", false},
+		{"00-" + id + "-01-", false},
+		{"00-" + id + "-01x", false},
+		{"01-" + id + "-01", true},
+		{"01-" + id + "-01-extra", true},
+		{"01-" + id + "-01-", true},
+		{"01-" + id + "-01x", false},
+		{"ff-" + id + "-01", false},
+	}
+	for _, c := range cases {
+		if _, ok := ParseTraceparent(c.h); ok != c.want {
+			t.Errorf("ParseTraceparent(%q) ok = %v, want %v", c.h, ok, c.want)
+		}
+	}
+}
+
+// FuzzParseTraceparent checks that an accepted version-00 header is
+// exactly 55 bytes and that its identity round-trips through
+// SpanContext.Traceparent up to hex case. (The flags byte is not carried:
+// Traceparent always renders the sampled flag.)
+func FuzzParseTraceparent(f *testing.F) {
+	f.Add("00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01")
+	f.Add("00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-extra")
+	f.Add("01-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-x")
+	f.Add("ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01")
+	f.Fuzz(func(t *testing.T, h string) {
+		sc, ok := ParseTraceparent(h)
+		if !ok {
+			return
+		}
+		if !sc.Valid() {
+			t.Fatalf("accepted %q with an invalid identity", h)
+		}
+		out := sc.Traceparent()
+		if back, ok := ParseTraceparent(out); !ok || back != sc {
+			t.Fatalf("%q re-parses to %+v ok=%v, want %+v", out, back, ok, sc)
+		}
+		if !strings.HasPrefix(h, "00-") {
+			return
+		}
+		if len(h) != 55 {
+			t.Fatalf("accepted version-00 header of %d bytes: %q", len(h), h)
+		}
+		if !strings.EqualFold(out[:52], h[:52]) {
+			t.Fatalf("%q renders as %q", h, out)
+		}
+	})
+}
+
 func TestIDSourceDeterministicAndUnique(t *testing.T) {
 	a, b := NewIDSource(42), NewIDSource(42)
 	for i := 0; i < 10; i++ {

@@ -22,7 +22,6 @@ import (
 	"strconv"
 
 	"github.com/zipchannel/zipchannel/internal/fault"
-	"github.com/zipchannel/zipchannel/internal/obs"
 	"github.com/zipchannel/zipchannel/internal/pagestore"
 )
 
@@ -35,20 +34,6 @@ const (
 	PageRatioHeader   = "X-Page-Ratio"
 )
 
-// declarePageMetrics mirrors declareMetrics for the pages surface, so a
-// pagestore-enabled server exposes its request/SLO series at zero from
-// the first scrape.
-func (s *Server) declarePageMetrics() {
-	for _, op := range []string{"put", "get"} {
-		s.reg.DeclareCounters(
-			"server.codec.pages."+op,
-			"server.slo.pages."+op+".good",
-			"server.slo.pages."+op+".breach",
-		)
-		s.reg.DeclareGauges("server.slo.pages." + op + ".burn_rate")
-	}
-}
-
 // setPageHeaders stamps the page envelope on a response.
 func setPageHeaders(hdr http.Header, info pagestore.PageInfo) {
 	hdr.Set(PageStepsHeader, strconv.FormatInt(info.Steps, 10))
@@ -58,29 +43,29 @@ func setPageHeaders(hdr http.Header, info pagestore.PageInfo) {
 }
 
 // pageError maps a pagestore error onto the HTTP surface, counting it
-// under the req registry like the codec error paths.
-func (s *Server) pageError(w http.ResponseWriter, req *obs.Registry, err error) {
+// like the codec error paths.
+func (s *Server) pageError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, pagestore.ErrNotFound):
-		req.Counter("server.errors.page_not_found").Inc()
+		s.reg.Counter("server.errors.page_not_found").Inc()
 		http.Error(w, err.Error(), http.StatusNotFound)
 	case errors.Is(err, pagestore.ErrTooLarge), errors.Is(err, pagestore.ErrBadPlant):
-		req.Counter("server.errors.page_too_large").Inc()
+		s.reg.Counter("server.errors.page_too_large").Inc()
 		http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
 	case errors.Is(err, pagestore.ErrCorrupt):
 		// Detected corruption is a 500: the stored copy may be intact (a
 		// transient read-path fault), so clients retry — the zipload
 		// recovery path depends on exactly this mapping.
-		req.Counter("server.errors.page_corrupt").Inc()
+		s.reg.Counter("server.errors.page_corrupt").Inc()
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	case errors.Is(err, fault.ErrInjected):
-		req.Counter("server.errors.transient").Inc()
+		s.reg.Counter("server.errors.transient").Inc()
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		req.Counter("server.errors.deadline").Inc()
+		s.reg.Counter("server.errors.deadline").Inc()
 		http.Error(w, "request deadline exceeded", http.StatusGatewayTimeout)
 	default:
-		req.Counter("server.errors.page").Inc()
+		s.reg.Counter("server.errors.page").Inc()
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
 }
@@ -89,7 +74,7 @@ func (s *Server) pageError(w http.ResponseWriter, req *obs.Registry, err error) 
 // compression is codec work, so it shares the same bounded gate as the
 // /v1/{codec} endpoints — containing panics (injected pagestore faults
 // included) as errors.
-func (s *Server) runPageOp(ctx context.Context, req *obs.Registry, op string, fn func() error) error {
+func (s *Server) runPageOp(ctx context.Context, op string, fn func() error) error {
 	var opErr error
 	_, gsp := s.tracer.StartSpan(ctx, "server.gate.wait")
 	wait, gateErr := s.gate.DoCtxWait(ctx, func() {
@@ -99,7 +84,7 @@ func (s *Server) runPageOp(ctx context.Context, req *obs.Registry, op string, fn
 		defer psp.End()
 		defer func() {
 			if v := recover(); v != nil {
-				req.Counter("server.errors.codec_panic").Inc()
+				s.reg.Counter("server.errors.codec_panic").Inc()
 				opErr = fmt.Errorf("%w: pagestore panic: %v", fault.ErrInjected, v)
 			}
 		}()
@@ -121,30 +106,22 @@ func (s *Server) runPageOp(ctx context.Context, req *obs.Registry, op string, fn
 // oracle-visible step cost.
 func (s *Server) handlePagePut(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	ri := reqInfoFrom(r.Context())
-	if ri == nil {
-		ri = &reqInfo{}
-	}
-	ri.codec, ri.op = "pages", "put"
-	req := obs.NewRegistry()
-	defer s.reg.Merge(req)
-	req.Counter("server.requests").Inc()
-	req.Counter("server.codec.pages.put").Inc()
+	ri := s.routed(r, s.ops[opKey{"pages", "put"}])
 
-	body, ok := s.readBody(w, r, req)
+	body, ok := s.readBody(w, r)
 	if !ok {
 		return
 	}
-	req.Counter("server.bytes_in").Add(uint64(len(body)))
+	s.reg.Counter("server.bytes_in").Add(uint64(len(body)))
 	ri.bytesIn = len(body)
 
 	var info pagestore.PageInfo
-	err := s.runPageOp(r.Context(), req, "put", func() (err error) {
+	err := s.runPageOp(r.Context(), "put", func() (err error) {
 		info, err = s.pages.Write(id, body)
 		return err
 	})
 	if err != nil {
-		s.pageError(w, req, err)
+		s.pageError(w, err)
 		return
 	}
 
@@ -159,10 +136,10 @@ func (s *Server) handlePagePut(w http.ResponseWriter, r *http.Request) {
 	b = append(b, '\n')
 	hdr.Set("Content-Length", fmt.Sprint(len(b)))
 	if _, err := w.Write(b); err != nil {
-		req.Counter("server.errors.write_response").Inc()
+		s.reg.Counter("server.errors.write_response").Inc()
 		return
 	}
-	req.Counter("server.bytes_out").Add(uint64(len(b)))
+	s.reg.Counter("server.bytes_out").Add(uint64(len(b)))
 }
 
 // handlePageGet serves GET /v1/pages/{id}: decompress, verify, and
@@ -170,26 +147,18 @@ func (s *Server) handlePagePut(w http.ResponseWriter, r *http.Request) {
 // page — the co-located secret never crosses the HTTP surface either).
 func (s *Server) handlePageGet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	ri := reqInfoFrom(r.Context())
-	if ri == nil {
-		ri = &reqInfo{}
-	}
-	ri.codec, ri.op = "pages", "get"
-	req := obs.NewRegistry()
-	defer s.reg.Merge(req)
-	req.Counter("server.requests").Inc()
-	req.Counter("server.codec.pages.get").Inc()
+	s.routed(r, s.ops[opKey{"pages", "get"}])
 
 	var (
 		data []byte
 		info pagestore.PageInfo
 	)
-	err := s.runPageOp(r.Context(), req, "get", func() (err error) {
+	err := s.runPageOp(r.Context(), "get", func() (err error) {
 		data, info, err = s.pages.Read(id)
 		return err
 	})
 	if err != nil {
-		s.pageError(w, req, err)
+		s.pageError(w, err)
 		return
 	}
 
@@ -198,8 +167,8 @@ func (s *Server) handlePageGet(w http.ResponseWriter, r *http.Request) {
 	setPageHeaders(hdr, info)
 	hdr.Set("Content-Length", fmt.Sprint(len(data)))
 	if _, err := w.Write(data); err != nil {
-		req.Counter("server.errors.write_response").Inc()
+		s.reg.Counter("server.errors.write_response").Inc()
 		return
 	}
-	req.Counter("server.bytes_out").Add(uint64(len(data)))
+	s.reg.Counter("server.bytes_out").Add(uint64(len(data)))
 }

@@ -16,9 +16,9 @@ import (
 
 // TestConcurrentClients hammers a single server with ~32 concurrent clients
 // mixing codecs, round trips, cache hits (shared bodies), and error paths,
-// then checks the merged registry accounting. Run under -race this is the
-// server's concurrency contract: per-request registries, the worker gate,
-// and the LRU cache must all be safe together.
+// then checks the registry accounting. Run under -race this is the
+// server's concurrency contract: the shared registry and its per-codec/op
+// handles, the worker gate, and the LRU cache must all be safe together.
 func TestConcurrentClients(t *testing.T) {
 	const clients = 32
 	const requestsPerClient = 8

@@ -19,9 +19,10 @@
 //   - named fault-injection points (internal/fault) on the codec workers,
 //     the cache, and pool admission, so chaos runs (make test-chaos) can
 //     rehearse all of the above deterministically,
-//   - per-request obs.Registry instances merged into the server registry
-//     (obs.Registry.Merge), exposed at GET /metrics as a canonical obs
-//     snapshot, plus GET /healthz for liveness probes.
+//   - request metrics counted straight into the server's obs.Registry
+//     (per-codec/op instruments resolved once in New), exposed at
+//     GET /metrics as a canonical obs snapshot, plus GET /healthz for
+//     liveness probes.
 //
 // Unlike the simulation layers, the server's registry knowingly contains a
 // wall-clock-derived histogram (server.request_latency_us): a live network
@@ -123,7 +124,7 @@ type Config struct {
 	// 0 means DefaultQueueLimitFactor × Workers; negative disables
 	// shedding entirely (the pre-0.9 unbounded-queue behavior).
 	QueueLimit int
-	// Registry receives merged per-request metrics and serves /metrics.
+	// Registry receives every request's metrics and serves /metrics.
 	// Created if nil.
 	Registry *obs.Registry
 	// RequestTimeout bounds each request (gate wait + codec run +
@@ -203,6 +204,9 @@ type Server struct {
 	fpDecompress *fault.Point
 	fpCacheGet   *fault.Point
 	fpCachePut   *fault.Point
+
+	// ops holds each (codec, op) pair's instruments, resolved once in New.
+	ops map[opKey]*opMetrics
 
 	breakerThreshold int
 	breakerCooldown  int
@@ -306,7 +310,6 @@ func New(cfg Config) *Server {
 	s.declareMetrics()
 	s.mux.HandleFunc("POST /v1/{codec}/{op}", s.handleCodec)
 	if s.pages != nil {
-		s.declarePageMetrics()
 		s.mux.HandleFunc("PUT /v1/pages/{id}", s.handlePagePut)
 		s.mux.HandleFunc("GET /v1/pages/{id}", s.handlePageGet)
 	}
@@ -334,8 +337,8 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Registry returns the server's metric registry (the merge target for
-// per-request registries).
+// Registry returns the server's metric registry, which every request
+// counts into and /metrics serves.
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
 // Workers reports the codec-execution concurrency cap.
@@ -422,17 +425,11 @@ func (s *Server) breakerFor(key string) *breaker {
 // body (capped), consult the content-addressed cache, otherwise run the
 // codec under the worker gate — retrying transient failures within the
 // request deadline and feeding the outcome to the codec's circuit breaker —
-// and stream the result back. Each request accumulates metrics in a private
-// registry that is merged into the server registry exactly once on the way
-// out.
+// and stream the result back. Metrics go straight into the server registry,
+// the codec/op series through the handles resolved in New.
 func (s *Server) handleCodec(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("codec")
 	op := r.PathValue("op")
-	ri := reqInfoFrom(r.Context())
-	if ri == nil {
-		ri = &reqInfo{} // direct mux dispatch in tests: keep the path nil-safe
-	}
-
 	cd, ok := codec.Lookup(name)
 	if !ok {
 		s.reg.Counter("server.errors.unknown_codec").Inc()
@@ -454,24 +451,20 @@ func (s *Server) handleCodec(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ri.codec, ri.op = name, op
-	req := obs.NewRegistry()
-	defer s.reg.Merge(req)
-	req.Counter("server.requests").Inc()
-	req.Counter("server.codec." + name + "." + op).Inc()
+	ri := s.routed(r, s.ops[opKey{name, op}])
 
 	level, err := parseLevel(r.Header.Get(LevelHeader))
 	if err != nil {
-		req.Counter("server.errors.bad_level").Inc()
+		s.reg.Counter("server.errors.bad_level").Inc()
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 
-	body, ok := s.readBody(w, r, req)
+	body, ok := s.readBody(w, r)
 	if !ok {
 		return
 	}
-	req.Counter("server.bytes_in").Add(uint64(len(body)))
+	s.reg.Counter("server.bytes_in").Add(uint64(len(body)))
 	ri.bytesIn = len(body)
 
 	// The content address doubles as the strong ETag: a deterministic
@@ -480,7 +473,7 @@ func (s *Server) handleCodec(w http.ResponseWriter, r *http.Request) {
 	key := cacheKey(op, name, level, body)
 	etag := etagFor(key)
 	if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatches(inm, etag) {
-		req.Counter("server.http.not_modified").Inc()
+		s.reg.Counter("server.http.not_modified").Inc()
 		ri.cacheTier = "revalidated"
 		s.setCacheHeaders(w.Header(), name, etag)
 		w.WriteHeader(http.StatusNotModified)
@@ -503,7 +496,7 @@ func (s *Server) handleCodec(w http.ResponseWriter, r *http.Request) {
 			// this request (no lookup, no store) instead of failing it.
 			useCache, lookup = false, false
 			ri.cacheTier = "bypass"
-			req.Counter("server.cache.bypass").Inc()
+			s.reg.Counter("server.cache.bypass").Inc()
 		}
 	}
 	var out []byte
@@ -524,10 +517,10 @@ func (s *Server) handleCodec(w http.ResponseWriter, r *http.Request) {
 		// costs one codec execution; the leader runs breaker + codec +
 		// store, followers share the outcome (including failure).
 		flightOut, shared, codecErr := s.flight.do(key, func() ([]byte, error) {
-			return s.missOnce(r, req, ri, cd, name, op, fp, run, body, key, useCache)
+			return s.missOnce(r, ri, cd, fp, run, body, key, useCache)
 		})
 		if shared {
-			req.Counter("server.flight.shared").Inc()
+			s.reg.Counter("server.flight.shared").Inc()
 			ri.cacheTier = "coalesced"
 		}
 		out = flightOut
@@ -541,7 +534,7 @@ func (s *Server) handleCodec(w http.ResponseWriter, r *http.Request) {
 				http.Error(w, fmt.Sprintf("%s %s overloaded (queue full), retry later", name, op),
 					http.StatusServiceUnavailable)
 			case errors.Is(codecErr, errBreakerOpen):
-				req.Counter("server.breaker.rejected").Inc()
+				s.reg.Counter("server.breaker.rejected").Inc()
 				// The breaker's cooldown is counted in requests, not
 				// seconds; 1s is the floor hint for a backoff client.
 				w.Header().Set("Retry-After", "1")
@@ -549,15 +542,15 @@ func (s *Server) handleCodec(w http.ResponseWriter, r *http.Request) {
 					http.StatusServiceUnavailable)
 			case errors.Is(codecErr, context.DeadlineExceeded) || errors.Is(codecErr, context.Canceled):
 				// Load, not codec health: no breaker record.
-				req.Counter("server.errors.deadline").Inc()
+				s.reg.Counter("server.errors.deadline").Inc()
 				http.Error(w, "request deadline exceeded", http.StatusGatewayTimeout)
 			case errors.Is(codecErr, errTransient):
-				req.Counter("server.errors.transient").Inc()
+				s.reg.Counter("server.errors.transient").Inc()
 				http.Error(w, fmt.Sprintf("%s %s: %v", name, op, codecErr), http.StatusInternalServerError)
 			default:
 				// Genuine codec error: the input is bad, the codec is
 				// healthy.
-				req.Counter("server.errors.codec").Inc()
+				s.reg.Counter("server.errors.codec").Inc()
 				http.Error(w, fmt.Sprintf("%s %s: %v", name, op, codecErr), http.StatusBadRequest)
 			}
 			return
@@ -577,10 +570,10 @@ func (s *Server) handleCodec(w http.ResponseWriter, r *http.Request) {
 	}
 	hdr.Set("Content-Length", fmt.Sprint(len(out)))
 	if _, err := w.Write(out); err != nil {
-		req.Counter("server.errors.write_response").Inc()
+		s.reg.Counter("server.errors.write_response").Inc()
 		return
 	}
-	req.Counter("server.bytes_out").Add(uint64(len(out)))
+	s.reg.Counter("server.bytes_out").Add(uint64(len(out)))
 }
 
 // setCacheHeaders stamps the HTTP cache envelope on a cacheable /v1
@@ -600,44 +593,44 @@ func (s *Server) setCacheHeaders(hdr http.Header, name, etag string) {
 // admission, codec execution with retries, breaker bookkeeping, and the
 // write-back to the cache hierarchy. Followers coalesced onto this call
 // share its return value verbatim.
-func (s *Server) missOnce(r *http.Request, req *obs.Registry, ri *reqInfo, cd codec.Codec,
-	name, op string, fp *fault.Point, run func([]byte) ([]byte, error), body []byte,
-	key Key, store bool) ([]byte, error) {
-	bk := s.breakerFor(name + "/" + op)
+func (s *Server) missOnce(r *http.Request, ri *reqInfo, cd codec.Codec, fp *fault.Point,
+	run func([]byte) ([]byte, error), body []byte, key Key, store bool) ([]byte, error) {
+	m := ri.ops
+	bk := s.breakerFor(m.breakerKey)
 	_, bsp := s.tracer.StartSpan(r.Context(), "server.breaker.check")
 	allowed := bk.allow()
 	ri.breaker = bk.stateName()
 	bsp.SetAttr("state", ri.breaker)
 	bsp.SetAttr("allowed", allowed)
 	bsp.End()
-	s.updateBreakerGauge(name, op, bk)
+	m.breakerState.Set(float64(bk.stateCode()))
 	if !allowed {
 		return nil, errBreakerOpen
 	}
-	out, codecErr := s.runCodec(r.Context(), req, cd, op, fp, run, body)
-	if codecErr != nil {
-		if errors.Is(codecErr, errTransient) {
-			if bk.record(false) {
-				req.Counter("server.breaker.trips").Inc()
-			}
-		} else if !errors.Is(codecErr, context.DeadlineExceeded) && !errors.Is(codecErr, context.Canceled) &&
-			!errors.Is(codecErr, errShed) {
-			// Genuine codec error (bad input): the codec is healthy.
-			// Deadline and shed rejections are load, not codec health —
-			// they feed neither side of the breaker.
-			bk.record(true)
+	out, codecErr := s.runCodec(r.Context(), cd, m.op, fp, run, body)
+	switch {
+	case errors.Is(codecErr, errTransient):
+		if bk.record(false) {
+			s.reg.Counter("server.breaker.trips").Inc()
 		}
-		ri.breaker = bk.stateName()
-		s.updateBreakerGauge(name, op, bk)
+	case errors.Is(codecErr, context.DeadlineExceeded), errors.Is(codecErr, context.Canceled),
+		errors.Is(codecErr, errShed):
+		// Deadline and shed rejections are load, not codec health —
+		// they feed neither side of the breaker.
+	default:
+		// Success, or a genuine codec error (bad input): the codec is
+		// healthy.
+		bk.record(true)
+	}
+	ri.breaker = bk.stateName()
+	m.breakerState.Set(float64(bk.stateCode()))
+	if codecErr != nil {
 		return nil, codecErr
 	}
-	bk.record(true)
-	ri.breaker = bk.stateName()
-	s.updateBreakerGauge(name, op, bk)
 	if store {
 		if in := s.fpCachePut.Hit(); in.Fired() {
 			// Store unavailable: serve the response uncached.
-			req.Counter("server.cache.bypass").Inc()
+			s.reg.Counter("server.cache.bypass").Inc()
 		} else {
 			_, psp := s.tracer.StartSpan(r.Context(), "server.cache.store")
 			s.cache.Put(key, out)
@@ -652,9 +645,9 @@ func (s *Server) missOnce(r *http.Request, req *obs.Registry, ri *reqInfo, cd co
 // with 413 before buffering past the cap: a declared Content-Length above
 // the limit is refused without reading the body at all, and chunked or
 // lying uploads are cut off by an io.LimitReader one byte past the cap.
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request, req *obs.Registry) ([]byte, bool) {
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	tooLarge := func() {
-		req.Counter("server.errors.body_too_large").Inc()
+		s.reg.Counter("server.errors.body_too_large").Inc()
 		http.Error(w, fmt.Sprintf("request body exceeds %d bytes", s.maxBody),
 			http.StatusRequestEntityTooLarge)
 	}
@@ -664,7 +657,7 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request, req *obs.Regis
 	}
 	body, err := io.ReadAll(io.LimitReader(r.Body, s.maxBody+1))
 	if err != nil {
-		req.Counter("server.errors.read_body").Inc()
+		s.reg.Counter("server.errors.read_body").Inc()
 		http.Error(w, "reading request body: "+err.Error(), http.StatusBadRequest)
 		return nil, false
 	}
@@ -681,7 +674,7 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request, req *obs.Regis
 // deadline lives. Genuine codec errors (bad input) are returned on the
 // first attempt — retrying a deterministic parse failure only burns a
 // worker slot.
-func (s *Server) runCodec(ctx context.Context, req *obs.Registry, cd codec.Codec, op string,
+func (s *Server) runCodec(ctx context.Context, cd codec.Codec, op string,
 	fp *fault.Point, run func([]byte) ([]byte, error), body []byte) ([]byte, error) {
 	// Overload admission covers the whole gate interaction — queue wait,
 	// execution, and retries hold one admission slot, so the controller's
@@ -703,7 +696,7 @@ func (s *Server) runCodec(ctx context.Context, req *obs.Registry, cd codec.Codec
 			csp.SetAttr("attempt", attempt)
 			defer csp.End()
 			execStart := time.Now()
-			out, execErr = s.execOnce(req, fp, run, body, csp)
+			out, execErr = s.execOnce(fp, run, body, csp)
 			s.admission.observeExec(time.Since(execStart))
 		})
 		gsp.End() // idempotent: closes the span on the rejected path too
@@ -718,7 +711,7 @@ func (s *Server) runCodec(ctx context.Context, req *obs.Registry, cd codec.Codec
 		default:
 			if s.selfCheck && op == "compress" {
 				if back, err := cd.Decompress(out); err != nil || !bytes.Equal(back, body) {
-					req.Counter("server.errors.selfcheck").Inc()
+					s.reg.Counter("server.errors.selfcheck").Inc()
 					lastErr = fmt.Errorf("%w: compress output failed decompression self-check", errTransient)
 					break
 				}
@@ -728,7 +721,7 @@ func (s *Server) runCodec(ctx context.Context, req *obs.Registry, cd codec.Codec
 		if !errors.Is(lastErr, errTransient) || attempt >= s.retries || ctx.Err() != nil {
 			return nil, lastErr
 		}
-		req.Counter("server.codec.retries").Inc()
+		s.reg.Counter("server.codec.retries").Inc()
 	}
 }
 
@@ -736,15 +729,15 @@ func (s *Server) runCodec(ctx context.Context, req *obs.Registry, cd codec.Codec
 // fault point and containing panics — injected or genuine — as transient
 // errors so the retry loop and the breaker see them instead of the client.
 // A fired injection is recorded on the codec-run span (nil-safe).
-func (s *Server) execOnce(req *obs.Registry, fp *fault.Point,
-	run func([]byte) ([]byte, error), body []byte, sp *obs.TraceSpan) (out []byte, err error) {
+func (s *Server) execOnce(fp *fault.Point, run func([]byte) ([]byte, error), body []byte,
+	sp *obs.TraceSpan) (out []byte, err error) {
 	defer func() {
 		if v := recover(); v != nil {
-			req.Counter("server.errors.codec_panic").Inc()
+			s.reg.Counter("server.errors.codec_panic").Inc()
 			out, err = nil, fmt.Errorf("%w: codec panic: %v", errTransient, v)
 		}
 	}()
-	req.Counter("server.codec.executions").Inc()
+	s.reg.Counter("server.codec.executions").Inc()
 	in := fp.Hit()
 	if in.Fired() {
 		sp.SetAttr("fault", in.Kind.String())

@@ -3,8 +3,8 @@ package server
 // This file is the server's request-scoped observability: the
 // per-request info carrier the middleware and handlers share, the
 // structured NDJSON access log, SLO accounting, and the startup metric
-// declarations that make every operational series visible (at zero)
-// from the first scrape.
+// declarations and per-(codec, op) handles that make every operational
+// series visible (at zero) from the first scrape.
 
 import (
 	"context"
@@ -32,13 +32,30 @@ const (
 // middleware turns it into the access-log record, the SLO counters, and
 // the root span's attributes on the way out.
 type reqInfo struct {
-	span      *obs.TraceSpan // root server.request span (nil when tracing off)
-	codec     string
-	op        string
-	bytesIn   int
-	cacheTier string // "hit", "miss", "bypass", or "" before the cache decision
+	span    *obs.TraceSpan // root server.request span (nil when tracing off)
+	ops     *opMetrics     // the routed (codec, op) pair; nil before routing
+	bytesIn int
+	// cacheTier is "hit", "miss", "bypass", "revalidated" (304),
+	// "coalesced" (shared a concurrent miss), "shed" (refused by
+	// admission), or "" when the request never reached a cache decision.
+	cacheTier string
 	breaker   string // breaker state observed at the admission decision
 	gateWait  time.Duration
+}
+
+// opKey names one routed (codec, op) pair; pages routes use codec
+// "pages" with op "put" or "get".
+type opKey struct{ codec, op string }
+
+// opMetrics is one (codec, op) pair's instruments, resolved once in New
+// so the request path never builds a metric name.
+type opMetrics struct {
+	codec, op    string
+	requests     *obs.Counter // server.codec.<c>.<op>
+	good, breach *obs.Counter // server.slo.<c>.<op>.{good,breach}
+	burnRate     *obs.Gauge   // server.slo.<c>.<op>.burn_rate
+	breakerKey   string       // "<c>/<op>", the breaker's /healthz key
+	breakerState *obs.Gauge   // server.breaker.<c>.<op>.state; nil for pages
 }
 
 type reqInfoKey struct{}
@@ -47,6 +64,20 @@ type reqInfoKey struct{}
 // path (so handler instrumentation is nil-safe by construction).
 func reqInfoFrom(ctx context.Context) *reqInfo {
 	ri, _ := ctx.Value(reqInfoKey{}).(*reqInfo)
+	return ri
+}
+
+// routed files the request under its (codec, op) pair and counts it,
+// returning the request's carrier (a fresh one on direct mux dispatch in
+// tests, keeping the handlers nil-safe).
+func (s *Server) routed(r *http.Request, m *opMetrics) *reqInfo {
+	ri := reqInfoFrom(r.Context())
+	if ri == nil {
+		ri = &reqInfo{}
+	}
+	ri.ops = m
+	s.reg.Counter("server.requests").Inc()
+	m.requests.Inc()
 	return ri
 }
 
@@ -91,26 +122,37 @@ func (s *Server) declareMetrics() {
 	)
 	s.reg.DeclareGauges("server.cache.bytes", "server.cache.entries")
 	s.reg.DeclareHistograms("server.request_latency_us")
+	s.ops = map[opKey]*opMetrics{}
 	for _, name := range codec.Names() {
 		for _, op := range []string{"compress", "decompress"} {
-			key := name + "." + op
-			s.reg.DeclareCounters(
-				"server.codec."+key,
-				"server.slo."+key+".good",
-				"server.slo."+key+".breach",
-			)
-			s.reg.DeclareGauges(
-				"server.slo."+key+".burn_rate",
-				"server.breaker."+name+"."+op+".state",
-			)
+			s.resolveOp(name, op, true)
+		}
+	}
+	if s.pages != nil {
+		for _, op := range []string{"put", "get"} {
+			s.resolveOp("pages", op, false)
 		}
 	}
 }
 
-// updateBreakerGauge mirrors a breaker's state into its gauge (0 closed,
-// 1 open, 2 trial) after every decision that can move it.
-func (s *Server) updateBreakerGauge(name, op string, b *breaker) {
-	s.reg.Gauge("server.breaker." + name + "." + op + ".state").Set(float64(b.stateCode()))
+// resolveOp registers one (codec, op) pair's request, SLO and (for
+// codecs, which run behind a breaker) breaker-state series, and files
+// their handles under s.ops. It is the only place these names are built.
+func (s *Server) resolveOp(name, op string, withBreaker bool) {
+	key := name + "." + op
+	m := &opMetrics{
+		codec:    name,
+		op:       op,
+		requests: s.reg.Counter("server.codec." + key),
+		good:     s.reg.Counter("server.slo." + key + ".good"),
+		breach:   s.reg.Counter("server.slo." + key + ".breach"),
+		burnRate: s.reg.Gauge("server.slo." + key + ".burn_rate"),
+	}
+	if withBreaker {
+		m.breakerKey = name + "/" + op
+		m.breakerState = s.reg.Gauge("server.breaker." + key + ".state")
+	}
+	s.ops[opKey{name, op}] = m
 }
 
 // finishRequest closes out one /v1 request: latency histogram (with the
@@ -121,25 +163,22 @@ func (s *Server) finishRequest(ri *reqInfo, rec *statusRecorder, lat time.Durati
 	latUS := lat.Microseconds()
 	s.reg.Histogram("server.request_latency_us").ObserveExemplar(latUS, ri.span.TraceIDString())
 
-	if ri.codec != "" && ri.op != "" {
-		key := ri.codec + "." + ri.op
-		breach := (s.sloLatency > 0 && lat > s.sloLatency) || rec.status >= 500
-		if breach {
-			s.reg.Counter("server.slo." + key + ".breach").Inc()
+	codecName, opName := "", ""
+	if m := ri.ops; m != nil {
+		codecName, opName = m.codec, m.op
+		if (s.sloLatency > 0 && lat > s.sloLatency) || rec.status >= 500 {
+			m.breach.Inc()
 		} else {
-			s.reg.Counter("server.slo." + key + ".good").Inc()
+			m.good.Inc()
 		}
-		good := s.reg.Counter("server.slo." + key + ".good").Value()
-		bad := s.reg.Counter("server.slo." + key + ".breach").Value()
-		if total := good + bad; total > 0 {
-			ratio := float64(bad) / float64(total)
-			s.reg.Gauge("server.slo."+key+".burn_rate").Set(ratio / DefaultSLOBudget)
-		}
+		good, bad := m.good.Value(), m.breach.Value()
+		ratio := float64(bad) / float64(good+bad)
+		m.burnRate.Set(ratio / DefaultSLOBudget)
 	}
 
 	if sp := ri.span; sp != nil {
-		sp.SetAttr("codec", ri.codec)
-		sp.SetAttr("op", ri.op)
+		sp.SetAttr("codec", codecName)
+		sp.SetAttr("op", opName)
 		sp.SetAttr("status", rec.status)
 		sp.SetAttr("bytes_in", ri.bytesIn)
 		sp.SetAttr("bytes_out", rec.bytes)
@@ -152,8 +191,8 @@ func (s *Server) finishRequest(ri *reqInfo, rec *statusRecorder, lat time.Durati
 	if s.accessSink != nil {
 		s.accessSink.Emit("access", s.simSteps.Load(), map[string]any{
 			"trace":        ri.span.TraceIDString(),
-			"codec":        ri.codec,
-			"op":           ri.op,
+			"codec":        codecName,
+			"op":           opName,
 			"status":       rec.status,
 			"bytes_in":     ri.bytesIn,
 			"bytes_out":    rec.bytes,

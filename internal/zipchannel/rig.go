@@ -31,7 +31,7 @@ type rig struct {
 	// attack.* counters below are the single storage for the run's
 	// bookkeeping — Result copies them out in finish.
 	reg            *obs.Registry
-	span           obs.Span
+	span           *obs.TraceSpan
 	iterations     *obs.Counter
 	unknownObs     *obs.Counter
 	remaps         *obs.Counter
