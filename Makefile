@@ -24,7 +24,7 @@ test:
 # HTTP compression service, and the experiment scheduler (fake-runner +
 # cheap real-runner tests).
 race:
-	$(GO) test -race ./internal/obs/... ./internal/par/... ./internal/server/... ./internal/pagestore/...
+	$(GO) test -race ./internal/obs/... ./internal/par/... ./internal/server/... ./internal/pagestore/... ./internal/taint/ ./internal/core/
 	$(GO) test -race -run 'TestRunAll' ./internal/experiments/
 	$(MAKE) test-differential
 

@@ -152,6 +152,7 @@ func BenchmarkTaintAnalysis(b *testing.B) {
 	input := make([]byte, 2048)
 	rand.New(rand.NewSource(3)).Read(input)
 	prog := victims.BzipFtab(victims.BzipFtabOptions{})
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		machine, err := vm.NewFlat(prog)

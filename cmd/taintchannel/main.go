@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"sort"
@@ -28,30 +29,42 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "taintchannel:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run is the command with its arguments and output streams as
+// parameters, so tests can drive it in-process.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("taintchannel", flag.ExitOnError)
+	fs.SetOutput(stderr)
 	var (
-		victimName = flag.String("victim", "", "built-in victim: "+strings.Join(victimNames(), ", "))
-		file       = flag.String("file", "", "assemble and analyze this .zasm file instead")
-		inputFile  = flag.String("input", "", "file whose bytes are the victim's (secret) input")
-		text       = flag.String("text", "", "literal input text")
-		randomN    = flag.Int("random", 0, "use n random input bytes")
-		seed       = flag.Int64("seed", 1, "seed for -random")
-		carry      = flag.Bool("carry-aware", false, "sound carry-aware add/sub taint (ablation)")
-		track      = flag.Int("track", 0, "print the propagation history of input byte #n (1-based)")
-		samples    = flag.Int("samples", 2, "concrete samples kept per gadget")
-		disasm     = flag.Bool("disasm", false, "print the victim's disassembly first")
-		engineName = flag.String("engine", "compiled", "execution engine: compiled (threaded code) or interp (kept for differential runs)")
-		pairProf   = flag.Bool("pair-profile", false, "profile dynamic opcode pairs (forces the interpreter) and print the hottest pairs")
+		victimName = fs.String("victim", "", "built-in victim: "+strings.Join(victimNames(), ", "))
+		file       = fs.String("file", "", "assemble and analyze this .zasm file instead")
+		inputFile  = fs.String("input", "", "file whose bytes are the victim's (secret) input")
+		text       = fs.String("text", "", "literal input text")
+		randomN    = fs.Int("random", 0, "use n random input bytes")
+		seed       = fs.Int64("seed", 1, "seed for -random")
+		carry      = fs.Bool("carry-aware", false, "sound carry-aware add/sub taint (ablation)")
+		track      = fs.Int("track", 0, "print the propagation history of input byte #n (1-based)")
+		samples    = fs.Int("samples", 2, "concrete samples kept per gadget")
+		disasm     = fs.Bool("disasm", false, "print the victim's disassembly first")
+		engineName = fs.String("engine", "compiled", "execution engine: compiled (threaded code) or interp (kept for differential runs)")
+		pairProf   = fs.Bool("pair-profile", false, "profile dynamic opcode pairs (forces the interpreter) and print the hottest pairs")
 	)
 	var cli obs.CLI
-	cli.Bind(flag.CommandLine)
-	flag.Parse()
+	cli.Bind(fs)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	// core.Config reads 0 as "use the default", so -samples 0 would
+	// silently keep 4 samples.
+	if *samples < 1 {
+		fs.Usage()
+		return fmt.Errorf("-samples must be at least 1, got %d", *samples)
+	}
 
 	prog, err := loadVictim(*victimName, *file)
 	if err != nil {
@@ -62,7 +75,7 @@ func run() error {
 		return err
 	}
 	if *disasm {
-		fmt.Println(isa.Disassemble(prog))
+		fmt.Fprintln(stdout, isa.Disassemble(prog))
 	}
 
 	eng, err := vm.ParseEngine(*engineName)
@@ -92,27 +105,27 @@ func run() error {
 	}
 	analyzer := core.New(cfg)
 	analyzer.Attach(machine)
-	fmt.Fprintf(os.Stderr, "analyzing %s on %d input bytes...\n", prog.Name, len(input))
+	fmt.Fprintf(stderr, "analyzing %s on %d input bytes...\n", prog.Name, len(input))
 	if err := machine.Run(); err != nil {
 		return fmt.Errorf("victim execution: %w", err)
 	}
 
-	fmt.Print(analyzer.Report(prog.Name))
+	fmt.Fprint(stdout, analyzer.Report(prog.Name))
 	if *pairProf {
 		machine.FlushPairProfile(reg)
 		pairs := machine.PairProfile()
 		if len(pairs) > 20 {
 			pairs = pairs[:20]
 		}
-		fmt.Printf("\nhottest dynamic opcode pairs (superinstruction candidates):\n")
+		fmt.Fprintf(stdout, "\nhottest dynamic opcode pairs (superinstruction candidates):\n")
 		for _, pc := range pairs {
-			fmt.Printf("  %-6s -> %-6s %12d\n", pc.First, pc.Second, pc.N)
+			fmt.Fprintf(stdout, "  %-6s -> %-6s %12d\n", pc.First, pc.Second, pc.N)
 		}
 	}
 	if *track > 0 {
-		fmt.Printf("\npropagation history of input byte #%d:\n", *track)
+		fmt.Fprintf(stdout, "\npropagation history of input byte #%d:\n", *track)
 		for _, ev := range analyzer.History(taint.Tag(*track)) {
-			fmt.Printf("  step %6d  pc %4d  %-28s %s\n", ev.Step, ev.PC, ev.Instr, ev.Note)
+			fmt.Fprintf(stdout, "  step %6d  pc %4d  %-28s %s\n", ev.Step, ev.PC, ev.Instr, ev.Note)
 		}
 	}
 	return cli.Finish()

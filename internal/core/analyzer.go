@@ -13,9 +13,11 @@
 // dereferenced address (the ASCII matrices of Figs 2-4).
 //
 // The propagation hot path is allocation-free in steady state: taint words
-// are manipulated through the in-place pointer API of internal/taint
-// (hash-consed sets, memoized unions), and the analyzer reuses a small
-// number of scratch words instead of passing 512-byte shadows by value.
+// are manipulated through the in-place pointer-receiver API of
+// internal/taint (hash-consed sets named by uint32 IDs, memoized unions),
+// and the analyzer reuses a small number of scratch words instead of
+// passing 264-byte shadows by value. Register and memory shadows hold set
+// IDs, never pointers, so the GC does not scan them.
 package core
 
 import (
@@ -116,15 +118,6 @@ type findingKey struct {
 	pc   int
 }
 
-// byteShadow is the per-memory-byte shadow: one set per bit plus a bitmap
-// of the non-empty positions, mirroring taint.Word's mask at byte grain.
-type byteShadow struct {
-	bits [8]*taint.Set
-	mask uint8
-}
-
-func (b *byteShadow) clean() bool { return b.mask == 0 }
-
 // Analyzer is a TaintChannel instance attached to one execution.
 type Analyzer struct {
 	cfg Config
@@ -156,7 +149,7 @@ type Analyzer struct {
 	taintOps   uint64
 
 	// Scratch shadows reused across steps so propagation never passes
-	// 512-byte words by value.
+	// 264-byte words by value.
 	tmpSrc  taint.Word
 	tmpDst  taint.Word
 	tmpAddr taint.Word
@@ -375,8 +368,8 @@ func (a *Analyzer) aluTaint(v *vm.VM, in *isa.Instr) bool {
 	// Combine straight into the register's shadow — the in-place Set*
 	// forms permit the destination aliasing an operand, and src was
 	// already copied into tmpSrc above, so a src==dst ALU still sees the
-	// pre-instruction source shadow. Saves two full word copies (and
-	// their pointer write barriers) per ALU instruction.
+	// pre-instruction source shadow. Saves two full word copies per ALU
+	// instruction.
 	d := &a.regs[in.Dst.Reg]
 	d.TruncateIn(w)
 	dClean := d.IsClean()
@@ -568,15 +561,8 @@ func (a *Analyzer) loadShadow(dst *taint.Word, addr uint64, w int) {
 		return // cannot intersect the ever-tainted range
 	}
 	for i := 0; i < w; i++ {
-		b := a.shadow.get(addr + uint64(i))
-		if b.mask == 0 {
-			continue
-		}
-		m := b.mask
-		for m != 0 {
-			j := bits.TrailingZeros8(m)
-			m &= m - 1
-			dst.SetBit(i*8+j, b.bits[j])
+		if b := a.shadow.get(addr + uint64(i)); b.mask != 0 {
+			dst.SetByteIDs(i, b.ids, b.mask)
 		}
 	}
 }
@@ -587,19 +573,12 @@ func (a *Analyzer) storeShadow(addr uint64, w int, word *taint.Word) {
 		return // clean store while the whole shadow memory is clean
 	}
 	for i := 0; i < w; i++ {
-		bm := uint8(mask >> uint(i*8))
-		if bm == 0 {
+		if uint8(mask>>uint(i*8)) == 0 {
 			a.shadow.clear(addr + uint64(i))
 			continue
 		}
 		var b byteShadow
-		b.mask = bm
-		m := bm
-		for m != 0 {
-			j := bits.TrailingZeros8(m)
-			m &= m - 1
-			b.bits[j] = word.Bit(i*8 + j)
-		}
+		b.ids, b.mask = word.ByteIDs(i)
 		a.shadow.set(addr+uint64(i), b)
 	}
 }
@@ -720,7 +699,10 @@ func (a *Analyzer) RegTaint(r isa.Reg) *taint.Word { return &a.regs[r] }
 
 // MemTaint exposes a memory byte's current shadow.
 func (a *Analyzer) MemTaint(addr uint64) [8]*taint.Set {
-	return a.shadow.get(addr).bits
+	var w taint.Word
+	b := a.shadow.get(addr)
+	w.SetByteIDs(0, b.ids, b.mask)
+	return w.Bytes()[0]
 }
 
 // LiveShadowBytes returns how many memory bytes currently carry taint

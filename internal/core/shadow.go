@@ -12,10 +12,18 @@ package core
 // what the block-level transfer functions consult (blocktaint.go): while
 // it is zero, memory-touching blocks are skippable.
 
-// A page holds 8 tag-set pointers per byte, so page granularity is a
-// space/scan trade-off: 1024 keeps a page at ~74KB — a typical tainted
-// input buffer allocates one or two instead of the ~300KB a 4096-byte
-// page would cost the GC every run.
+// byteShadow is the per-memory-byte shadow: one tag-set ID per bit
+// (taint.Set.ID) plus a bitmap of the non-empty positions, taint.Word's
+// layout at byte grain. IDs at clear mask bits are dead. It holds no
+// pointers, so neither does a shadow page: the GC never scans one.
+type byteShadow struct {
+	ids  [8]uint32
+	mask uint8
+}
+
+// A page holds 36 bytes of shadow per byte of memory, ~36KB at 1024 bytes:
+// a typical tainted input buffer allocates one or two pages, each zeroed
+// on allocation, instead of zeroing a 4096-byte page's ~144KB every run.
 const shadowPageBytes = 1024
 
 type shadowPage [shadowPageBytes]byteShadow
@@ -116,7 +124,7 @@ func (m *shadowMem) clear(addr uint64) {
 		slot := &p[(addr-m.lo)%shadowPageBytes]
 		if slot.mask != 0 {
 			m.live--
-			*slot = byteShadow{}
+			slot.mask = 0
 		}
 		return
 	}

@@ -1,33 +1,79 @@
 package taint
 
-import "sync"
+import (
+	"math/bits"
+	"sync"
+	"sync/atomic"
+)
 
-// The interning pool and the union memo. Both are process-wide and
-// sharded: parallel experiment tasks share canonical sets (they are
-// immutable), and a shard's mutex is only ever held for a hash lookup or
-// a small insert, so cross-task contention stays negligible.
+// The interning pool, the ID table, the singleton table and the union
+// memo. All are process-wide: parallel experiment tasks share canonical
+// sets (they are immutable), and the only locks are per-shard mutexes held
+// for a hash lookup or a small insert, so cross-task contention stays
+// negligible.
 //
-// Hash-consing gives three properties the hot path leans on:
+// Hash-consing gives the properties the hot path leans on:
 //
-//   - structural equality is pointer equality (Set.Equal fast path),
-//   - Union can be memoized on the operand *pointers*: the same pair of
-//     canonical sets always unions to the same canonical set,
+//   - every canonical set has a unique uint32 ID (0 is the empty set), so
+//     shadow state stores IDs, not pointers, and set equality is ID
+//     equality;
+//   - Union can be memoized on the ordered operand *ID pair*: the same
+//     pair of canonical sets always unions to the same canonical set;
 //   - steady-state propagation (the same tag combinations recurring for
 //     every input byte) performs no allocation at all.
 //
-// The memo is a bounded cache (a shard is reset when full), so long
-// server-style processes cannot grow it without bound; the intern pool
-// itself retains every distinct set ever built, which is bounded by the
-// number of distinct tag combinations the analyzed program produces.
+// A set is entered in the ID table under its intern shard's lock, before
+// its ID is returned to anyone, so every goroutine that holds an ID can
+// resolve it without a lock. The memo is a bounded cache (a shard is reset
+// when full), so long server-style processes cannot grow it without bound;
+// the intern pool itself retains every distinct set ever built, which is
+// bounded by the number of distinct tag combinations the analyzed program
+// produces.
 
 const (
-	internShards    = 64
-	unionMemoShards = 64
+	internShards = 64
+	// unionMemoShardBits sizes the memo at 1<<unionMemoShardBits shards.
+	unionMemoShardBits = 6
 	// unionMemoMax bounds one memo shard; on overflow the shard is
 	// dropped and refilled (plain cache semantics, correctness is
 	// unaffected).
 	unionMemoMax = 1 << 14
+	// singletonMax bounds the lock-free singleton table; larger tags take
+	// the intern pool's locked path.
+	singletonMax = 1 << 20
 )
+
+// chunked is a lock-free growable array indexed from 1. Chunk k of the
+// fixed directory holds indices [2^k, 2^(k+1)); it is allocated on first
+// use and published with a compare-and-swap, so elements never move and
+// readers never lock.
+type chunked[T any] struct {
+	dir [32]atomic.Pointer[[]T]
+}
+
+// slot returns element i (i >= 1), allocating its chunk if needed.
+func (c *chunked[T]) slot(i uint32) *T {
+	k := bits.Len32(i) - 1
+	p := c.dir[k].Load()
+	if p == nil {
+		fresh := make([]T, 1<<k)
+		if c.dir[k].CompareAndSwap(nil, &fresh) {
+			p = &fresh
+		} else {
+			p = c.dir[k].Load()
+		}
+	}
+	return &(*p)[i-1<<k]
+}
+
+// at returns element i, or the zero T if its chunk was never allocated.
+func (c *chunked[T]) at(i uint32) (v T) {
+	k := bits.Len32(i) - 1
+	if p := c.dir[k].Load(); p != nil {
+		v = (*p)[i-1<<k]
+	}
+	return v
+}
 
 // hashTags is FNV-1a over the tag words, mixed per 32-bit tag.
 func hashTags(tags []Tag) uint64 {
@@ -48,40 +94,49 @@ type internShard struct {
 	m  map[uint64][]*Set // hash -> candidates (collision chain)
 }
 
-var internPool [internShards]*internShard
-
-// singletonCache maps a tag to its canonical single-tag set, the shadow
-// of every freshly read input byte: an RWMutex-guarded map in front of
-// the general pool, so repeat lookups take only the read lock.
-var singletonCache struct {
-	mu sync.RWMutex
-	m  map[Tag]*Set
-}
+var (
+	internPool [internShards]*internShard
+	// lastID is the most recently issued set ID.
+	lastID atomic.Uint32
+	// byID resolves a set ID back to its canonical set. An entry is
+	// written once, before its ID escapes the intern shard lock.
+	byID chunked[*Set]
+	// singletons maps tag+1 to the ID of the canonical one-tag set, the
+	// shadow of every freshly read input byte; 0 means not yet built.
+	singletons chunked[atomic.Uint32]
+)
 
 func init() {
 	for i := range internPool {
 		internPool[i] = &internShard{m: map[uint64][]*Set{}}
 	}
-	singletonCache.m = map[Tag]*Set{}
+	for i := range unionMemo {
+		unionMemo[i] = &unionShard{m: map[uint64]uint32{}}
+	}
 }
 
-// singleton returns the canonical one-tag set.
-func singleton(t Tag) *Set {
-	singletonCache.mu.RLock()
-	s := singletonCache.m[t]
-	singletonCache.mu.RUnlock()
-	if s != nil {
-		return s
+// ByID returns the canonical set with the given ID: nil for ID 0 and for
+// an ID no set has been given.
+func ByID(id uint32) *Set {
+	if id == 0 {
+		return nil
 	}
-	s = intern([]Tag{t})
-	singletonCache.mu.Lock()
-	if prev := singletonCache.m[t]; prev != nil {
-		s = prev
-	} else {
-		singletonCache.m[t] = s
+	return byID.at(id)
+}
+
+// singletonID returns the ID of the canonical one-tag set.
+func singletonID(t Tag) uint32 {
+	if t >= singletonMax {
+		return intern([]Tag{t}).id
 	}
-	singletonCache.mu.Unlock()
-	return s
+	slot := singletons.slot(uint32(t) + 1)
+	if id := slot.Load(); id != 0 {
+		return id
+	}
+	// Racing builders intern the same canonical set and store the same ID.
+	id := intern([]Tag{t}).id
+	slot.Store(id)
+	return id
 }
 
 // intern canonicalizes a sorted, deduplicated tag slice. The slice is
@@ -106,7 +161,13 @@ func intern(tags []Tag) *Set {
 	if s := sh.find(h, tags); s != nil {
 		return s
 	}
-	s := &Set{tags: tags, hash: h}
+	id := lastID.Add(1)
+	if id == 0 {
+		// 2^32 sets of at least 32 bytes each exhaust memory first.
+		panic("taint: set ID space exhausted")
+	}
+	s := &Set{tags: tags, id: id}
+	*byID.slot(id) = s
 	sh.m[h] = append(sh.m[h], s)
 	return s
 }
@@ -133,45 +194,38 @@ func tagsEqual(a, b []Tag) bool {
 	return true
 }
 
-// unionKey is an ordered operand pair; Union normalizes (a, b) and (b, a)
-// to the same key so the memo is direction-independent.
-type unionKey struct{ a, b *Set }
-
 type unionShard struct {
 	mu sync.RWMutex
-	m  map[unionKey]*Set
+	m  map[uint64]uint32 // ordered ID pair -> union ID
 }
 
-var unionMemo [unionMemoShards]*unionShard
+var unionMemo [1 << unionMemoShardBits]*unionShard
 
-func init() {
-	for i := range unionMemo {
-		unionMemo[i] = &unionShard{m: map[unionKey]*Set{}}
+// unionID is Union at the ID level, the form the Word operations use.
+func unionID(a, b uint32) uint32 {
+	if a == 0 || a == b {
+		return b
 	}
-}
-
-func unionMemoKey(a, b *Set) (unionKey, *unionShard) {
-	if a.hash > b.hash || (a.hash == b.hash && len(a.tags) > len(b.tags)) {
-		a, b = b, a
+	if b == 0 {
+		return a
 	}
-	k := unionKey{a, b}
-	return k, unionMemo[(a.hash^(b.hash*31))%unionMemoShards]
-}
-
-func unionMemoGet(a, b *Set) (*Set, bool) {
-	k, sh := unionMemoKey(a, b)
+	if a > b {
+		a, b = b, a // (a, b) and (b, a) share one memo entry
+	}
+	k := uint64(a)<<32 | uint64(b)
+	sh := unionMemo[(k*0x9e3779b97f4a7c15)>>(64-unionMemoShardBits)]
 	sh.mu.RLock()
 	u, ok := sh.m[k]
 	sh.mu.RUnlock()
-	return u, ok
-}
-
-func unionMemoPut(a, b *Set, u *Set) {
-	k, sh := unionMemoKey(a, b)
+	if ok {
+		return u
+	}
+	u = unionSlow(ByID(a), ByID(b)).id
 	sh.mu.Lock()
 	if len(sh.m) >= unionMemoMax {
-		sh.m = make(map[unionKey]*Set, unionMemoMax/4)
+		sh.m = make(map[uint64]uint32, unionMemoMax/4)
 	}
 	sh.m[k] = u
 	sh.mu.Unlock()
+	return u
 }

@@ -396,7 +396,9 @@ func refEqualWord(a, b *refWord) bool {
 
 // FuzzSetUnion drives NewSet/Union from an arbitrary byte tape and
 // cross-checks the reference merge, so `go test -fuzz FuzzSetUnion`
-// explores tag patterns the seeded property test never generates.
+// explores tag patterns the seeded property test never generates. It
+// also checks the ID layer: ID 0 exactly for the empty set, ByID
+// round-trips, and the ID-level union agrees with the reference.
 func FuzzSetUnion(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 0, 2, 1})
 	f.Add([]byte{})
@@ -423,6 +425,21 @@ func FuzzSetUnion(f *testing.F) {
 			// NewSet over the concatenation must equal the union (and by
 			// interning, be the same pointer).
 			t.Fatalf("NewSet(a++b) = %v differs from Union = %v", a2, u)
+		}
+		for _, s := range []*Set{a, b, u} {
+			if (s.ID() == 0) != s.IsEmpty() {
+				t.Fatalf("%v has ID %d", s, s.ID())
+			}
+			if ByID(s.ID()) != s {
+				t.Fatalf("ByID(%d) = %v, want %v", s.ID(), ByID(s.ID()), s)
+			}
+		}
+		ui := ByID(unionID(a.ID(), b.ID()))
+		if want := refUnion(refNorm(ta), refNorm(tb)); !refEqual(refNorm(ui.Tags()), want) {
+			t.Fatalf("unionID(%v, %v) = %v, want %v", a, b, ui, want)
+		}
+		if ui != u {
+			t.Fatalf("unionID(%v, %v) = %v differs from Union = %v", a, b, ui, u)
 		}
 	})
 }

@@ -9,10 +9,14 @@
 // memory word, holding one Set per bit.
 //
 // Sets are hash-consed: every constructor routes through a process-wide
-// interning pool, so structurally equal sets are the same pointer, Equal
-// degenerates to a pointer comparison, and Union of two already-seen
-// operands is a memo lookup instead of a merge (DESIGN.md §7). Both pools
-// are sharded and safe for concurrent use by parallel experiment tasks.
+// interning pool, so structurally equal sets are the same pointer and
+// carry the same uint32 ID (0 is the empty set). Shadow state (Word and
+// the analyzer's per-byte memory shadow) stores those IDs rather than
+// pointers, so it is plain memory the garbage collector never scans; ByID
+// resolves an ID back to its set. Union of two already-seen operands is a
+// memo lookup on the ID pair instead of a merge (DESIGN.md §7). The pool,
+// the ID table and the memo are safe for concurrent use by parallel
+// experiment tasks.
 package taint
 
 import (
@@ -27,10 +31,10 @@ type Tag uint32
 
 // Set is an immutable sorted set of tags. The nil *Set is the valid empty
 // set; all methods are nil-safe. Sets obtained from NewSet/Union are
-// interned: structural equality implies pointer equality.
+// interned: structural equality implies pointer and ID equality.
 type Set struct {
 	tags []Tag
-	hash uint64 // interning hash of tags, fixed at construction
+	id   uint32 // interning ID, fixed at construction; 0 only when empty
 }
 
 // NewSet returns a set holding the given tags. Duplicates are removed.
@@ -40,7 +44,7 @@ func NewSet(tags ...Tag) *Set {
 		return nil
 	}
 	if len(tags) == 1 {
-		return singleton(tags[0])
+		return ByID(singletonID(tags[0]))
 	}
 	dup := make([]Tag, len(tags))
 	copy(dup, tags)
@@ -52,6 +56,15 @@ func NewSet(tags ...Tag) *Set {
 		}
 	}
 	return intern(out)
+}
+
+// ID returns the set's interning ID, 0 for the empty set. Equal sets have
+// equal IDs, and ByID(s.ID()) == s.
+func (s *Set) ID() uint32 {
+	if s == nil {
+		return 0
+	}
+	return s.id
 }
 
 // IsEmpty reports whether the set holds no tags.
@@ -77,15 +90,6 @@ func (s *Set) Tags() []Tag {
 	return out
 }
 
-// rawTags exposes the interned tag slice for same-package iteration.
-// Callers must not mutate it.
-func (s *Set) rawTags() []Tag {
-	if s == nil {
-		return nil
-	}
-	return s.tags
-}
-
 // Contains reports whether t is a member of the set.
 func (s *Set) Contains(t Tag) bool {
 	if s == nil {
@@ -95,48 +99,16 @@ func (s *Set) Contains(t Tag) bool {
 	return i < len(s.tags) && s.tags[i] == t
 }
 
-// Equal reports whether two sets hold the same tags. Interned sets compare
-// by pointer; the structural walk below only runs for sets constructed
-// outside the pool (there are none in-repo, but the fallback keeps the
-// method total).
-func (s *Set) Equal(o *Set) bool {
-	if s == o {
-		return true
-	}
-	if s.Len() != o.Len() {
-		return false
-	}
-	if s == nil {
-		return true
-	}
-	for i, t := range s.tags {
-		if o.tags[i] != t {
-			return false
-		}
-	}
-	return true
-}
+// Equal reports whether two sets hold the same tags: interning makes that
+// an ID comparison.
+func (s *Set) Equal(o *Set) bool { return s.ID() == o.ID() }
 
 // Union returns the set of tags present in either input. It returns one of
 // its inputs unchanged when possible; the merge path is memoized on the
-// (pointer, pointer) pair, so steady-state propagation of already-seen set
+// ordered ID pair, so steady-state propagation of already-seen set
 // combinations never allocates.
 func Union(a, b *Set) *Set {
-	if a.IsEmpty() {
-		return b
-	}
-	if b.IsEmpty() {
-		return a
-	}
-	if a == b {
-		return a
-	}
-	if u, ok := unionMemoGet(a, b); ok {
-		return u
-	}
-	u := unionSlow(a, b)
-	unionMemoPut(a, b, u)
-	return u
+	return ByID(unionID(a.ID(), b.ID()))
 }
 
 func unionSlow(a, b *Set) *Set {

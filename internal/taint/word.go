@@ -6,20 +6,20 @@ import "math/bits"
 const WordBits = 64
 
 // Word is the 64-bit shadow of a register or memory word: one tag set per
-// bit, with bit 0 the least significant. The zero Word is fully untainted.
+// bit, with bit 0 the least significant, held as interning IDs (Set.ID), so
+// a Word contains no pointers. The zero Word is fully untainted.
 //
-// Alongside the per-bit sets the word maintains mask, a bitmap of the
+// Alongside the per-bit IDs the word maintains mask, a bitmap of the
 // positions whose set is non-empty. Every operation consults the mask
 // first, so clean words cost O(1) and a typical tainted word (one input
-// byte: 8 live bits) costs 8 pointer operations instead of 64.
+// byte: 8 live bits) costs 8 ID operations instead of 64.
 //
 // Invariant: a slot whose mask bit is clear is DEAD and may hold a stale
-// pointer from an earlier value. Sets are interned for the process
-// lifetime, so a stale pointer retains nothing, and it lets clearing be a
-// mask update instead of a nil-store sweep — Reset is one store, and the
-// shift/merge/truncate operations skip their dead-slot scrubbing (and its
-// GC write barriers) entirely. Everything reading a slot must check the
-// mask first; within this file the mask-guided walks do so implicitly.
+// ID from an earlier value. That lets clearing be a mask update instead of
+// a sweep — Reset is one store, and the shift/merge/truncate operations
+// skip dead-slot scrubbing entirely. Everything reading a slot must check
+// the mask first; within this file the mask-guided walks do so
+// implicitly.
 //
 // The pointer-receiver Set* operations below compute in place and may
 // alias their destination with a source; the value-based helpers at the
@@ -27,7 +27,7 @@ const WordBits = 64
 // rendering.
 type Word struct {
 	mask uint64
-	bits [WordBits]*Set
+	bits [WordBits]uint32
 }
 
 // Bit returns the tag set attached to bit i (0 = LSB).
@@ -35,18 +35,35 @@ func (w *Word) Bit(i int) *Set {
 	if w.mask&(1<<uint(i)) == 0 {
 		return nil
 	}
-	return w.bits[i]
+	return ByID(w.bits[i])
 }
 
-// SetBit replaces the tag set attached to bit i. Empty sets are
-// canonicalized to nil.
+// SetBit replaces the tag set attached to bit i; an empty set clears it.
 func (w *Word) SetBit(i int, s *Set) {
-	if s.IsEmpty() {
+	w.setID(i, s.ID())
+}
+
+// setID replaces bit i's set by ID; ID 0 clears the bit.
+func (w *Word) setID(i int, id uint32) {
+	if id == 0 {
 		w.mask &^= 1 << uint(i)
 		return
 	}
-	w.bits[i] = s
+	w.bits[i] = id
 	w.mask |= 1 << uint(i)
+}
+
+// ByteIDs returns byte i's per-bit set IDs and its 8-bit slice of the live
+// mask; IDs at clear mask bits are dead.
+func (w *Word) ByteIDs(i int) (ids [8]uint32, mask uint8) {
+	return [8]uint32(w.bits[i*8 : i*8+8]), uint8(w.mask >> uint(i*8))
+}
+
+// SetByteIDs replaces byte i with the given per-bit IDs and live mask, the
+// inverse of ByteIDs.
+func (w *Word) SetByteIDs(i int, ids [8]uint32, mask uint8) {
+	copy(w.bits[i*8:i*8+8], ids[:])
+	w.mask = w.mask&^(0xff<<uint(i*8)) | uint64(mask)<<uint(i*8)
 }
 
 // Mask returns the bitmap of tainted bit positions.
@@ -67,17 +84,16 @@ func (w *Word) AnyTainted(lo, hi int) bool {
 	return w.mask&span != 0
 }
 
-// AllTags returns the union of every bit's tag set. Hash-consing makes
-// identical sets pointer-identical, and taint usually arrives in byte
-// runs (8 bits sharing one set), so the walk skips bits whose set is the
-// one just merged or the running union — the common word costs a couple
-// of pointer compares per byte instead of a memoized Union per bit.
-func (w *Word) AllTags() *Set {
+// AllTags returns the union of every bit's tag set.
+func (w *Word) AllTags() *Set { return ByID(w.allID()) }
+
+// allID is AllTags at the ID level. Taint usually arrives in byte runs (8
+// bits sharing one set), so the walk skips bits whose set is the one just
+// merged or the running union — the common word costs a couple of integer
+// compares per byte instead of a memoized union per bit.
+func (w *Word) allID() uint32 {
+	var u, last uint32
 	m := w.mask
-	if m == 0 {
-		return nil
-	}
-	var u, last *Set
 	for m != 0 {
 		i := bits.TrailingZeros64(m)
 		m &= m - 1
@@ -86,7 +102,7 @@ func (w *Word) AllTags() *Set {
 			continue
 		}
 		last = s
-		u = Union(u, s)
+		u = unionID(u, s)
 	}
 	return u
 }
@@ -100,34 +116,28 @@ func (w *Word) Equal(o *Word) bool {
 	for m != 0 {
 		i := bits.TrailingZeros64(m)
 		m &= m - 1
-		if !w.bits[i].Equal(o.bits[i]) {
+		if w.bits[i] != o.bits[i] {
 			return false
 		}
 	}
 	return true
 }
 
-// Reset clears the word in place (dead slots keep stale pointers).
+// Reset clears the word in place (dead slots keep stale IDs).
 func (w *Word) Reset() {
 	w.mask = 0
 }
 
-// CopyFrom makes w an exact copy of src, touching only live bits.
+// CopyFrom makes w an exact copy of src. The IDs from the lowest to the
+// highest live bit move as one block, dead slots included, which is
+// cheaper than a mask walk.
 func (w *Word) CopyFrom(src *Word) {
-	if w == src {
-		return
-	}
 	m := src.mask
-	for m != 0 {
-		i := bits.TrailingZeros64(m)
-		m &= m - 1
-		// The compare dodges the write barrier when the slot already holds
-		// the set — steady-state loops recopy mostly-unchanged words.
-		if s := src.bits[i]; w.bits[i] != s {
-			w.bits[i] = s
-		}
+	if m != 0 {
+		lo, hi := bits.TrailingZeros64(m), WordBits-bits.LeadingZeros64(m)
+		copy(w.bits[lo:hi], src.bits[lo:hi])
 	}
-	w.mask = src.mask
+	w.mask = m
 }
 
 // TruncateIn zeroes the taint of all bits at or above width*8 in place,
@@ -142,10 +152,9 @@ func (w *Word) TruncateIn(widthBytes int) {
 // SetByte makes w the shadow of a freshly read input byte carrying tag t
 // in its low 8 bits.
 func (w *Word) SetByte(t Tag) {
-	w.Reset()
-	s := singleton(t)
+	id := singletonID(t)
 	for i := 0; i < 8; i++ {
-		w.bits[i] = s
+		w.bits[i] = id
 	}
 	w.mask = 0xff
 }
@@ -168,7 +177,7 @@ func (w *Word) SetMergePerBit(a, b *Word) {
 	// Consecutive bits usually carry the same operand pair (taint spreads
 	// in byte runs), so remember the last pair's union instead of hitting
 	// the memo per bit.
-	var la, lb, lu *Set
+	var la, lb, lu uint32
 	m := union
 	for m != 0 {
 		i := bits.TrailingZeros64(m)
@@ -179,7 +188,7 @@ func (w *Word) SetMergePerBit(a, b *Word) {
 			ai, bi := a.bits[i], b.bits[i]
 			if ai != la || bi != lb {
 				la, lb = ai, bi
-				lu = Union(ai, bi)
+				lu = unionID(ai, bi)
 			}
 			w.bits[i] = lu
 		case a.mask&bit != 0:
@@ -195,8 +204,8 @@ func (w *Word) SetMergePerBit(a, b *Word) {
 // operands: the conservative rule for instructions (general multiply,
 // division) whose per-bit flow is not tracked.
 func (w *Word) SetMergeAll(a, b *Word) {
-	u := Union(a.AllTags(), b.AllTags())
-	if u.IsEmpty() {
+	u := unionID(a.allID(), b.allID())
+	if u == 0 {
 		w.Reset()
 		return
 	}
@@ -211,7 +220,7 @@ func (w *Word) SetMergeAll(a, b *Word) {
 // receives the union of those tag sets. The paper's tool uses the per-bit
 // rule instead; this mode exists as a documented ablation (DESIGN.md §2).
 func (w *Word) SetAddCarryAware(a, b *Word) {
-	var run *Set
+	var run uint32
 	var mask uint64
 	live := a.mask | b.mask
 	if live == 0 {
@@ -221,12 +230,12 @@ func (w *Word) SetAddCarryAware(a, b *Word) {
 	for i := 0; i < WordBits; i++ {
 		bit := uint64(1) << uint(i)
 		if a.mask&bit != 0 {
-			run = Union(run, a.bits[i])
+			run = unionID(run, a.bits[i])
 		}
 		if b.mask&bit != 0 {
-			run = Union(run, b.bits[i])
+			run = unionID(run, b.bits[i])
 		}
-		if run != nil {
+		if run != 0 {
 			w.bits[i] = run
 			mask |= bit
 		}
@@ -382,21 +391,15 @@ func (w *Word) SetSar(a *Word, n uint, widthBytes int) {
 	if int(n) > top {
 		n = uint(top)
 	}
-	var sign *Set
+	var sign uint32
 	if a.mask&(1<<uint(top)) != 0 {
 		sign = a.bits[top]
 	}
 	var scratch Word
 	scratch.SetShr(a, n)
 	scratch.TruncateIn(widthBytes) // drop any bits above width (none expected)
-	if sign != nil {
-		for i := top - int(n) + 1; i <= top; i++ {
-			scratch.SetBit(i, sign)
-		}
-	} else {
-		for i := top - int(n) + 1; i <= top; i++ {
-			scratch.SetBit(i, nil)
-		}
+	for i := top - int(n) + 1; i <= top; i++ {
+		scratch.setID(i, sign)
 	}
 	w.CopyFrom(&scratch)
 }
@@ -417,7 +420,7 @@ func (w *Word) SetRol(a *Word, n uint, widthBytes int) {
 	var scratch Word
 	for i := 0; i < nbits; i++ {
 		if a.mask&(1<<uint(i)) != 0 {
-			scratch.SetBit((i+int(n))%nbits, a.bits[i])
+			scratch.setID((i+int(n))%nbits, a.bits[i])
 		}
 	}
 	w.CopyFrom(&scratch)
@@ -437,7 +440,7 @@ func (w Word) Bytes() [8][8]*Set {
 	for m != 0 {
 		i := bits.TrailingZeros64(m)
 		m &= m - 1
-		out[i/8][i%8] = w.bits[i]
+		out[i/8][i%8] = ByID(w.bits[i])
 	}
 	return out
 }
@@ -451,9 +454,7 @@ func FromBytes(bs [][8]*Set) Word {
 			break
 		}
 		for j := 0; j < 8; j++ {
-			if b[j] != nil && !b[j].IsEmpty() {
-				w.SetBit(bi*8+j, b[j])
-			}
+			w.SetBit(bi*8+j, b[j])
 		}
 	}
 	return w

@@ -185,10 +185,17 @@ func TestBytesRoundTrip(t *testing.T) {
 		}
 		bs := w.Bytes()
 		back := FromBytes(bs[:])
-		return back.Equal(&w)
+		// The ID-level byte copy the analyzer's memory shadow uses, in
+		// reverse byte order over a stale word so dead slots differ.
+		byID := ByteWord(Tag(r.Intn(100)))
+		for i := 7; i >= 0; i-- {
+			ids, mask := w.ByteIDs(i)
+			byID.SetByteIDs(i, ids, mask)
+		}
+		return back.Equal(&w) && byID.Equal(&w)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Errorf("Bytes/FromBytes not inverse: %v", err)
+		t.Errorf("Bytes/FromBytes or ByteIDs/SetByteIDs not inverse: %v", err)
 	}
 }
 
