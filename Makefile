@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race lint bench bench-json bench-compare bench-gate bench-cluster bench-smoke smoke smoke-server smoke-obs smoke-pages golden clean test-fuzz test-parallel test-chaos test-chaos-cluster test-differential
+.PHONY: all build vet test race lint bench bench-cluster bench-smoke smoke smoke-server smoke-obs smoke-pages golden clean test-fuzz test-parallel test-chaos test-chaos-cluster test-differential
 
 all: build vet test
 
@@ -62,46 +62,6 @@ test-parallel:
 # micro-benchmarks (see bench_test.go).
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
-
-# Machine-readable perf record for this PR (the repo's performance
-# trajectory; bump the filename each PR that re-measures). The gated
-# taint-path benchmarks are re-measured the way bench-gate measures them
-# — GATE_BENCHTIME iterations, one process per benchmark, because a
-# single-iteration number is too noisy to gate on and co-running them in
-# one process inflates GC pacing — and benchjson keeps the later record
-# per name.
-BENCH_JSON ?= BENCH_PR9.json
-bench-json:
-	( $(GO) test -bench . -benchtime 1x -run '^$$' . ; \
-	  $(GO) test -list '$(GATE_REGEX)' . | grep '^Benchmark' | while read b; do \
-	    $(GO) test -bench "^$$b\$$" -benchtime $(GATE_BENCHTIME) -run '^$$' . ; \
-	  done ) | $(GO) run ./cmd/benchjson -out $(BENCH_JSON)
-	@echo wrote $(BENCH_JSON)
-
-# Per-benchmark speedups between two perf records:
-#   make bench-compare BASE=BENCH_PR3.json [BENCH_JSON=BENCH_PR4.json]
-BASE ?= BENCH_PR4.json
-bench-compare:
-	$(GO) run ./cmd/benchcmp -base $(BASE) -new $(BENCH_JSON)
-
-# CI perf regression gate: re-measure now and compare against the
-# committed perf record; any gated taint-path benchmark more than
-# GATE_MAX slower fails the build. The gate covers the headline
-# TaintChannel paths — the end-to-end analyzer benchmark and the
-# taint-side figure reproductions — and measures only those, at
-# GATE_BENCHTIME iterations in one process per benchmark (the same
-# protocol bench-json records them with; see that target's comment).
-GATE_REGEX ?= TaintAnalysis|Fig[0-9]+.*Taint
-GATE_MAX ?= 0.25
-GATE_BENCHTIME ?= 100x
-bench-gate:
-	@set -e; \
-	tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) test -list '$(GATE_REGEX)' . | grep '^Benchmark' | while read b; do \
-	  $(GO) test -bench "^$$b\$$" -benchtime $(GATE_BENCHTIME) -run '^$$' . ; \
-	done | $(GO) run ./cmd/benchjson -out $$tmp/fresh.json; \
-	$(GO) run ./cmd/benchcmp -base $(BENCH_JSON) -new $$tmp/fresh.json \
-		-gate '$(GATE_REGEX)' -max-regress $(GATE_MAX)
 
 # Cluster bench (DESIGN.md §10): two zipserverd instances with tiered
 # hot/cold caches — the second mounting the first's cache as a peer tier
@@ -344,7 +304,9 @@ golden:
 	$(GO) test ./internal/obs/ -run TestSnapshotGolden -update
 	$(GO) test ./internal/server/ -run TestMetricsGolden -update
 	$(GO) test ./internal/core/ -run TestReportGolden -update
-	$(GO) run ./cmd/experiments -run sgx -quick -json 2>/dev/null > cmd/experiments/testdata/sgx-quick.json
+	@set -e; out=cmd/experiments/testdata/sgx-quick.json; \
+	$(GO) run ./cmd/experiments -run sgx -quick -json > $$out.tmp || { rm -f $$out.tmp; exit 1; }; \
+	mv $$out.tmp $$out
 
 clean:
 	$(GO) clean ./...

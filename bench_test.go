@@ -149,23 +149,31 @@ func BenchmarkVMExecution(b *testing.B) {
 // BenchmarkTaintAnalysis measures TaintChannel's instrumented execution
 // (the paper's tool overhead) on the same gadget.
 func BenchmarkTaintAnalysis(b *testing.B) {
+	op := taintRun(b)
+	b.ReportAllocs()
+	b.SetBytes(2048)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+}
+
+// taintRun returns one TaintChannel run of the bzip2 ftab gadget over
+// 2 KiB of seeded random input; TestBudget pins its allocations.
+func taintRun(t testing.TB) func() {
 	input := make([]byte, 2048)
 	rand.New(rand.NewSource(3)).Read(input)
 	prog := victims.BzipFtab(victims.BzipFtabOptions{})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		machine, err := vm.NewFlat(prog)
 		if err != nil {
-			b.Fatal(err)
+			t.Fatal(err)
 		}
 		machine.SetInput(input)
-		a := core.New(core.Config{MaxSamplesPerGadget: 1})
-		a.Attach(machine)
+		core.New(core.Config{MaxSamplesPerGadget: 1}).Attach(machine)
 		if err := machine.Run(); err != nil {
-			b.Fatal(err)
+			t.Fatal(err)
 		}
-		b.SetBytes(int64(len(input)))
 	}
 }
 

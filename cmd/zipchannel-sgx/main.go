@@ -28,6 +28,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"time"
@@ -39,31 +40,37 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "zipchannel-sgx:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run is the command with its arguments and output streams as
+// parameters, so tests can drive it in-process.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("zipchannel-sgx", flag.ExitOnError)
+	fs.SetOutput(stderr)
 	var (
-		size      = flag.Int("size", 10240, "random secret size in bytes")
-		seed      = flag.Int64("seed", 42, "random seed")
-		text      = flag.String("text", "", "leak this text instead of random bytes")
-		inputFile = flag.String("input", "", "leak this file's contents")
-		noCAT     = flag.Bool("no-cat", false, "disable Intel CAT isolation (§V-C1 ablation)")
-		noFS      = flag.Bool("no-frame-selection", false, "disable frame selection (§V-C2 ablation)")
-		oblivious = flag.Bool("oblivious", false, "attack the §VIII oblivious-histogram victim")
-		noise     = flag.Float64("noise", 4, "other-application accesses per transition")
-		preview   = flag.Int("preview", 256, "bytes of recovered data to print")
-		victim    = flag.String("victim", "bzip2", "gadget to attack: bzip2, zlib, or lzw")
-		charset   = flag.Bool("charset", false, "zlib only: assume lowercase-ASCII input (§IV-B)")
-		repeat    = flag.Int("repeat", 1, "independent attack repetitions, deterministically seeded from -seed")
-		parallel  = flag.Int("parallel", 0, "worker count for repetitions (<=0: GOMAXPROCS); output is identical at any level")
+		size      = fs.Int("size", 10240, "random secret size in bytes")
+		seed      = fs.Int64("seed", 42, "random seed")
+		text      = fs.String("text", "", "leak this text instead of random bytes")
+		inputFile = fs.String("input", "", "leak this file's contents")
+		noCAT     = fs.Bool("no-cat", false, "disable Intel CAT isolation (§V-C1 ablation)")
+		noFS      = fs.Bool("no-frame-selection", false, "disable frame selection (§V-C2 ablation)")
+		oblivious = fs.Bool("oblivious", false, "attack the §VIII oblivious-histogram victim")
+		noise     = fs.Float64("noise", 4, "other-application accesses per transition")
+		preview   = fs.Int("preview", 256, "bytes of recovered data to print")
+		victim    = fs.String("victim", "bzip2", "gadget to attack: bzip2, zlib, or lzw")
+		charset   = fs.Bool("charset", false, "zlib only: assume lowercase-ASCII input (§IV-B)")
+		repeat    = fs.Int("repeat", 1, "independent attack repetitions, deterministically seeded from -seed")
+		parallel  = fs.Int("parallel", 0, "worker count for repetitions (<=0: GOMAXPROCS); output is identical at any level")
 	)
 	var cli obs.CLI
-	cli.Bind(flag.CommandLine)
-	flag.Parse()
+	cli.Bind(fs)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *repeat < 1 {
 		return fmt.Errorf("-repeat must be >= 1")
@@ -86,6 +93,12 @@ func run() error {
 	if fixed != nil {
 		secretLen = len(fixed)
 	}
+	// A negative -size would panic in make, and an empty secret would
+	// "recover" 0 bytes and report success.
+	if secretLen < 1 {
+		fs.Usage()
+		return fmt.Errorf("the secret must be at least 1 byte, got %d (-size, -text or -input)", secretLen)
+	}
 
 	base := zipchannel.DefaultConfig()
 	base.UseCAT = !*noCAT
@@ -99,7 +112,7 @@ func run() error {
 	}
 	defer cli.Finish()
 
-	fmt.Fprintf(os.Stderr, "attacking %d secret bytes inside the enclave via the %s gadget (CAT=%v, frame-selection=%v, oblivious=%v, repetitions=%d)...\n",
+	fmt.Fprintf(stderr, "attacking %d secret bytes inside the enclave via the %s gadget (CAT=%v, frame-selection=%v, oblivious=%v, repetitions=%d)...\n",
 		secretLen, *victim, base.UseCAT, base.UseFrameSelection, base.Oblivious, *repeat)
 
 	// Each repetition runs against a private registry with its own split
@@ -149,18 +162,18 @@ func run() error {
 	for i := range trials {
 		reg.Merge(trials[i].reg)
 	}
-	fmt.Fprintf(os.Stderr, "done in %s\n", time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(stderr, "done in %s\n", time.Since(start).Round(time.Millisecond))
 
 	if *repeat == 1 {
 		res := trials[0].res
-		fmt.Println(res)
-		fmt.Printf("cache: %d hits, %d misses, %d evictions, %d flushes\n",
+		fmt.Fprintln(stdout, res)
+		fmt.Fprintf(stdout, "cache: %d hits, %d misses, %d evictions, %d flushes\n",
 			res.CacheHits, res.CacheMisses, res.CacheEvictions, res.CacheFlushes)
-		fmt.Printf("recovery: %d/%d bytes pinned directly, %d corrected by redundancy\n",
+		fmt.Fprintf(stdout, "recovery: %d/%d bytes pinned directly, %d corrected by redundancy\n",
 			res.KnownBytes-res.CorrectedBytes, secretLen, res.CorrectedBytes)
 
 		n := min(*preview, len(res.Recovered))
-		fmt.Printf("\nrecovered data (first %d bytes):\n%s\n", n, printable(res.Recovered[:n]))
+		fmt.Fprintf(stdout, "\nrecovered data (first %d bytes):\n%s\n", n, printable(res.Recovered[:n]))
 		return cli.Finish()
 	}
 
@@ -168,7 +181,7 @@ func run() error {
 	bitMin = 1
 	for i := range trials {
 		res := trials[i].res
-		fmt.Printf("trial %2d: %s\n", i, res)
+		fmt.Fprintf(stdout, "trial %2d: %s\n", i, res)
 		bitSum += res.BitAcc
 		byteSum += res.ByteAcc
 		if res.BitAcc < bitMin {
@@ -176,7 +189,7 @@ func run() error {
 		}
 	}
 	n := float64(*repeat)
-	fmt.Printf("\naggregate over %d trials: mean bit acc %.2f%%, mean byte acc %.2f%%, worst bit acc %.2f%%\n",
+	fmt.Fprintf(stdout, "\naggregate over %d trials: mean bit acc %.2f%%, mean byte acc %.2f%%, worst bit acc %.2f%%\n",
 		*repeat, 100*bitSum/n, 100*byteSum/n, 100*bitMin)
 	return cli.Finish()
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -68,12 +69,19 @@ func TestRunAllOrderedDelivery(t *testing.T) {
 // split seed and the worker budget; with none, tasks stay on the
 // paper-pinned path (Ctx.Seed == 0).
 func TestRunAllSeedSplitting(t *testing.T) {
+	// The second RunAll runs both tasks at once, so the maps need a lock.
+	var mu sync.Mutex
 	seeds := make(map[string]int64)
 	budgets := make(map[string]int)
-	runners := []Runner{
-		fakeRunner("a", 0, func(c *Ctx) { seeds["a"] = c.Seed; budgets["a"] = c.Parallelism }),
-		fakeRunner("b", 0, func(c *Ctx) { seeds["b"] = c.Seed; budgets["b"] = c.Parallelism }),
+	record := func(name string) func(*Ctx) {
+		return func(c *Ctx) {
+			mu.Lock()
+			defer mu.Unlock()
+			seeds[name] = c.Seed
+			budgets[name] = c.Parallelism
+		}
 	}
+	runners := []Runner{fakeRunner("a", 0, record("a")), fakeRunner("b", 0, record("b"))}
 	if _, err := RunAll(context.Background(), RunOptions{Runners: runners, Parallelism: 1, RootSeed: 99}); err != nil {
 		t.Fatalf("RunAll: %v", err)
 	}
