@@ -21,10 +21,12 @@ test:
 	$(GO) test ./...
 
 # The concurrency contracts: the telemetry layer, the worker pool, the
-# HTTP compression service, and the experiment scheduler (fake-runner +
-# cheap real-runner tests).
+# HTTP compression service, the experiment scheduler (fake-runner +
+# cheap real-runner tests), and the attack stack, whose single-goroutine
+# counters a -progress reader snapshots mid-run.
 race:
 	$(GO) test -race ./internal/obs/... ./internal/par/... ./internal/server/... ./internal/pagestore/... ./internal/taint/ ./internal/core/
+	$(GO) test -race ./internal/cache/ ./internal/attacker/ ./internal/sgx/ ./internal/zipchannel/ ./cmd/zipchannel-sgx/
 	$(GO) test -race -run 'TestRunAll' ./internal/experiments/
 	$(MAKE) test-differential
 

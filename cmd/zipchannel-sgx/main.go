@@ -29,6 +29,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"time"
@@ -74,6 +75,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	if *repeat < 1 {
 		return fmt.Errorf("-repeat must be >= 1")
+	}
+	// The noise model draws no accesses for a negative or NaN rate, so
+	// those ran silently without noise; an infinite rate never ends.
+	if *noise < 0 || math.IsNaN(*noise) || math.IsInf(*noise, 0) {
+		fs.Usage()
+		return fmt.Errorf("-noise must be a finite rate >= 0, got %v", *noise)
 	}
 
 	// A chosen secret (text or file) is shared across repetitions; random

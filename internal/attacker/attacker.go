@@ -34,8 +34,10 @@ type PrimeProbe struct {
 
 	threshold int
 	// evsets memoizes, per global set, the pool's lowest lines mapping
-	// to it, as many as the largest eviction set requested so far.
+	// to it, as many as the largest eviction set requested so far. The
+	// sets are carved from arena, so memoizing one rarely allocates.
 	evsets [][]uint64
+	arena  []uint64
 
 	// TimerFault, when armed (chaos runs), jitters individual timer
 	// readings of probe latencies; TimerSamples readings are taken per
@@ -43,6 +45,12 @@ type PrimeProbe struct {
 	// leaves every measurement byte-identical to a fault-free build.
 	TimerFault   *fault.Point
 	TimerSamples int
+
+	// The round counts and probe latencies are kept in plain fields (one
+	// goroutine drives a PrimeProbe) until Publish adds them to the
+	// instruments below.
+	n       roundCounts
+	latency obs.LocalHistogram
 
 	// Instruments are nil until AttachObs; obs methods no-op on nil.
 	primes       *obs.Counter
@@ -57,9 +65,13 @@ type PrimeProbe struct {
 	noisyReads *obs.Counter
 }
 
+// roundCounts are the Prime+Probe counts not yet published.
+type roundCounts struct{ primes, probes, probedLines, evictions uint64 }
+
 // AttachObs registers the attacker's telemetry on reg: pp.primes and
 // pp.probes (rounds), pp.probed_lines, pp.evictions_observed (lines over
 // threshold), pp.evset_failures, and the pp.probe_latency histogram.
+// All but pp.evset_failures fill when the owner calls Publish.
 func (p *PrimeProbe) AttachObs(reg *obs.Registry) {
 	p.primes = reg.Counter("pp.primes")
 	p.probes = reg.Counter("pp.probes")
@@ -68,6 +80,19 @@ func (p *PrimeProbe) AttachObs(reg *obs.Registry) {
 	p.evsetFail = reg.Counter("pp.evset_failures")
 	p.probeLat = reg.Histogram("pp.probe_latency")
 	p.reg = reg
+}
+
+// Publish adds the rounds, probed lines, observed evictions and probe
+// latencies since the last Publish to the registry. Owners call it at
+// points where a reader of the registry should see current counts, and
+// before they return.
+func (p *PrimeProbe) Publish() {
+	p.primes.Add(p.n.primes)
+	p.probes.Add(p.n.probes)
+	p.probedLines.Add(p.n.probedLines)
+	p.evictionsObs.Add(p.n.evictions)
+	p.n = roundCounts{}
+	p.latency.PublishTo(p.probeLat)
 }
 
 // measure returns the classified latency of one probed line. A probe is
@@ -159,7 +184,11 @@ func (p *PrimeProbe) scanSet(globalSet, limit int) []uint64 {
 	slice, set := globalSet/cfg.Sets, globalSet%cfg.Sets
 	// Pool line i has line address LineOf(poolBase)+i.
 	first := (set - int(p.c.LineOf(p.poolBase)%uint64(cfg.Sets)) + cfg.Sets) % cfg.Sets
-	var lines []uint64
+	if len(p.arena) < limit {
+		p.arena = make([]uint64, max(limit, 1024))
+	}
+	lines := p.arena[:0:limit]
+	p.arena = p.arena[limit:]
 	for i := first; i < p.poolLines && len(lines) < limit; i += cfg.Sets {
 		addr := p.poolBase + uint64(i*cfg.LineSize)
 		if p.c.SliceOf(addr) == slice {
@@ -171,7 +200,7 @@ func (p *PrimeProbe) scanSet(globalSet, limit int) []uint64 {
 
 // Prime loads the eviction set into the cache (attack step 1).
 func (p *PrimeProbe) Prime(ev []uint64) {
-	p.primes.Inc()
+	p.n.primes++
 	for _, a := range ev {
 		p.c.Access(p.actor, a)
 	}
@@ -189,16 +218,16 @@ func (p *PrimeProbe) Probe(ev []uint64) (evicted int) {
 	if p.threshold == 0 {
 		p.Calibrate(0)
 	}
-	p.probes.Inc()
+	p.n.probes++
 	for _, a := range ev {
 		lat := p.measure(a)
-		p.probedLines.Inc()
-		p.probeLat.Observe(int64(lat))
+		p.latency.Observe(int64(lat))
 		if lat > p.threshold {
 			evicted++
 		}
 	}
-	p.evictionsObs.Add(uint64(evicted))
+	p.n.probedLines += uint64(len(ev))
+	p.n.evictions += uint64(evicted)
 	return evicted
 }
 

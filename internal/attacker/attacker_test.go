@@ -211,3 +211,45 @@ func TestFlushReloadSample(t *testing.T) {
 		t.Errorf("sample = %v, want [false true]", got)
 	}
 }
+
+// The pp.* round counts and the latency histogram reach the registry at
+// Publish, each event once however often Publish runs.
+func TestPrimeProbePublish(t *testing.T) {
+	c := newCache()
+	reg := obs.NewRegistry()
+	p := NewPrimeProbe(c, attackerActor, 1<<30, 1<<22)
+	p.AttachObs(reg)
+	p.Calibrate(100)
+	ev, err := p.EvictionSet(c.GlobalSet(0x7f0000), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evicted := 0
+	for round := 0; round < 3; round++ {
+		p.Prime(ev)
+		c.Access(victimActor, 0x7f0000)
+		evicted += p.Probe(ev)
+		if round == 0 {
+			if n := reg.Snapshot().Counters["pp.probes"]; n != 0 {
+				t.Errorf("pp.probes = %d before Publish, want 0", n)
+			}
+			p.Publish()
+			p.Publish()
+		}
+	}
+	p.Publish()
+	snap := reg.Snapshot()
+	want := map[string]uint64{
+		"pp.primes": 3, "pp.probes": 3, "pp.probed_lines": 3 * uint64(len(ev)),
+		"pp.evictions_observed": uint64(evicted), "pp.evset_failures": 0,
+	}
+	if !reflect.DeepEqual(snap.Counters, want) {
+		t.Errorf("counters %v, want %v", snap.Counters, want)
+	}
+	if h := snap.Histograms["pp.probe_latency"]; h.Count != 3*uint64(len(ev)) {
+		t.Errorf("pp.probe_latency count = %d, want %d", h.Count, 3*len(ev))
+	}
+	if evicted == 0 {
+		t.Error("the victim's access evicted nothing")
+	}
+}

@@ -9,6 +9,7 @@ package cache
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"math/rand"
 	"strconv"
@@ -58,8 +59,8 @@ type Config struct {
 	Seed int64
 
 	// Obs receives the cache's counters (hits, misses, evictions,
-	// flushes, plus per-CoS splits) under MetricsPrefix. When nil the
-	// cache keeps a private registry so the accessors still work.
+	// flushes, plus per-CoS splits) under MetricsPrefix, each time the
+	// owner calls Publish. When nil the cache keeps a private registry.
 	Obs *obs.Registry `json:"-"`
 	// MetricsPrefix names this cache level in metric keys (default
 	// "cache"; the hierarchy uses "cache.l1" / "cache.llc").
@@ -109,14 +110,30 @@ type Result struct {
 }
 
 // actorView is an actor's resolved CAT state: the ways it may allocate
-// into and its class of service's hit/miss counters.
+// into, and its hits and misses since the view was resolved, for its
+// class of service's counters.
 type actorView struct {
 	mask         uint64
-	hits, misses *obs.Counter
+	hits, misses tally
+}
+
+// tally is one event count of a cache, kept in a plain field: a cache
+// runs on one goroutine, so its hot path makes no atomic adds. publish
+// adds what the counter has not seen yet.
+type tally struct {
+	n, published uint64
+	c            *obs.Counter
+}
+
+func (t *tally) publish() {
+	t.c.Add(t.n - t.published)
+	t.published = t.n
 }
 
 // Cache is the simulated LLC. Not safe for concurrent use: the attack
-// harness interleaves victim and attacker deterministically.
+// harness interleaves victim and attacker deterministically. Its counts
+// reach the registry only through Publish, so a goroutine reading the
+// registry sees them as of the owner's last Publish.
 //
 // The sets are stored flat, as parallel arrays indexed by way: the ways
 // of global set g (slice*Sets + set) are [g*Ways, (g+1)*Ways). A tag is
@@ -131,7 +148,15 @@ type Cache struct {
 	cos    map[int]uint64 // class of service -> allowed-way bitmask
 	actor  map[int]int    // actor -> class of service
 	clock  uint64
-	rng    *rand.Rand
+	// src is rng's source: the jitter draw reads it directly (see
+	// jitter), rng serves random replacement and outliers. Both consume
+	// one stream, in the order the calls happen.
+	src rand.Source
+	rng *rand.Rand
+	// jitterN is the jitter draw's range 2*Jitter+1 and jitterMax the
+	// largest accepted 31-bit draw, as math/rand's Int31n computes them;
+	// jitterN is 0 when the range exceeds 31 bits.
+	jitterN, jitterMax int32
 
 	// views memoizes actorView per actor, and last the most recent one
 	// (accesses come in long single-actor runs). SetCoSMask and
@@ -140,12 +165,9 @@ type Cache struct {
 	last      *actorView
 	lastActor int
 
-	reg       *obs.Registry
-	prefix    string
-	hits      *obs.Counter
-	misses    *obs.Counter
-	evictions *obs.Counter
-	flushes   *obs.Counter
+	reg                              *obs.Registry
+	prefix                           string
+	hits, misses, evictions, flushes tally
 
 	setBits   int
 	lineBits  int
@@ -172,6 +194,7 @@ func New(cfg Config) *Cache {
 		prefix = "cache"
 	}
 	sets := cfg.Slices * cfg.Sets
+	src := rand.NewSource(cfg.Seed)
 	c := &Cache{
 		cfg:       cfg,
 		tags:      make([]uint64, sets*cfg.Ways),
@@ -180,16 +203,21 @@ func New(cfg Config) *Cache {
 		plru:      make([]uint64, sets),
 		cos:       map[int]uint64{DefaultCoS: waymask(cfg.Ways)},
 		actor:     map[int]int{},
-		rng:       rand.New(rand.NewSource(cfg.Seed)),
+		src:       src,
+		rng:       rand.New(src),
 		views:     map[int]*actorView{},
 		reg:       reg,
 		prefix:    prefix,
-		hits:      reg.Counter(prefix + ".hits"),
-		misses:    reg.Counter(prefix + ".misses"),
-		evictions: reg.Counter(prefix + ".evictions"),
-		flushes:   reg.Counter(prefix + ".flushes"),
+		hits:      tally{c: reg.Counter(prefix + ".hits")},
+		misses:    tally{c: reg.Counter(prefix + ".misses")},
+		evictions: tally{c: reg.Counter(prefix + ".evictions")},
+		flushes:   tally{c: reg.Counter(prefix + ".flushes")},
 		setBits:   bits.TrailingZeros(uint(cfg.Sets)),
 		lineBits:  bits.TrailingZeros(uint(cfg.LineSize)),
+	}
+	if n := 2*cfg.Jitter + 1; cfg.Jitter > 0 && n <= math.MaxInt32 {
+		c.jitterN = int32(n)
+		c.jitterMax = int32(math.MaxInt32 - (1<<31)%uint32(n))
 	}
 	sliceBits := bits.TrailingZeros(uint(cfg.Slices))
 	c.sliceMask = make([]uint64, sliceBits)
@@ -208,17 +236,17 @@ func waymask(n int) uint64 { return (uint64(1) << uint(n)) - 1 }
 // Config returns the (defaulted) configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
-// Hits returns the cumulative hit count.
-func (c *Cache) Hits() uint64 { return c.hits.Value() }
+// Hits returns this cache's cumulative hit count, published or not.
+func (c *Cache) Hits() uint64 { return c.hits.n }
 
-// Misses returns the cumulative miss count.
-func (c *Cache) Misses() uint64 { return c.misses.Value() }
+// Misses returns this cache's cumulative miss count.
+func (c *Cache) Misses() uint64 { return c.misses.n }
 
-// Evictions returns the cumulative eviction count.
-func (c *Cache) Evictions() uint64 { return c.evictions.Value() }
+// Evictions returns this cache's cumulative eviction count.
+func (c *Cache) Evictions() uint64 { return c.evictions.n }
 
-// Flushes returns the cumulative flush count.
-func (c *Cache) Flushes() uint64 { return c.flushes.Value() }
+// Flushes returns this cache's cumulative flush count.
+func (c *Cache) Flushes() uint64 { return c.flushes.n }
 
 // Accesses returns hits+misses.
 func (c *Cache) Accesses() uint64 { return c.Hits() + c.Misses() }
@@ -242,8 +270,8 @@ func (c *Cache) view(actor int) *actorView {
 		base := c.prefix + ".cos" + strconv.Itoa(cos)
 		v = &actorView{
 			mask:   mask,
-			hits:   c.reg.Counter(base + ".hits"),
-			misses: c.reg.Counter(base + ".misses"),
+			hits:   tally{c: c.reg.Counter(base + ".hits")},
+			misses: tally{c: c.reg.Counter(base + ".misses")},
 		}
 		c.views[actor] = v
 	}
@@ -251,8 +279,30 @@ func (c *Cache) view(actor int) *actorView {
 	return v
 }
 
-// forgetViews drops every resolved actorView after a CAT change.
+// Publish adds the counts since the last Publish to the registry's
+// counters: hits, misses, evictions and flushes, and each class of
+// service's hits and misses. Owners call it at points where a reader
+// of the registry should see current counts, and before they return.
+func (c *Cache) Publish() {
+	for _, t := range [...]*tally{&c.hits, &c.misses, &c.evictions, &c.flushes} {
+		t.publish()
+	}
+	for _, v := range c.views {
+		v.publish()
+	}
+}
+
+func (v *actorView) publish() {
+	v.hits.publish()
+	v.misses.publish()
+}
+
+// forgetViews drops every resolved actorView after a CAT change,
+// publishing their counts first.
 func (c *Cache) forgetViews() {
+	for _, v := range c.views {
+		v.publish()
+	}
 	clear(c.views)
 	c.last = nil
 }
@@ -321,35 +371,36 @@ func (c *Cache) Access(actor int, paddr uint64) Result {
 	v := c.view(actor)
 	line := c.LineOf(paddr)
 	gs, tags := c.ways(line)
-	res := Result{Set: gs, Slice: gs >> c.setBits, Evicted: ^uint64(0), Victim: -1}
+	slice := gs >> c.setBits
 
+	// Each path builds its Result in its return statement: filling a
+	// local field by field and copying it out stalls on store forwarding.
 	tag := line + 1
 	for i, t := range tags {
 		if t == tag {
 			c.touch(gs, i)
-			res.Hit = true
-			res.Latency = c.latency(c.cfg.HitLatency)
-			c.hits.Inc()
-			v.hits.Inc()
-			return res
+			c.hits.n++
+			v.hits.n++
+			return Result{Hit: true, Latency: c.latency(c.cfg.HitLatency), Set: gs, Slice: slice,
+				Evicted: ^uint64(0), Victim: -1}
 		}
 	}
 
 	// Miss: allocate within the actor's CAT mask.
-	c.misses.Inc()
-	v.misses.Inc()
-	res.Latency = c.latency(c.cfg.MissLatency)
+	c.misses.n++
+	v.misses.n++
+	lat := c.latency(c.cfg.MissLatency)
 	i := c.pickVictim(gs, tags, v.mask)
 	w := gs*c.cfg.Ways + i
+	evicted, victim := ^uint64(0), -1
 	if tags[i] != 0 {
-		res.Evicted = tags[i] - 1
-		res.Victim = c.owners[w]
-		c.evictions.Inc()
+		evicted, victim = tags[i]-1, c.owners[w]
+		c.evictions.n++
 	}
 	tags[i] = tag
 	c.owners[w] = actor
 	c.touch(gs, i)
-	return res
+	return Result{Latency: lat, Set: gs, Slice: slice, Evicted: evicted, Victim: victim}
 }
 
 // Probe is like Access but reports only what a timing measurement would
@@ -366,7 +417,7 @@ func (c *Cache) Flush(paddr uint64) {
 	for i, t := range tags {
 		if t == line+1 {
 			tags[i] = 0
-			c.flushes.Inc()
+			c.flushes.n++
 			return
 		}
 	}
@@ -511,7 +562,7 @@ func (c *Cache) touchPLRU(gs, wayIdx int) {
 func (c *Cache) latency(base int) int {
 	lat := base
 	if c.cfg.Jitter > 0 {
-		lat += c.rng.Intn(2*c.cfg.Jitter+1) - c.cfg.Jitter
+		lat += c.jitter() - c.cfg.Jitter
 	}
 	if c.cfg.OutlierProb > 0 && c.rng.Float64() < c.cfg.OutlierProb {
 		lat += c.cfg.OutlierLatency
@@ -520,4 +571,18 @@ func (c *Cache) latency(base int) int {
 		lat = 1
 	}
 	return lat
+}
+
+// jitter returns rng.Intn(2*Jitter+1) without the calls between Intn and
+// the source: the same rejection loop over the same 31-bit draws as
+// math/rand's Int31n, so the value and the stream position match.
+func (c *Cache) jitter() int {
+	if c.jitterN == 0 {
+		return c.rng.Intn(2*c.cfg.Jitter + 1)
+	}
+	v := int32(c.src.Int63() >> 32)
+	for v > c.jitterMax {
+		v = int32(c.src.Int63() >> 32)
+	}
+	return int(v % c.jitterN)
 }

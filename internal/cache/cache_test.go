@@ -1,8 +1,11 @@
 package cache
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
+
+	"github.com/zipchannel/zipchannel/internal/obs"
 )
 
 func small() *Cache {
@@ -259,5 +262,31 @@ func TestAccessDoesNotAllocate(t *testing.T) {
 		if n := testing.AllocsPerRun(1000, step); n != 0 {
 			t.Errorf("%v: Access allocates %.1f times per call", pol, n)
 		}
+	}
+}
+
+// The registry sees a cache's counts only at Publish, and repeated
+// Publishes add each event once; Hits and Misses are current throughout.
+func TestPublishAddsDeltas(t *testing.T) {
+	reg := obs.NewRegistry()
+	c := New(Config{Sets: 16, Ways: 4, Slices: 1, Obs: reg})
+	counters := func() map[string]uint64 { return reg.Snapshot().Counters }
+	c.Access(1, 0x1000) // miss
+	c.Access(1, 0x1000) // hit
+	if got := counters()["cache.hits"]; got != 0 || c.Hits() != 1 || c.Misses() != 1 {
+		t.Errorf("before Publish: registry hits %d, Hits %d, Misses %d; want 0, 1, 1", got, c.Hits(), c.Misses())
+	}
+	c.Publish()
+	c.Publish()
+	c.AssignActor(1, 1) // drops actor 1's view: its counts publish first
+	c.Access(1, 0x1000)
+	c.Flush(0x1000)
+	c.Publish()
+	want := map[string]uint64{
+		"cache.hits": 2, "cache.misses": 1, "cache.evictions": 0, "cache.flushes": 1,
+		"cache.cos0.hits": 1, "cache.cos0.misses": 1, "cache.cos1.hits": 1, "cache.cos1.misses": 0,
+	}
+	if got := counters(); !reflect.DeepEqual(got, want) {
+		t.Errorf("counters %v, want %v", got, want)
 	}
 }

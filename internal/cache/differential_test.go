@@ -21,14 +21,21 @@ var diffGeometries = []Config{
 	{Sets: 32, Ways: 1, Slices: 8, LineSize: 32},
 }
 
+// diffJitters are the jitter amplitudes the differential tests drive.
+// The jitter draw rejects a 31-bit draw above the largest multiple of
+// 2*Jitter+1: with probability ~4e-9 per draw at 4 (the default's
+// order), and ~50% at 1<<29, where the rejection loop runs constantly.
+// At 1<<30 the range exceeds 31 bits and the draw falls back to Intn.
+var diffJitters = []int{4, 1, 1 << 29, 1 << 30}
+
 // diffConfig decodes a selector into a configuration: the geometry from
-// bits 0-2, the replacement policy from bits 3-4, and outliers (which
-// draw from the RNG too) from bit 7.
+// bits 0-2, the replacement policy from bits 3-4, the jitter from bits
+// 5-6, and outliers (which draw from the RNG too) from bit 7.
 func diffConfig(sel uint8, seed int64) Config {
 	cfg := diffGeometries[int(sel&7)%len(diffGeometries)]
 	cfg.Replacement = Policy(sel >> 3 & 3 % 3)
 	cfg.Seed = seed
-	cfg.Jitter = 4
+	cfg.Jitter = diffJitters[sel>>5&3]
 	if sel&0x80 != 0 {
 		cfg.OutlierProb = 0.1
 	}
@@ -91,6 +98,7 @@ func runDifferential(t *testing.T, cfg Config, ops []byte) {
 	if !reflect.DeepEqual(got.Heatmap(), want.Heatmap()) {
 		t.Fatal("Heatmap differs from the reference")
 	}
+	got.Publish()
 	if g, w := regNew.Snapshot().Counters, regRef.Snapshot().Counters; !reflect.DeepEqual(g, w) {
 		t.Fatalf("counters %v, reference %v", g, w)
 	}
@@ -99,15 +107,20 @@ func runDifferential(t *testing.T, cfg Config, ops []byte) {
 func TestCacheDifferential(t *testing.T) {
 	for g := range diffGeometries {
 		for _, pol := range []Policy{LRU, TreePLRU, RandomRepl} {
-			for _, outliers := range []uint8{0, 0x80} {
-				sel := uint8(g) | uint8(pol)<<3 | outliers
-				cfg := diffConfig(sel, int64(sel))
-				name := fmt.Sprintf("geom%d/%v/outliers=%v", g, pol, outliers != 0)
-				t.Run(name, func(t *testing.T) {
-					ops := make([]byte, 4*20000)
-					rand.New(rand.NewSource(int64(sel))).Read(ops)
-					runDifferential(t, cfg, ops)
-				})
+			for j := range diffJitters {
+				for _, outliers := range []uint8{0, 0x80} {
+					sel := uint8(g) | uint8(pol)<<3 | uint8(j)<<5 | outliers
+					cfg := diffConfig(sel, int64(sel))
+					name := fmt.Sprintf("geom%d/%v/outliers=%v", g, pol, outliers != 0)
+					if j > 0 { // the default jitter keeps the shorter name
+						name += fmt.Sprintf("/jitter=%d", cfg.Jitter)
+					}
+					t.Run(name, func(t *testing.T) {
+						ops := make([]byte, 4*20000)
+						rand.New(rand.NewSource(int64(sel))).Read(ops)
+						runDifferential(t, cfg, ops)
+					})
+				}
 			}
 		}
 	}
@@ -118,6 +131,7 @@ func FuzzCacheDifferential(f *testing.F) {
 	f.Add(uint8(1|1<<3), int64(2), []byte{4, 1, 1, 0, 5, 2, 1, 0, 0, 2, 9, 9, 0, 2, 10, 9, 0, 2, 11, 9})
 	f.Add(uint8(3|2<<3), int64(3), []byte{1, 0, 0, 0, 1, 0, 1, 0, 1, 0, 2, 0, 2, 0, 0, 0, 4, 0, 0, 0})
 	f.Add(uint8(2|0x80), int64(4), []byte{0, 3, 200, 7, 2, 3, 200, 7, 4, 3, 0, 1, 0, 3, 201, 7})
+	f.Add(uint8(1|2<<5), int64(5), []byte{0, 1, 2, 3, 2, 1, 2, 3, 0, 4, 2, 3, 2, 4, 2, 3})
 	f.Fuzz(func(t *testing.T, sel uint8, seed int64, ops []byte) {
 		runDifferential(t, diffConfig(sel, seed), ops)
 	})

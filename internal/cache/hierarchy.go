@@ -61,6 +61,14 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 // LLC exposes the shared level (the attacker probes it directly).
 func (h *Hierarchy) LLC() *Cache { return h.llc }
 
+// Publish publishes every level's counts (see Cache.Publish).
+func (h *Hierarchy) Publish() {
+	for _, l1 := range h.l1s {
+		l1.Publish()
+	}
+	h.llc.Publish()
+}
+
 func (h *Hierarchy) l1(actor int) *Cache {
 	c, ok := h.l1s[actor]
 	if !ok {

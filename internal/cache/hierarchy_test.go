@@ -1,6 +1,10 @@
 package cache
 
-import "testing"
+import (
+	"testing"
+
+	"github.com/zipchannel/zipchannel/internal/obs"
+)
 
 const (
 	hVictim   = 1
@@ -97,5 +101,28 @@ func TestHierarchyPrivateL1s(t *testing.T) {
 	if r.Latency <= victimHit.Latency {
 		t.Errorf("attacker's L1 miss (%d cycles) should cost more than a pure L1 hit (%d)",
 			r.Latency, victimHit.Latency)
+	}
+}
+
+// Publish hands every level's counts to the shared registry: the LLC's
+// and each private L1's.
+func TestHierarchyPublish(t *testing.T) {
+	reg := obs.NewRegistry()
+	h := NewHierarchy(HierarchyConfig{
+		LLC:       Config{Sets: 64, Ways: 4, Slices: 1, Obs: reg},
+		L1:        Config{Sets: 16, Ways: 2, Slices: 1},
+		Inclusive: true,
+	})
+	h.Access(hVictim, 0x1000)   // misses both levels
+	h.Access(hVictim, 0x1000)   // L1 hit
+	h.Access(hAttacker, 0x1000) // the attacker's L1 misses, the LLC hits
+	h.Publish()
+	got := reg.Snapshot().Counters
+	for name, want := range map[string]uint64{
+		"cache.l1.hits": 1, "cache.l1.misses": 2, "cache.llc.hits": 1, "cache.llc.misses": 1,
+	} {
+		if got[name] != want {
+			t.Errorf("%s = %d, want %d", name, got[name], want)
+		}
 	}
 }

@@ -210,6 +210,7 @@ func (tl *Timeline) Sample(cfg SampleConfig) *Trace {
 		samples.Inc()
 		prev = now
 	}
+	c.Publish()
 	return tr
 }
 

@@ -70,18 +70,8 @@ func (h *Histogram) Observe(v int64) {
 	h.count.Add(1)
 	h.sum.Add(v)
 	h.buckets[bucketIndex(v)].Add(1)
-	for {
-		old := h.min.Load()
-		if v >= old || h.min.CompareAndSwap(old, v) {
-			break
-		}
-	}
-	for {
-		old := h.max.Load()
-		if v <= old || h.max.CompareAndSwap(old, v) {
-			break
-		}
-	}
+	storeMin(&h.min, v)
+	storeMax(&h.max, v)
 }
 
 // ObserveExemplar records one value like Observe and, when traceID is
@@ -139,4 +129,69 @@ func (h *Histogram) Mean() float64 {
 		return 0
 	}
 	return float64(h.Sum()) / float64(n)
+}
+
+// storeMin lowers a to v unless it is already at most v.
+func storeMin(a *atomic.Int64, v int64) {
+	for {
+		old := a.Load()
+		if v >= old || a.CompareAndSwap(old, v) {
+			return
+		}
+	}
+}
+
+// storeMax raises a to v unless it is already at least v.
+func storeMax(a *atomic.Int64, v int64) {
+	for {
+		old := a.Load()
+		if v <= old || a.CompareAndSwap(old, v) {
+			return
+		}
+	}
+}
+
+// LocalHistogram is a Histogram for a single goroutine's hot path: plain
+// fields, no atomics, and nothing shared until PublishTo hands the
+// observations to a registry Histogram. The zero value is ready to use.
+// Not safe for concurrent use.
+type LocalHistogram struct {
+	count    uint64
+	sum      int64
+	min, max int64
+	buckets  [numBuckets]uint64
+}
+
+// Observe records one value.
+func (h *LocalHistogram) Observe(v int64) {
+	if h.count == 0 || v < h.min {
+		h.min = v
+	}
+	if h.count == 0 || v > h.max {
+		h.max = v
+	}
+	h.count++
+	h.sum += v
+	h.buckets[bucketIndex(v)]++
+}
+
+// PublishTo adds the observations made since the last call to dst —
+// count, sum, buckets, min and max, exactly as calling dst.Observe on
+// each value would have — and empties h. A nil dst discards them.
+func (h *LocalHistogram) PublishTo(dst *Histogram) {
+	if h.count == 0 {
+		return
+	}
+	if dst != nil {
+		dst.count.Add(h.count)
+		dst.sum.Add(h.sum)
+		for i, n := range h.buckets {
+			if n > 0 {
+				dst.buckets[i].Add(n)
+			}
+		}
+		storeMin(&dst.min, h.min)
+		storeMax(&dst.max, h.max)
+	}
+	*h = LocalHistogram{}
 }

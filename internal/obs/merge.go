@@ -73,16 +73,6 @@ func (h *Histogram) Merge(src *Histogram) {
 			h.buckets[i].Add(v)
 		}
 	}
-	for v := src.min.Load(); ; {
-		old := h.min.Load()
-		if v >= old || h.min.CompareAndSwap(old, v) {
-			break
-		}
-	}
-	for v := src.max.Load(); ; {
-		old := h.max.Load()
-		if v <= old || h.max.CompareAndSwap(old, v) {
-			break
-		}
-	}
+	storeMin(&h.min, src.min.Load())
+	storeMax(&h.max, src.max.Load())
 }

@@ -115,3 +115,32 @@ func TestMergeNilSafety(t *testing.T) {
 	h := NewHistogram()
 	h.Merge(nil)
 }
+
+// Publishing a LocalHistogram, in any number of batches, must leave the
+// destination exactly as observing every value on it directly would.
+func TestLocalHistogramPublishMatchesObserve(t *testing.T) {
+	values := []int64{40, 203, -7, 0, 1, 198, 1 << 40, 37, 205}
+	direct, published := NewRegistry(), NewRegistry()
+	published.Histogram("lat").Observe(50) // a value already present
+	direct.Histogram("lat").Observe(50)
+	var local LocalHistogram
+	for i, v := range values {
+		direct.Histogram("lat").Observe(v)
+		local.Observe(v)
+		if i%4 == 3 {
+			local.PublishTo(published.Histogram("lat"))
+		}
+	}
+	local.PublishTo(published.Histogram("lat"))
+	local.PublishTo(published.Histogram("lat")) // empty: a no-op
+	want, _ := direct.Snapshot().MarshalIndent()
+	got, _ := published.Snapshot().MarshalIndent()
+	if !bytes.Equal(got, want) {
+		t.Errorf("published:\n%s\nobserved directly:\n%s", got, want)
+	}
+	local.Observe(3)
+	local.PublishTo(nil) // discards
+	if local != (LocalHistogram{}) {
+		t.Error("PublishTo(nil) kept the observations")
+	}
+}

@@ -23,7 +23,9 @@
 //     operations. Hot writers additionally take a padded per-owner shard
 //     of their counter (Counter.Shard), so concurrent simulation tasks
 //     increment disjoint cache lines instead of bouncing one; Value
-//     remains exact at every instant (DESIGN.md §7).
+//     remains exact at every instant (DESIGN.md §7). Writers confined
+//     to one goroutine count in plain fields (LocalHistogram for
+//     histograms) and publish the deltas at points they choose.
 package obs
 
 import (
@@ -290,10 +292,12 @@ func (s *CounterShard) Add(n uint64) {
 // to use; all methods are no-ops on a nil receiver.
 //
 // Inc/Add on the counter itself hit a single shared atomic — fine for
-// occasional events. Per-step writers (the VM, the cache model) call
-// Shard once at attach time and increment their private slot instead;
-// Value sums the base and every slot, so reads stay exact at any moment
-// (a mid-run snapshot by the SGX stepper sees every completed add).
+// occasional events. Per-step writers (the VM) call Shard once at
+// attach time and increment their private slot instead; Value sums the
+// base and every slot, so reads stay exact at any moment (a mid-run
+// -progress snapshot sees every completed add). Writers confined to one
+// goroutine (the cache model, Prime+Probe) count in plain fields and
+// Add their deltas when they publish.
 type Counter struct {
 	v      atomic.Uint64
 	next   atomic.Uint32

@@ -120,24 +120,26 @@ func (e *Enclave) Protect(symbol string, perm vm.Perm) error {
 }
 
 // Resume runs the enclave until it halts or faults. On a fault it returns
-// the masked fault; the enclave remains resumable after the attacker
-// restores permissions.
-func (e *Enclave) Resume() (*MaskedFault, error) {
-	err := e.VM.Run()
+// the masked fault and faulted=true; the enclave remains resumable after
+// the attacker restores permissions. faulted=false with a nil error means
+// the enclave halted. The error reports real failures only, so an enclave
+// exit allocates nothing.
+func (e *Enclave) Resume() (f MaskedFault, faulted bool, err error) {
+	err = e.VM.Run()
 	if err == nil {
-		return nil, nil // halted
+		return MaskedFault{}, false, nil // halted
 	}
-	var f *vm.Fault
-	if errors.As(err, &f) {
-		if e.OnFault != nil {
-			e.OnFault()
-		}
-		e.obs.faults.Inc()
-		pageBase := f.Addr &^ (PageSize - 1)
-		e.obs.faultPage.Observe(int64(pageBase/PageSize) - int64(e.Prog.DataBase/PageSize))
-		return &MaskedFault{PageBase: pageBase, Write: f.Write}, nil
+	vf, ok := err.(*vm.Fault) // the VM returns permission faults unwrapped
+	if !ok {
+		return MaskedFault{}, false, err
 	}
-	return nil, err
+	if e.OnFault != nil {
+		e.OnFault()
+	}
+	e.obs.faults.Inc()
+	pageBase := vf.Addr &^ (PageSize - 1)
+	e.obs.faultPage.Observe(int64(pageBase/PageSize) - int64(e.Prog.DataBase/PageSize))
+	return MaskedFault{PageBase: pageBase, Write: vf.Write}, true, nil
 }
 
 // Halted reports whether the enclave finished.

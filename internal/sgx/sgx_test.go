@@ -35,11 +35,11 @@ func TestEnclaveRunsToCompletion(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.VM.SetInput([]byte("BANANA"))
-	f, err := e.Resume()
+	f, faulted, err := e.Resume()
 	if err != nil {
 		t.Fatalf("Resume: %v", err)
 	}
-	if f != nil {
+	if faulted {
 		t.Fatalf("unexpected fault: %+v", f)
 	}
 	if !e.Halted() {
@@ -67,11 +67,11 @@ func TestEnclaveMaskedFault(t *testing.T) {
 	if err := e.Protect("ftab", vm.PermRead); err != nil {
 		t.Fatal(err)
 	}
-	f, err := e.Resume()
+	f, faulted, err := e.Resume()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f == nil {
+	if !faulted {
 		t.Fatal("expected a fault on the ftab clear loop")
 	}
 	if f.PageBase%PageSize != 0 {
@@ -79,6 +79,29 @@ func TestEnclaveMaskedFault(t *testing.T) {
 	}
 	if !f.Write {
 		t.Error("ftab clearing should fault on write")
+	}
+}
+
+// An enclave exit on a permission fault allocates nothing: the VM hands
+// the fault up unwrapped and Resume returns the masked fault by value.
+func TestEnclaveExitDoesNotAllocate(t *testing.T) {
+	prog := victims.BzipFtabAligned()
+	e, err := NewEnclave(prog, NewFrameAllocator(0x1000, 4096))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.VM.SetInput([]byte("HELLO"))
+	if err := e.Protect("ftab", vm.PermRead); err != nil {
+		t.Fatal(err)
+	}
+	// The faulting store does not retire, so each Resume exits at it.
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, faulted, err := e.Resume(); err != nil || !faulted {
+			t.Fatalf("Resume = faulted %v, %v; want a fault", faulted, err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("an enclave exit allocates %.0f times", allocs)
 	}
 }
 

@@ -99,11 +99,11 @@ func (s *Stepper) Start() (bool, error) {
 		return false, err
 	}
 	s.transition()
-	f, err := s.e.Resume()
+	f, faulted, err := s.e.Resume()
 	if err != nil {
 		return false, err
 	}
-	if f == nil {
+	if !faulted {
 		return false, nil // halted: input too short to enter the loop
 	}
 	if !f.Write {
@@ -140,12 +140,12 @@ func (s *Stepper) Step(prime func(ftabPage uint64), probe func()) (done bool, er
 		return false, err
 	}
 	s.transition()
-	f, err := s.e.Resume()
+	f, faulted, err := s.e.Resume()
 	if err != nil {
 		return false, err
 	}
-	if f == nil || f.Write {
-		return false, fmt.Errorf("%w: expected block read fault, got %+v", ErrProtocol, f)
+	if !faulted || f.Write {
+		return false, fmt.Errorf("%w: expected block read fault, got %s", ErrProtocol, exitString(f, faulted))
 	}
 	s.obs.s0s1.Inc()
 
@@ -157,12 +157,12 @@ func (s *Stepper) Step(prime func(ftabPage uint64), probe func()) (done bool, er
 		return false, err
 	}
 	s.transition()
-	f, err = s.e.Resume()
+	f, faulted, err = s.e.Resume()
 	if err != nil {
 		return false, err
 	}
-	if f == nil || !f.Write {
-		return false, fmt.Errorf("%w: expected ftab write fault, got %+v", ErrProtocol, f)
+	if !faulted || !f.Write {
+		return false, fmt.Errorf("%w: expected ftab write fault, got %s", ErrProtocol, exitString(f, faulted))
 	}
 	s.obs.s1s2.Inc()
 	ftabPage := f.PageBase
@@ -182,7 +182,7 @@ func (s *Stepper) Step(prime func(ftabPage uint64), probe func()) (done bool, er
 		return false, err
 	}
 	s.transition()
-	f, err = s.e.Resume()
+	f, faulted, err = s.e.Resume()
 	if err != nil {
 		return false, err
 	}
@@ -193,7 +193,7 @@ func (s *Stepper) Step(prime func(ftabPage uint64), probe func()) (done bool, er
 	}
 	s.obs.iterations.Inc()
 
-	if f == nil {
+	if !faulted {
 		return true, nil // enclave halted: that was the last iteration
 	}
 	if !f.Write {
@@ -207,4 +207,12 @@ func (s *Stepper) Step(prime func(ftabPage uint64), probe func()) (done bool, er
 // transition noise itself pollutes (§V-C2's frame-selection probe).
 func (s *Stepper) DryTransition() {
 	s.transition()
+}
+
+// exitString describes an enclave exit for a protocol error.
+func exitString(f MaskedFault, faulted bool) string {
+	if !faulted {
+		return "halt"
+	}
+	return fmt.Sprintf("%+v", f)
 }

@@ -57,11 +57,11 @@ func (s *Stepper2) Start() (firstPage uint64, ok bool, err error) {
 		return 0, false, err
 	}
 	s.transition()
-	f, err := s.e.Resume()
+	f, faulted, err := s.e.Resume()
 	if err != nil {
 		return 0, false, err
 	}
-	if f == nil {
+	if !faulted {
 		return 0, false, nil
 	}
 	s.started = true
@@ -98,7 +98,7 @@ func (s *Stepper2) Step(prime func(), probe func()) (nextPage uint64, done bool,
 		return 0, false, err
 	}
 	s.transition()
-	f, err := s.e.Resume()
+	f, faulted, err := s.e.Resume()
 	if err != nil {
 		return 0, false, err
 	}
@@ -108,7 +108,7 @@ func (s *Stepper2) Step(prime func(), probe func()) (nextPage uint64, done bool,
 	}
 	s.obs.iterations.Inc()
 
-	if f == nil {
+	if !faulted {
 		return 0, true, nil // halted: that table access was the last
 	}
 	if f.Write {
@@ -123,11 +123,11 @@ func (s *Stepper2) Step(prime func(), probe func()) (nextPage uint64, done bool,
 		return 0, false, err
 	}
 	s.transition()
-	f, err = s.e.Resume()
+	f, faulted, err = s.e.Resume()
 	if err != nil {
 		return 0, false, err
 	}
-	if f == nil {
+	if !faulted {
 		return 0, true, nil // halted after the last input byte
 	}
 	return f.PageBase, false, nil

@@ -158,7 +158,7 @@ func TestEnclaveOnFaultHook(t *testing.T) {
 	if err := e.Protect("ftab", vm.PermRead); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Resume(); err != nil {
+	if _, _, err := e.Resume(); err != nil {
 		t.Fatal(err)
 	}
 	if faults != 1 {

@@ -89,6 +89,74 @@ func TestPagedRemapPreservesContents(t *testing.T) {
 	}
 }
 
+// An empty range protects nothing: (addr+size-1)/PageSize used to flip
+// the page of addr, and at addr 0 it walked from page 0 until it hit an
+// unmapped page.
+func TestPagedProtectRangeEmpty(t *testing.T) {
+	m := NewPagedMemory()
+	m.Map(0, 1, PermRW)
+	m.Map(1, 2, PermRW)
+	for _, addr := range []uint64{0x1010, 0} {
+		if err := m.ProtectRange(addr, 0, 0); err != nil {
+			t.Errorf("ProtectRange(%#x, 0): %v", addr, err)
+		}
+	}
+	for _, addr := range []uint64{0, PageSize + 0x10} {
+		if err := m.Store(addr, 1, 1); err != nil {
+			t.Errorf("store at %#x after an empty ProtectRange: %v", addr, err)
+		}
+	}
+	// A one-byte range still protects its page.
+	if err := m.ProtectRange(PageSize+0x10, 1, PermRead); err != nil {
+		t.Fatal(err)
+	}
+	var f *Fault
+	if err := m.Store(PageSize, 1, 1); !errors.As(err, &f) {
+		t.Errorf("store to the protected page: got %v, want a Fault", err)
+	}
+}
+
+// The dense page table grows in both directions and keeps holes unmapped.
+func TestPagedTableGrowsBothWays(t *testing.T) {
+	m := NewPagedMemory()
+	m.Map(10, 1, PermRW)
+	m.Map(13, 2, PermRW)
+	m.Map(8, 3, PermRW)
+	for vpn, frame := range map[uint64]uint64{8: 3, 10: 1, 13: 2} {
+		if f, ok := m.FrameOf(vpn * PageSize); !ok || f != frame {
+			t.Errorf("FrameOf(page %d) = %d, %v; want %d", vpn, f, ok, frame)
+		}
+	}
+	for _, vpn := range []uint64{7, 9, 11, 12, 14} {
+		if _, ok := m.FrameOf(vpn * PageSize); ok {
+			t.Errorf("page %d should be unmapped", vpn)
+		}
+		if err := m.Protect(vpn, PermRW); err == nil {
+			t.Errorf("Protect of unmapped page %d succeeded", vpn)
+		}
+	}
+	if err := m.Store(8*PageSize, 1, 42); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := m.Load(8*PageSize, 1); err != nil || v != 42 {
+		t.Errorf("load after growing down = %d, %v", v, err)
+	}
+}
+
+// A permission fault is delivered without allocating.
+func TestPagedFaultDoesNotAllocate(t *testing.T) {
+	m := NewPagedMemory()
+	m.Map(1, 5, PermRead)
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := m.Store(PageSize, 1, 1); err == nil {
+			t.Fatal("store to a read-only page succeeded")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a permission fault allocates %.0f times", allocs)
+	}
+}
+
 func TestPagedObserverSeesPhysical(t *testing.T) {
 	m := NewPagedMemory()
 	m.Map(3, 7, PermRW)

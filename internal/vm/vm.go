@@ -261,8 +261,9 @@ func (v *VM) Step() error {
 		return fmt.Errorf("vm: unimplemented opcode %v at pc %d", in.Op, v.PC)
 	}
 	if err != nil {
-		var f *Fault
-		if errors.As(err, &f) {
+		// Memories return a permission fault unwrapped; a type check,
+		// unlike errors.As, does not move a pointer to the heap.
+		if f, ok := err.(*Fault); ok {
 			v.obs.faults.Inc()
 			return f // PC untouched: resumable
 		}

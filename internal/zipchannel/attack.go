@@ -16,10 +16,12 @@ package zipchannel
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"github.com/zipchannel/zipchannel/internal/cache"
 	"github.com/zipchannel/zipchannel/internal/fault"
+	"github.com/zipchannel/zipchannel/internal/isa"
 	"github.com/zipchannel/zipchannel/internal/obs"
 	"github.com/zipchannel/zipchannel/internal/recovery"
 	"github.com/zipchannel/zipchannel/internal/sgx"
@@ -174,6 +176,27 @@ func (ps *pageState) exclude(noisy map[int]bool) {
 	}
 }
 
+// victimKey names one victim program: its gadget and ftab padding.
+type victimKey struct {
+	gadget  string
+	ftabPad int
+}
+
+// victimPrograms holds the attacks' victim programs, assembled once each.
+var victimPrograms sync.Map // victimKey -> *isa.Program
+
+// victimProgram returns the program for key, assembling it with build on
+// first use. A program is immutable once assembled, and the VM memoizes
+// each program's decoding by identity for the life of the process, so a
+// program assembled per attack would grow that memo with every attack.
+func victimProgram(key victimKey, build func() *isa.Program) *isa.Program {
+	if p, ok := victimPrograms.Load(key); ok {
+		return p.(*isa.Program)
+	}
+	p, _ := victimPrograms.LoadOrStore(key, build())
+	return p.(*isa.Program)
+}
+
 // Attack runs the end-to-end extraction of input while the enclave
 // compresses it, and scores the recovery against the ground truth.
 func Attack(input []byte, cfg Config) (*Result, error) {
@@ -181,9 +204,10 @@ func Attack(input []byte, cfg Config) (*Result, error) {
 	start := time.Now()
 
 	vopts := victims.BzipFtabOptions{FtabPad: cfg.FtabPad}
-	prog := victims.BzipFtab(vopts)
+	prog := victimProgram(victimKey{"bzip2", cfg.FtabPad}, func() *isa.Program { return victims.BzipFtab(vopts) })
 	if cfg.Oblivious {
-		prog = victims.BzipFtabOblivious(vopts)
+		prog = victimProgram(victimKey{"bzip2-oblivious", cfg.FtabPad},
+			func() *isa.Program { return victims.BzipFtabOblivious(vopts) })
 	}
 	r, err := newRig(prog, input, cfg)
 	if err != nil {
@@ -203,7 +227,7 @@ func Attack(input []byte, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("zipchannel: start: %w", err)
 	}
 
-	var trace recovery.BzipTrace
+	trace := make(recovery.BzipTrace, 0, len(input)) // one observation per input byte
 	for ok {
 		var (
 			ps      *pageState
@@ -230,6 +254,7 @@ func Attack(input []byte, cfg Config) (*Result, error) {
 					r.unknownObs.Inc()
 				}
 				r.iterations.Inc()
+				r.publish()
 			},
 		)
 		if stepErr != nil {

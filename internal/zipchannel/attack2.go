@@ -43,6 +43,7 @@ func runStepper2(r *rig, st *sgx.Stepper2, tableVA uint64) ([]int64, error) {
 					r.unknownObs.Inc()
 				}
 				r.iterations.Inc()
+				r.publish()
 			},
 		)
 		if err != nil {
@@ -67,7 +68,7 @@ func ZlibAttack(input []byte, charsetHigh3 byte, haveCharset bool, cfg Config) (
 	cfg = cfg.withDefaults()
 	start := time.Now()
 
-	prog := victims.ZlibInsertString()
+	prog := victimProgram(victimKey{gadget: "zlib"}, victims.ZlibInsertString)
 	r, err := newRig(prog, input, cfg)
 	if err != nil {
 		return nil, err
@@ -157,7 +158,7 @@ func LZWAttack(input []byte, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	start := time.Now()
 
-	prog := victims.LZWHashProbe()
+	prog := victimProgram(victimKey{gadget: "lzw"}, victims.LZWHashProbe)
 	r, err := newRig(prog, input, cfg)
 	if err != nil {
 		return nil, err

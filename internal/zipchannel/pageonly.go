@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/zipchannel/zipchannel/internal/isa"
 	"github.com/zipchannel/zipchannel/internal/recovery"
 	"github.com/zipchannel/zipchannel/internal/sgx"
 	"github.com/zipchannel/zipchannel/internal/victims"
@@ -20,7 +21,9 @@ func PageOnlyAttack(input []byte, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	start := time.Now()
 
-	prog := victims.BzipFtab(victims.BzipFtabOptions{FtabPad: cfg.FtabPad})
+	prog := victimProgram(victimKey{"bzip2", cfg.FtabPad}, func() *isa.Program {
+		return victims.BzipFtab(victims.BzipFtabOptions{FtabPad: cfg.FtabPad})
+	})
 	alloc := sgx.NewFrameAllocator(0x1000, cfg.Frames)
 	enc, err := sgx.NewEnclave(prog, alloc)
 	if err != nil {

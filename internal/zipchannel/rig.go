@@ -120,10 +120,20 @@ func newRig(prog *isa.Program, input []byte, cfg Config) (*rig, error) {
 	}, nil
 }
 
-// finish copies the run's counters into res, publishes the recovery
-// confidence as gauges, and closes the attack.run span. Call once, after
-// recovery scored the result.
+// publish hands the cache's and the attacker's counts to the registry.
+// The attacks call it once per stepper iteration, at the end of the
+// probe callback, so a concurrent reader of the registry (-progress)
+// lags by at most one iteration; their hot paths make no atomic adds.
+func (r *rig) publish() {
+	r.c.Publish()
+	r.pp.Publish()
+}
+
+// finish publishes the last counts, copies the run's counters into res,
+// publishes the recovery confidence as gauges, and closes the attack.run
+// span. Call once, after recovery scored the result.
 func (r *rig) finish(res *Result) {
+	r.publish()
 	res.SimSteps = r.enc.VM.Steps
 	res.Iterations = int(r.iterations.Value())
 	res.UnknownObs = int(r.unknownObs.Value())
@@ -151,7 +161,11 @@ func (r *rig) finish(res *Result) {
 // eviction sets of one victim table page (§V-C2).
 func (r *rig) vetPage(pageVA uint64) (*pageState, error) {
 	lines := sgx.PageSize / r.c.Config().LineSize
-	ps := &pageState{skip: make([]bool, lines)}
+	ps := &pageState{
+		sets:  make([]int, 0, lines),
+		evict: make([][]uint64, 0, lines),
+		skip:  make([]bool, lines),
+	}
 	remaps := 0
 	for {
 		frame, ok := r.enc.FrameOf(pageVA)
