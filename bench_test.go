@@ -15,6 +15,7 @@ import (
 	"github.com/zipchannel/zipchannel/internal/compress/lzw"
 	"github.com/zipchannel/zipchannel/internal/core"
 	"github.com/zipchannel/zipchannel/internal/experiments"
+	"github.com/zipchannel/zipchannel/internal/isa"
 	"github.com/zipchannel/zipchannel/internal/victims"
 	"github.com/zipchannel/zipchannel/internal/vm"
 	"github.com/zipchannel/zipchannel/internal/zipchannel"
@@ -163,7 +164,12 @@ func BenchmarkTaintAnalysis(b *testing.B) {
 func taintRun(t testing.TB) func() {
 	input := make([]byte, 2048)
 	rand.New(rand.NewSource(3)).Read(input)
-	prog := victims.BzipFtab(victims.BzipFtabOptions{})
+	return analyzeOp(t, victims.BzipFtab(victims.BzipFtabOptions{}), input)
+}
+
+// analyzeOp returns one TaintChannel run of prog over input: a fresh
+// machine and analyzer, as every caller of the tool builds them.
+func analyzeOp(t testing.TB, prog *isa.Program, input []byte) func() {
 	return func() {
 		machine, err := vm.NewFlat(prog)
 		if err != nil {

@@ -113,11 +113,6 @@ type ReducedEvent struct {
 	Taken bool // meaningful for branches
 }
 
-type findingKey struct {
-	kind GadgetKind
-	pc   int
-}
-
 // Analyzer is a TaintChannel instance attached to one execution.
 type Analyzer struct {
 	cfg Config
@@ -140,10 +135,12 @@ type Analyzer struct {
 	transfers *blockTable
 	lastSkip  int
 
-	findings map[findingKey]*Finding
-	order    []findingKey
-	history  map[taint.Tag][]HistEvent
-	reduced  []ReducedEvent
+	// order lists the findings in discovery order; byPC indexes them by
+	// kind and pc, one slot per instruction of the attached program.
+	order   []*Finding
+	byPC    [2][]*Finding
+	history map[taint.Tag][]HistEvent
+	reduced []ReducedEvent
 
 	instrCount uint64
 	taintOps   uint64
@@ -160,7 +157,6 @@ type Analyzer struct {
 func New(cfg Config) *Analyzer {
 	return &Analyzer{
 		cfg:      cfg.withDefaults(),
-		findings: map[findingKey]*Finding{},
 		history:  map[taint.Tag][]HistEvent{},
 		lastSkip: -1,
 	}
@@ -170,12 +166,17 @@ func New(cfg Config) *Analyzer {
 // replaced; TaintChannel assumes it is the only instrumentation client.
 // Besides the per-instruction hooks it installs the block-level OnBlock
 // handler (blocktaint.go) that lets the compiled engine run provably
-// taint-free blocks uninstrumented, and sizes the flat shadow memory to
-// the machine's memory range.
+// taint-free blocks uninstrumented, sizes the findings index to the
+// program and the flat shadow memory to the machine's memory range.
 func (a *Analyzer) Attach(v *vm.VM) {
 	v.Hooks.BeforeInstr = a.step
 	v.Hooks.OnSyscallRead = a.onRead
 	a.transfers = transfersFor(v.Prog)
+	if n := len(v.Prog.Instrs); len(a.byPC[0]) < n {
+		for k := range a.byPC {
+			a.byPC[k] = append(a.byPC[k], make([]*Finding, n-len(a.byPC[k]))...)
+		}
+	}
 	v.Hooks.OnBlock = a.enterBlock
 	type sizedMem interface {
 		Base() uint64
@@ -205,7 +206,7 @@ func (a *Analyzer) onRead(_ *vm.VM, bufAddr uint64, n, firstIndex int) {
 	for i := 0; i < n; i++ {
 		tag := taint.Tag(firstIndex + i)
 		a.tmpSrc.SetByte(tag)
-		a.storeShadow(bufAddr+uint64(i), 1, &a.tmpSrc)
+		a.shadow.store(bufAddr+uint64(i), 1, &a.tmpSrc)
 		if a.cfg.TrackTags[tag] {
 			a.recordHistory(tag, 0, -1, "read syscall", "byte enters memory")
 		}
@@ -236,7 +237,7 @@ func (a *Analyzer) step(v *vm.VM, in *isa.Instr) {
 		if addrT {
 			a.recordGadget(v, in, DataFlow, v.EffectiveAddr(in.Src.Mem), in.Src.Mem)
 		}
-		a.loadShadow(&a.tmpSrc, v.EffectiveAddr(in.Src.Mem), w)
+		a.shadow.load(&a.tmpSrc, v.EffectiveAddr(in.Src.Mem), w)
 		touched = !a.tmpSrc.IsClean() || addrT || !a.regs[in.Dst.Reg].IsClean()
 		a.setReg(v, in, in.Dst.Reg, &a.tmpSrc)
 
@@ -287,16 +288,16 @@ func (a *Analyzer) step(v *vm.VM, in *isa.Instr) {
 	case isa.OpPush:
 		a.operandShadow(&a.tmpSrc, in.Src, 8)
 		touched = !a.tmpSrc.IsClean()
-		a.storeShadow(v.Regs[isa.SP]-8, 8, &a.tmpSrc)
+		a.shadow.store(v.Regs[isa.SP]-8, 8, &a.tmpSrc)
 
 	case isa.OpPop:
-		a.loadShadow(&a.tmpSrc, v.Regs[isa.SP], 8)
+		a.shadow.load(&a.tmpSrc, v.Regs[isa.SP], 8)
 		touched = !a.tmpSrc.IsClean() || !a.regs[in.Dst.Reg].IsClean()
 		a.setReg(v, in, in.Dst.Reg, &a.tmpSrc)
 
 	case isa.OpCall:
 		var zero taint.Word
-		a.storeShadow(v.Regs[isa.SP]-8, 8, &zero)
+		a.shadow.store(v.Regs[isa.SP]-8, 8, &zero)
 	}
 
 	if touched {
@@ -345,7 +346,7 @@ func (a *Analyzer) aluTaint(v *vm.VM, in *isa.Instr) bool {
 		if addrT {
 			a.recordGadget(v, in, DataFlow, addr, in.Dst.Mem)
 		}
-		a.loadShadow(&a.tmpDst, addr, w)
+		a.shadow.load(&a.tmpDst, addr, w)
 		old := &a.tmpDst
 		oldClean := old.IsClean()
 		// The and/or mask rules read the concrete old memory value, and
@@ -552,39 +553,8 @@ func (a *Analyzer) setReg(v *vm.VM, in *isa.Instr, r isa.Reg, word *taint.Word) 
 	a.trackReg(v, in, r)
 }
 
-func (a *Analyzer) loadShadow(dst *taint.Word, addr uint64, w int) {
-	dst.Reset()
-	if a.shadow.live == 0 {
-		return
-	}
-	if end := addr + uint64(w); end >= addr && (end <= a.shadow.taintLo || addr >= a.shadow.taintHi) {
-		return // cannot intersect the ever-tainted range
-	}
-	for i := 0; i < w; i++ {
-		if b := a.shadow.get(addr + uint64(i)); b.mask != 0 {
-			dst.SetByteIDs(i, b.ids, b.mask)
-		}
-	}
-}
-
-func (a *Analyzer) storeShadow(addr uint64, w int, word *taint.Word) {
-	mask := word.Mask()
-	if mask == 0 && a.shadow.live == 0 {
-		return // clean store while the whole shadow memory is clean
-	}
-	for i := 0; i < w; i++ {
-		if uint8(mask>>uint(i*8)) == 0 {
-			a.shadow.clear(addr + uint64(i))
-			continue
-		}
-		var b byteShadow
-		b.ids, b.mask = word.ByteIDs(i)
-		a.shadow.set(addr+uint64(i), b)
-	}
-}
-
 func (a *Analyzer) storeShadowTracked(v *vm.VM, in *isa.Instr, addr uint64, w int, word *taint.Word) {
-	a.storeShadow(addr, w, word)
+	a.shadow.store(addr, w, word)
 	a.trackWord(v, in, word, "-> memory")
 }
 
@@ -594,13 +564,7 @@ func (a *Analyzer) storeShadowTracked(v *vm.VM, in *isa.Instr, addr uint64, w in
 // collecting samples, keeping steady-state gadget hits down to a counter
 // bump.
 func (a *Analyzer) recordGadget(v *vm.VM, in *isa.Instr, kind GadgetKind, addr uint64, mref isa.MemRef) {
-	key := findingKey{kind, v.PC}
-	f, ok := a.findings[key]
-	if !ok {
-		f = &Finding{Kind: kind, PC: v.PC, Instr: *in}
-		a.findings[key] = f
-		a.order = append(a.order, key)
-	}
+	f := a.finding(kind, v, in)
 	f.Count++
 	if len(f.Samples) < a.cfg.MaxSamplesPerGadget {
 		a.addrShadow(&a.tmpAddr, mref)
@@ -612,13 +576,7 @@ func (a *Analyzer) recordGadget(v *vm.VM, in *isa.Instr, kind GadgetKind, addr u
 }
 
 func (a *Analyzer) recordBranch(v *vm.VM, in *isa.Instr) {
-	key := findingKey{ControlFlow, v.PC}
-	f, ok := a.findings[key]
-	if !ok {
-		f = &Finding{Kind: ControlFlow, PC: v.PC, Instr: *in}
-		a.findings[key] = f
-		a.order = append(a.order, key)
-	}
+	f := a.finding(ControlFlow, v, in)
 	f.Count++
 	if len(f.Samples) < a.cfg.MaxSamplesPerGadget {
 		flags := taint.Union(a.flagSrc[0].AllTags(), a.flagSrc[1].AllTags())
@@ -631,6 +589,17 @@ func (a *Analyzer) recordBranch(v *vm.VM, in *isa.Instr) {
 			Taken: v.Halted == false && a.branchTaken(v, in),
 		})
 	}
+}
+
+// finding returns the kind finding at v.PC, creating it on first use.
+func (a *Analyzer) finding(kind GadgetKind, v *vm.VM, in *isa.Instr) *Finding {
+	f := a.byPC[kind][v.PC]
+	if f == nil {
+		f = &Finding{Kind: kind, PC: v.PC, Instr: *in}
+		a.byPC[kind][v.PC] = f
+		a.order = append(a.order, f)
+	}
+	return f
 }
 
 func (a *Analyzer) branchTaken(v *vm.VM, in *isa.Instr) bool {
@@ -700,8 +669,7 @@ func (a *Analyzer) RegTaint(r isa.Reg) *taint.Word { return &a.regs[r] }
 // MemTaint exposes a memory byte's current shadow.
 func (a *Analyzer) MemTaint(addr uint64) [8]*taint.Set {
 	var w taint.Word
-	b := a.shadow.get(addr)
-	w.SetByteIDs(0, b.ids, b.mask)
+	a.shadow.load(&w, addr, 1)
 	return w.Bytes()[0]
 }
 

@@ -25,9 +25,7 @@ func (a *Analyzer) Report(programName string) *Report {
 		InstrCount: a.instrCount,
 		TaintOps:   a.taintOps,
 	}
-	for _, k := range a.order {
-		r.Findings = append(r.Findings, a.findings[k])
-	}
+	r.Findings = append(r.Findings, a.order...)
 	return r
 }
 

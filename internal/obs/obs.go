@@ -172,6 +172,10 @@ func (r *Registry) traceSink() *TraceSink {
 	return s
 }
 
+// Tracing reports whether a trace sink is attached: a caller can skip
+// building the fields of an event that Emit would drop.
+func (r *Registry) Tracing() bool { return r.traceSink() != nil }
+
 // Emit writes one structured event to the trace sink, stamped with the
 // sim clock. A nil registry or absent sink drops the event.
 func (r *Registry) Emit(event string, fields map[string]any) {

@@ -66,6 +66,33 @@ func (w *Word) SetByteIDs(i int, ids [8]uint32, mask uint8) {
 	w.mask = w.mask&^(0xff<<uint(i*8)) | uint64(mask)<<uint(i*8)
 }
 
+// ByteUniform reports whether every live bit of byte i carries the same
+// set, and returns that set's ID and the byte's live mask. A clean byte
+// is uniform, with ID 0.
+func (w *Word) ByteUniform(i int) (id uint32, mask uint8, ok bool) {
+	mask = uint8(w.mask >> uint(i*8))
+	if mask == 0 {
+		return 0, 0, true
+	}
+	b := (*[8]uint32)(w.bits[i*8 : i*8+8])
+	id = b[bits.TrailingZeros8(mask)]
+	for m := mask & (mask - 1); m != 0; m &= m - 1 {
+		if b[bits.TrailingZeros8(m)] != id {
+			return 0, mask, false
+		}
+	}
+	return id, mask, true
+}
+
+// SetByteUniform replaces byte i with a byte whose live bits, given by
+// mask, all carry the set with the given ID: SetByteIDs for a byte that
+// shadow memory stores as one ID.
+func (w *Word) SetByteUniform(i int, id uint32, mask uint8) {
+	b := (*[8]uint32)(w.bits[i*8 : i*8+8])
+	*b = [8]uint32{id, id, id, id, id, id, id, id}
+	w.mask = w.mask&^(0xff<<uint(i*8)) | uint64(mask)<<uint(i*8)
+}
+
 // Mask returns the bitmap of tainted bit positions.
 func (w *Word) Mask() uint64 { return w.mask }
 

@@ -199,6 +199,36 @@ func TestBytesRoundTrip(t *testing.T) {
 	}
 }
 
+// TestByteUniform checks the one-ID byte write against SetBit, over a
+// stale word so dead slots differ, and the uniformity test on a clean, a
+// uniform and a mixed byte.
+func TestByteUniform(t *testing.T) {
+	s := NewSet(4, 9)
+	w := ByteWord(7)
+	w.SetBit(20, NewSet(3))
+	w.SetByteUniform(2, s.ID(), 0b1010_0110)
+	w.SetByteUniform(0, s.ID(), 0)
+	var want Word
+	for i := 0; i < 8; i++ {
+		if 0b1010_0110&(1<<i) != 0 {
+			want.SetBit(16+i, s)
+		}
+	}
+	if !w.Equal(&want) {
+		t.Errorf("SetByteUniform: got %v, want %v", w.Bytes(), want.Bytes())
+	}
+	if id, mask, ok := w.ByteUniform(0); id != 0 || mask != 0 || !ok {
+		t.Errorf("clean byte: ByteUniform = %d, %#x, %v", id, mask, ok)
+	}
+	if id, mask, ok := w.ByteUniform(2); id != s.ID() || mask != 0b1010_0110 || !ok {
+		t.Errorf("uniform byte: ByteUniform = %d, %#x, %v", id, mask, ok)
+	}
+	w.SetBit(23, NewSet(3))
+	if _, _, ok := w.ByteUniform(2); ok {
+		t.Error("mixed byte reported uniform")
+	}
+}
+
 func TestAnyTainted(t *testing.T) {
 	var w Word
 	w.SetBit(13, NewSet(2))

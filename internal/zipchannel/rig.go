@@ -26,6 +26,8 @@ type rig struct {
 	// dryTransition replays one permission-flip's worth of system noise
 	// for frame vetting.
 	dryTransition func()
+	// noisy is vetPage's scratch: the sets that fired in a dry run.
+	noisy map[int]bool
 
 	// reg is the attack's registry (cfg.Obs or a private one); the
 	// attack.* counters below are the single storage for the run's
@@ -107,6 +109,7 @@ func newRig(prog *isa.Program, input []byte, cfg Config) (*rig, error) {
 		monitorWays:    monitorWays,
 		injectNoise:    injectNoise,
 		pages:          map[uint64]*pageState{},
+		noisy:          map[int]bool{},
 		res:            &Result{},
 		reg:            reg,
 		span:           reg.StartSpan("attack.run"),
@@ -196,7 +199,8 @@ func (r *rig) vetPage(pageVA uint64) (*pageState, error) {
 			r.dryTransition()
 		}
 		r.injectNoise() // a fault delivery's worth of kernel traffic
-		noisy := map[int]bool{}
+		noisy := r.noisy
+		clear(noisy)
 		for k, ev := range ps.evict {
 			if r.pp.Probe(ev) > 0 {
 				noisy[ps.sets[k]] = true
@@ -221,7 +225,9 @@ func (r *rig) vetPage(pageVA uint64) (*pageState, error) {
 		}
 		remaps++
 		r.remaps.Inc()
-		r.reg.Emit("attack.remap", map[string]any{"page": pageVA, "noisy_sets": len(noisy)})
+		if r.reg.Tracing() {
+			r.reg.Emit("attack.remap", map[string]any{"page": pageVA, "noisy_sets": len(noisy)})
+		}
 	}
 }
 
