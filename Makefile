@@ -37,15 +37,18 @@ race:
 test-differential:
 	$(GO) test -race -count=1 -run 'TestEngineDifferential' ./internal/core/
 
-# Short round-trip fuzz pass over every from-scratch compressor (the
-# checked-in corpora under testdata/fuzz/ always run as part of `test`;
-# this additionally explores for FUZZTIME per target).
+# Short fuzz pass over every from-scratch compressor's round trip, every
+# decompressor on raw input, and the Huffman builder against its
+# reference (the checked-in corpora under testdata/fuzz/ always run as
+# part of `test`; this additionally explores for FUZZTIME per target).
 FUZZTIME ?= 10s
 test-fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzRoundTrip -fuzztime $(FUZZTIME) ./internal/compress/lz77/
 	$(GO) test -run '^$$' -fuzz FuzzRoundTrip -fuzztime $(FUZZTIME) ./internal/compress/lzw/
 	$(GO) test -run '^$$' -fuzz FuzzRoundTrip -fuzztime $(FUZZTIME) ./internal/compress/bwt/
 	$(GO) test -run '^$$' -fuzz FuzzRoundTrip -fuzztime $(FUZZTIME) ./internal/compress/huffcoding/
+	$(GO) test -run '^$$' -fuzz FuzzBuildLengths -fuzztime $(FUZZTIME) ./internal/compress/huffcoding/
+	$(GO) test -run '^$$' -fuzz FuzzDecompress -fuzztime $(FUZZTIME) ./internal/compress/codec/
 	$(GO) test -run '^$$' -fuzz FuzzParseCacheControl -fuzztime $(FUZZTIME) ./internal/server/
 	$(GO) test -run '^$$' -fuzz FuzzParseIfNoneMatch -fuzztime $(FUZZTIME) ./internal/server/
 	$(GO) test -run '^$$' -fuzz FuzzParseTraceparent -fuzztime $(FUZZTIME) ./internal/obs/

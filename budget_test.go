@@ -12,6 +12,8 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/zipchannel/zipchannel/internal/compress/codec"
+	"github.com/zipchannel/zipchannel/internal/corpus"
 	"github.com/zipchannel/zipchannel/internal/pagestore"
 	"github.com/zipchannel/zipchannel/internal/server"
 	"github.com/zipchannel/zipchannel/internal/victims"
@@ -63,8 +65,9 @@ var budgets = []budget{
 	{name: "taint/lzw-16KiB-random", runs: 10, setup: taintLZWRandom, allocs: 549, bytes: 5523502},
 	{name: "sgx/attack-10KiB", runs: 3, setup: sgxAttack, allocs: 703, bytes: 3095672},
 	{name: "serve/v1-hit", runs: 200, setup: serveHit, allocs: 49, bytes: 10753},
-	{name: "serve/v1-miss", runs: 100, setup: serveMiss, allocs: 92, bytes: 173772},
-	{name: "serve/page-put-get", runs: 100, setup: pagePutGet, allocs: 128, bytes: 176832},
+	{name: "serve/v1-miss", runs: 100, setup: serveMiss, allocs: 86, bytes: 153769},
+	{name: "serve/page-put-get", runs: 100, setup: pagePutGet, allocs: 124, bytes: 158680},
+	{name: "codec/bwt-compress-4KiB", runs: 20, setup: bwtCompress, allocs: 191, bytes: 276398},
 }
 
 // TestBudget fails when an operation allocates more than its budget, or
@@ -134,6 +137,19 @@ func taintLZWRandom(t testing.TB) func() {
 	input := make([]byte, 16<<10)
 	rand.New(rand.NewSource(3)).Read(input)
 	return analyzeOp(t, victims.LZWHashProbe(), input)
+}
+
+// bwtCompress is one bwt Compress of a 4 KiB English body, the largest
+// body perfbench's serve-cold sends: a short block, so fallbackSort and
+// the multi-table Huffman stage do the work.
+func bwtCompress(t testing.TB) func() {
+	body := corpus.BrotliLike(1)[0].Data[:4<<10]
+	bwt, _ := codec.Lookup("bwt")
+	return func() {
+		if _, err := bwt.Compress(body); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // servePayload is BenchmarkServeHit's 1 KiB compressible body.

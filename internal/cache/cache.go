@@ -199,8 +199,6 @@ func New(cfg Config) *Cache {
 		cfg:       cfg,
 		tags:      make([]uint64, sets*cfg.Ways),
 		owners:    make([]int, sets*cfg.Ways),
-		stamps:    make([]uint64, sets*cfg.Ways),
-		plru:      make([]uint64, sets),
 		cos:       map[int]uint64{DefaultCoS: waymask(cfg.Ways)},
 		actor:     map[int]int{},
 		src:       src,
@@ -214,6 +212,12 @@ func New(cfg Config) *Cache {
 		flushes:   tally{c: reg.Counter(prefix + ".flushes")},
 		setBits:   bits.TrailingZeros(uint(cfg.Sets)),
 		lineBits:  bits.TrailingZeros(uint(cfg.LineSize)),
+	}
+	switch cfg.Replacement {
+	case LRU:
+		c.stamps = make([]uint64, sets*cfg.Ways)
+	case TreePLRU:
+		c.plru = make([]uint64, sets)
 	}
 	if n := 2*cfg.Jitter + 1; cfg.Jitter > 0 && n <= math.MaxInt32 {
 		c.jitterN = int32(n)

@@ -179,7 +179,7 @@ func decompressBlock(r *huffcoding.BitReader) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	mtf, _, err := zrleDecode(syms)
+	mtf, _, err := zrleDecode(syms, n)
 	if err != nil {
 		return nil, err
 	}

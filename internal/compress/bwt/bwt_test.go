@@ -88,7 +88,7 @@ func TestZRLERoundTrip(t *testing.T) {
 			}
 		}
 		syms := zrleEncode(mtf)
-		dec, used, err := zrleDecode(syms)
+		dec, used, err := zrleDecode(syms, len(mtf))
 		return err == nil && used == len(syms) && bytes.Equal(dec, mtf)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {

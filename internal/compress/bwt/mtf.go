@@ -1,5 +1,7 @@
 package bwt
 
+import "fmt"
+
 // Move-to-front and zero-run (RUNA/RUNB) coding: the post-BWT entropy
 // stages of bzip2. The MTF output is dominated by zeros; zero runs are
 // encoded in bijective base 2 over two dedicated symbols, exactly as
@@ -81,8 +83,11 @@ func zrleEncode(mtf []byte) []uint16 {
 }
 
 // zrleDecode inverts zrleEncode, stopping at EOB. It returns the MTF
-// byte stream and the number of symbols consumed.
-func zrleDecode(syms []uint16) ([]byte, int, error) {
+// byte stream and the number of symbols consumed. n is the block length
+// the stream declares; a stream that decodes to more bytes is corrupt,
+// and is rejected before the excess is allocated, since every run digit
+// doubles the run and a few dozen of them would ask for gigabytes.
+func zrleDecode(syms []uint16, n int) ([]byte, int, error) {
 	var out []byte
 	run, mult := 0, 1
 	flush := func() {
@@ -102,11 +107,16 @@ func zrleDecode(syms []uint16) ([]byte, int, error) {
 		case s == symEOB:
 			flush()
 			return out, i + 1, nil
-		case int(s) < numMTFSym:
+		case s <= 256: // MTF values 1..255
 			flush()
 			out = append(out, byte(s-1))
 		default:
 			return nil, 0, ErrCorrupt
+		}
+		// A run that passed this check is at most n, and mult at most
+		// run+1, so the next digit cannot overflow either.
+		if run > n-len(out) {
+			return nil, 0, fmt.Errorf("%w: more than the declared %d bytes", ErrCorrupt, n)
 		}
 	}
 	return nil, 0, ErrCorrupt

@@ -58,7 +58,6 @@ func buildTables(syms []uint16) (lengths [][]uint8, selectors []uint8, err error
 		total += f
 	}
 	lengths = make([][]uint8, nTables)
-	rangeStart := 0
 	var acc int64
 	tbl := 0
 	bounds := make([]int, nTables+1)
@@ -71,7 +70,6 @@ func buildTables(syms []uint16) (lengths [][]uint8, selectors []uint8, err error
 		}
 	}
 	bounds[nTables] = numMTFSym
-	_ = rangeStart
 	for t := 0; t < nTables; t++ {
 		// Seed lengths: short codes inside the table's range, long outside.
 		l := make([]uint8, numMTFSym)
@@ -86,11 +84,14 @@ func buildTables(syms []uint16) (lengths [][]uint8, selectors []uint8, err error
 	}
 
 	selectors = make([]uint8, nGroups)
+	tableFreq := make([][]int64, nTables)
+	for t := range tableFreq {
+		tableFreq[t] = make([]int64, numMTFSym)
+	}
 	for iter := 0; iter < 4; iter++ {
 		// Assign each group to its cheapest table.
-		tableFreq := make([][]int64, nTables)
-		for t := range tableFreq {
-			tableFreq[t] = make([]int64, numMTFSym)
+		for _, freq := range tableFreq {
+			clear(freq)
 		}
 		for g := 0; g < nGroups; g++ {
 			lo := g * groupSize

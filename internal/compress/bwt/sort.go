@@ -1,7 +1,9 @@
 package bwt
 
 import (
+	"cmp"
 	"errors"
+	"slices"
 	"sort"
 )
 
@@ -102,54 +104,55 @@ func mainSort(block []byte, workLimit int, tr Tracer) ([]int32, error) {
 
 // fallbackSort is the guaranteed-progress sorter bzip2 retreats to: here a
 // Manber-Myers prefix-doubling sort over rotations, O(n log^2 n)
-// regardless of repetitiveness.
+// regardless of repetitiveness. Each round packs a rotation's rank pair
+// into one key, rank[i]<<32 | rank[(i+k) mod n], sorts the previous
+// round's order by it, and ranks the result by comparing neighbours.
+// Work counts the sort's comparator calls.
 func fallbackSort(block []byte, tr Tracer) []int32 {
 	n := len(block)
 	if n == 0 {
 		return nil
 	}
+	type rotation struct {
+		key uint64
+		idx int32
+	}
 	rank := make([]int32, n)
-	tmp := make([]int32, n)
-	idx := make([]int32, n)
-	for i := 0; i < n; i++ {
-		idx[i] = int32(i)
-		rank[i] = int32(block[i])
+	rots := make([]rotation, n)
+	for i, b := range block {
+		rank[i] = int32(b)
+		rots[i].idx = int32(i)
 	}
 	work := 0
 	for k := 1; ; k *= 2 {
-		key := func(i int32) (int32, int32) {
-			return rank[i], rank[(int(i)+k)%n]
+		for j := range rots {
+			i := int(rots[j].idx)
+			rots[j].key = uint64(rank[i])<<32 | uint64(rank[(i+k)%n])
 		}
-		sort.Slice(idx, func(x, y int) bool {
-			ax, bx := key(idx[x])
-			ay, by := key(idx[y])
+		slices.SortFunc(rots, func(a, b rotation) int {
 			work++
-			if ax != ay {
-				return ax < ay
-			}
-			return bx < by
+			return cmp.Compare(a.key, b.key)
 		})
-		tmp[idx[0]] = 0
-		for i := 1; i < n; i++ {
-			a1, b1 := key(idx[i-1])
-			a2, b2 := key(idx[i])
-			tmp[idx[i]] = tmp[idx[i-1]]
-			if a1 != a2 || b1 != b2 {
-				tmp[idx[i]]++
+		r := int32(0)
+		rank[rots[0].idx] = 0
+		for j := 1; j < n; j++ {
+			if rots[j].key != rots[j-1].key {
+				r++
 			}
+			rank[rots[j].idx] = r
 		}
-		copy(rank, tmp)
-		if int(rank[idx[n-1]]) == n-1 {
-			break
-		}
-		if k >= n {
+		if int(r) == n-1 || k >= n {
 			break
 		}
 	}
 	if tr != nil {
 		tr.Work(work)
 	}
-	return idx
+	// The ranks are spent: reuse their slice for the sorted indices.
+	for j, rot := range rots {
+		rank[j] = rot.idx
+	}
+	return rank
 }
 
 // sortBlock applies the Fig 6 control flow: full-size blocks start in

@@ -1,9 +1,10 @@
 package huffcoding
 
 import (
-	"container/heap"
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // MaxCodeLen is the longest canonical code we emit, matching DEFLATE.
@@ -12,100 +13,84 @@ const MaxCodeLen = 15
 // ErrBadLengths reports an invalid (non-prefix-complete) length set.
 var ErrBadLengths = errors.New("huffcoding: invalid code lengths")
 
-type hnode struct {
-	freq        int64
-	sym         int // leaf symbol, -1 for internal
-	left, right int // node indices, -1 for leaves
-}
-
-type nodeHeap struct {
-	nodes *[]hnode
-	order []int
-}
-
-func (h nodeHeap) Len() int { return len(h.order) }
-func (h nodeHeap) Less(i, j int) bool {
-	a, b := (*h.nodes)[h.order[i]], (*h.nodes)[h.order[j]]
-	if a.freq != b.freq {
-		return a.freq < b.freq
-	}
-	return h.order[i] < h.order[j] // deterministic tie-break
-}
-func (h nodeHeap) Swap(i, j int)       { h.order[i], h.order[j] = h.order[j], h.order[i] }
-func (h *nodeHeap) Push(x interface{}) { h.order = append(h.order, x.(int)) }
-func (h *nodeHeap) Pop() interface{} {
-	old := h.order
-	n := len(old)
-	x := old[n-1]
-	h.order = old[:n-1]
-	return x
-}
-
 // BuildLengths computes Huffman code lengths for the given symbol
 // frequencies, limited to maxLen bits. Symbols with zero frequency get
 // length 0 (no code). At least one symbol must have nonzero frequency.
 // Length limiting uses bzip2's approach: halve the frequencies and
 // rebuild until the tree fits.
+//
+// The tree is built with two queues instead of a heap: the leaves sorted
+// by frequency, and the merged nodes in creation order, whose
+// frequencies never decrease. Each merge takes the two lightest heads,
+// ties going to the lower node index (leaves come before merged nodes,
+// then symbol or creation order), so the merge sequence is the one a
+// heap ordered by (frequency, node index) gives.
 func BuildLengths(freq []int64, maxLen int) ([]uint8, error) {
 	if maxLen <= 0 || maxLen > MaxCodeLen {
 		maxLen = MaxCodeLen
 	}
-	n := len(freq)
-	lengths := make([]uint8, n)
-	work := make([]int64, n)
-	copy(work, freq)
-
-	alive := 0
-	for _, f := range work {
+	lengths := make([]uint8, len(freq))
+	syms := make([]int, 0, len(freq)) // leaf j codes symbol syms[j]
+	for sym, f := range freq {
 		if f > 0 {
-			alive++
+			syms = append(syms, sym)
 		}
 	}
-	if alive == 0 {
+	m := len(syms)
+	if m == 0 {
 		return nil, fmt.Errorf("%w: no symbols", ErrBadLengths)
 	}
-	if alive == 1 {
-		for i, f := range work {
-			if f > 0 {
-				lengths[i] = 1
-			}
-		}
+	if m == 1 {
+		lengths[syms[0]] = 1
 		return lengths, nil
 	}
 
+	// Nodes 0..m-1 are the leaves, m..2m-2 the merged nodes in creation
+	// order; the root is the last.
+	weight := make([]int64, 2*m-1)
+	parent := make([]int32, 2*m-1)
+	depth := make([]int, 2*m-1)
+	leaves := make([]int32, m)
+	for j, sym := range syms {
+		weight[j] = freq[sym]
+	}
 	for attempt := 0; ; attempt++ {
-		nodes := make([]hnode, 0, 2*n)
-		h := &nodeHeap{nodes: &nodes}
-		for i, f := range work {
-			if f > 0 {
-				nodes = append(nodes, hnode{freq: f, sym: i, left: -1, right: -1})
-				h.order = append(h.order, len(nodes)-1)
+		for j := range leaves {
+			leaves[j] = int32(j)
+		}
+		slices.SortStableFunc(leaves, func(a, b int32) int { return cmp.Compare(weight[a], weight[b]) })
+		// lightest pops the lighter of the two queue heads. next is the
+		// node about to be created, so merged nodes qi..next-1 are queued.
+		li, qi := 0, m
+		lightest := func(next int) int32 {
+			if li < m && (qi == next || weight[leaves[li]] <= weight[qi]) {
+				li++
+				return leaves[li-1]
 			}
+			qi++
+			return int32(qi - 1)
 		}
-		heap.Init(h)
-		for h.Len() > 1 {
-			a := heap.Pop(h).(int)
-			b := heap.Pop(h).(int)
-			nodes = append(nodes, hnode{freq: nodes[a].freq + nodes[b].freq, sym: -1, left: a, right: b})
-			heap.Push(h, len(nodes)-1)
+		for next := m; next < 2*m-1; next++ {
+			a := lightest(next)
+			b := lightest(next)
+			weight[next] = weight[a] + weight[b]
+			parent[a], parent[b] = int32(next), int32(next)
 		}
-		root := h.order[0]
+		// Every parent was created after its children, so one pass from
+		// the root down sets each depth from one already set.
+		depth[2*m-2] = 0
+		for i := 2*m - 3; i >= 0; i-- {
+			depth[i] = depth[parent[i]] + 1
+		}
 		over := false
-		var walk func(i, depth int)
-		walk = func(i, depth int) {
-			nd := nodes[i]
-			if nd.sym >= 0 {
-				if depth > maxLen {
-					over = true
-					depth = maxLen
-				}
-				lengths[nd.sym] = uint8(depth)
-				return
+		for j, sym := range syms {
+			d := depth[j]
+			if d > maxLen {
+				over = true
+				d = maxLen
 			}
-			walk(nd.left, depth+1)
-			walk(nd.right, depth+1)
+			lengths[sym] = uint8(d)
 		}
-		walk(root, 0)
 		if !over {
 			return lengths, nil
 		}
@@ -113,10 +98,8 @@ func BuildLengths(freq []int64, maxLen int) ([]uint8, error) {
 			return nil, fmt.Errorf("%w: cannot limit lengths to %d bits", ErrBadLengths, maxLen)
 		}
 		// Flatten the distribution and retry (bzip2's trick).
-		for i := range work {
-			if work[i] > 0 {
-				work[i] = work[i]/2 + 1
-			}
+		for j := 0; j < m; j++ {
+			weight[j] = weight[j]/2 + 1
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"github.com/zipchannel/zipchannel/internal/compress/codec"
+	"github.com/zipchannel/zipchannel/internal/compress/huffcoding"
 	"github.com/zipchannel/zipchannel/internal/obs"
 )
 
@@ -102,6 +103,49 @@ func TestCorruptDecompress400(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("%s corrupt decompress: status %d, want 400 (%s)", c.Name, resp.StatusCode, body)
 		}
+	}
+}
+
+// bwtZeroRunBomb is a 154-byte bwt stream that declares a 10-byte block
+// but codes 24 RUNA digits, a zero run of 2^24-1 bytes. Its one Huffman
+// table gives RUNA (symbol 0) the code 0 and EOB (symbol 258) the code 1.
+func bwtZeroRunBomb() []byte {
+	var w huffcoding.BitWriter
+	for _, field := range []struct {
+		v    uint32
+		bits uint
+	}{
+		{0x425a4732, 32}, // magic
+		{1, 32},          // blocks
+		{10, 32},         // block length
+		{0, 32},          // origPtr
+		{1, 3},           // tables
+		{1, 32},          // groups of up to 50 symbols
+		{0, 3},           // the group's table
+	} {
+		w.WriteBits(field.v, field.bits)
+	}
+	for sym := 0; sym < 259; sym++ {
+		if sym == 0 || sym == 258 {
+			w.WriteBits(1, 4)
+		} else {
+			w.WriteBits(0, 4)
+		}
+	}
+	for i := 0; i < 24; i++ {
+		w.WriteBit(0)
+	}
+	w.WriteBit(1)
+	return w.Bytes()
+}
+
+// TestDecompressBomb400 posts the zero-run bomb, which the bwt decoder
+// must reject as corrupt before it allocates the run.
+func TestDecompressBomb400(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	resp, body := post(t, ts.URL+"/v1/bwt/decompress", bwtZeroRunBomb())
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("bomb decompress: status %d, want 400 (%s)", resp.StatusCode, body)
 	}
 }
 
