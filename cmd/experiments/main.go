@@ -34,7 +34,6 @@ import (
 
 	"github.com/zipchannel/zipchannel/internal/experiments"
 	"github.com/zipchannel/zipchannel/internal/obs"
-	"github.com/zipchannel/zipchannel/internal/vm"
 )
 
 func main() {
@@ -56,19 +55,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 		jsonMode = fs.Bool("json", false, "emit machine-readable manifests on stdout")
 		parallel = fs.Int("parallel", 0, "worker count for experiments and their inner trials (<=0: GOMAXPROCS); output is identical at any level")
 		rootSeed = fs.Int64("seed", 0, "root seed re-parameterizing every experiment deterministically (0: the paper-pinned seeds)")
-		engine   = fs.String("engine", "compiled", "VM execution engine: compiled (threaded code) or interp (kept for differential runs)")
 	)
 	var cli obs.CLI
 	cli.Bind(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-
-	eng, err := vm.ParseEngine(*engine)
-	if err != nil {
-		return err
-	}
-	vm.SetDefaultEngine(eng)
 
 	if *list {
 		for _, r := range experiments.All() {

@@ -51,7 +51,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		track      = fs.Int("track", 0, "print the propagation history of input byte #n (1-based)")
 		samples    = fs.Int("samples", 2, "concrete samples kept per gadget")
 		disasm     = fs.Bool("disasm", false, "print the victim's disassembly first")
-		engineName = fs.String("engine", "compiled", "execution engine: compiled (threaded code) or interp (kept for differential runs)")
 		pairProf   = fs.Bool("pair-profile", false, "profile dynamic opcode pairs (forces the interpreter) and print the hottest pairs")
 	)
 	var cli obs.CLI
@@ -77,12 +76,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *disasm {
 		fmt.Fprintln(stdout, isa.Disassemble(prog))
 	}
-
-	eng, err := vm.ParseEngine(*engineName)
-	if err != nil {
-		return err
-	}
-	vm.SetDefaultEngine(eng)
 
 	machine, err := vm.NewFlat(prog)
 	if err != nil {

@@ -2,8 +2,8 @@ package main
 
 // Cluster-mode support for zipload: a consistent-hash router over N
 // zipserverd instances, plus the order-insensitive response digest that
-// `make bench-cluster` uses to prove a tiered, peered cluster serves
-// byte-for-byte the same responses as a single-LRU baseline. Routing is
+// proves a tiered, peered cluster serves byte-for-byte the same
+// responses as a single-LRU baseline. Routing is
 // a pure function of the request (codec name + body), so it never
 // consumes a client's RNG stream — the request sequence is identical
 // whether it lands on 1 instance or 10.

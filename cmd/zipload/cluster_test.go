@@ -77,31 +77,56 @@ func TestXorDigestOrderInsensitive(t *testing.T) {
 	}
 }
 
-// TestRunLoadClusterMatchesSingleBaseline is the in-process core of
-// make bench-cluster: the same seeded, Zipf-skewed request stream driven
-// (a) across two consistent-hash-routed instances — the second mounting
-// the first's cache as a peer tier — and (b) against one plain-LRU
-// instance. Zero errors on both, and the order-insensitive response
-// digests must be identical: the cluster may change where bytes come
-// from, never the bytes.
-func TestRunLoadClusterMatchesSingleBaseline(t *testing.T) {
-	sA := server.New(server.Config{Workers: 2})
-	tsA := httptest.NewServer(sA)
-	defer tsA.Close()
+// tieredCore builds the server `zipserverd -cache-mb 4 -cache-cold-mb 64
+// -cache-dir dir [-cache-peer peerURL]` runs: a hot LRU over a disk cold
+// tier in dir, under a peer tier fronting peerURL when that is set.
+func tieredCore(t *testing.T, dir, peerURL string) *server.Server {
+	t.Helper()
+	s, err := newTieredCore(dir, peerURL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
 
-	// Instance B: in-memory hot tier over a peer tier fronting A.
-	regB := obs.NewRegistry()
-	hot := server.NewLRUBackend(1<<20, regB, "server.cache.hot")
-	peer := server.NewPeerBackend(tsA.URL, server.DefaultPeerTimeout, regB, "server.cache.peer", nil)
-	cacheB := server.NewTiered(hot, peer, regB, "server.cache")
-	sB := server.New(server.Config{Workers: 2, Registry: regB, Cache: cacheB, PeerView: hot})
-	tsB := httptest.NewServer(sB)
+// newTieredCore is tieredCore for goroutines other than the test's.
+func newTieredCore(dir, peerURL string) (*server.Server, error) {
+	reg := obs.NewRegistry()
+	localPrefix := "server.cache"
+	if peerURL != "" {
+		localPrefix = "server.cache.local"
+	}
+	hot := server.NewLRUBackend(4<<20, reg, "server.cache.hot")
+	cold, err := server.NewDiskBackend(dir, 64<<20, reg, "server.cache.cold", nil)
+	if err != nil {
+		return nil, err
+	}
+	local := server.CacheBackend(server.NewTiered(hot, cold, reg, localPrefix))
+	cache := local
+	if peerURL != "" {
+		peer := server.NewPeerBackend(peerURL, 0, reg, "server.cache.peer", nil)
+		cache = server.NewTiered(local, peer, reg, "server.cache")
+	}
+	return server.New(server.Config{Workers: 2, Registry: reg, Cache: cache, PeerView: local}), nil
+}
+
+// TestRunLoadClusterMatchesSingleBaseline: the same seeded, Zipf-skewed
+// request stream driven (a) across two consistent-hash-routed instances,
+// each a hot LRU over a disk cold tier, the second mounting the first's
+// cache as a peer tier, and (b) against one plain-LRU instance. Zero
+// errors on both, per-tier hit rates in the cluster report, and the
+// order-insensitive response digests must be identical: the cluster may
+// change where bytes come from, never the bytes.
+func TestRunLoadClusterMatchesSingleBaseline(t *testing.T) {
+	tsA := httptest.NewServer(tieredCore(t, t.TempDir(), ""))
+	defer tsA.Close()
+	tsB := httptest.NewServer(tieredCore(t, t.TempDir(), tsA.URL))
 	defer tsB.Close()
 
 	base := loadConfig{
 		Clients:  2,
-		Requests: 10,
-		Codecs:   []string{"lz77", "lzw"},
+		Requests: 30,
+		Codecs:   []string{"lz77", "lzw", "bwt"},
 		Seed:     5,
 		Verify:   true,
 		BodyCap:  1024,
@@ -141,7 +166,7 @@ func TestRunLoadClusterMatchesSingleBaseline(t *testing.T) {
 	var sb strings.Builder
 	resC.report(&sb, cluster)
 	out := sb.String()
-	for _, want := range []string{"cluster: 2 instances", "response digest:"} {
+	for _, want := range []string{"cluster: 2 instances", "tier:", "response digest:"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("cluster report missing %q:\n%s", want, out)
 		}

@@ -5,7 +5,9 @@ package main
 // Retry-After honoring on shed responses.
 
 import (
+	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -182,7 +184,7 @@ func TestRunLoadFailsOverAroundMidRunDeath(t *testing.T) {
 	res, err := runLoad(loadConfig{
 		URLs:      []string{a.URL, b.URL},
 		Clients:   4,
-		Duration:  600 * time.Millisecond,
+		Requests:  40,
 		Codecs:    []string{"lz77"},
 		Seed:      7,
 		Verify:    true,
@@ -204,6 +206,161 @@ func TestRunLoadFailsOverAroundMidRunDeath(t *testing.T) {
 	if len(res.Unreachable) != 1 || res.Unreachable[0] != b.URL {
 		t.Fatalf("Unreachable = %v, want [%s]", res.Unreachable, b.URL)
 	}
+}
+
+// TestRunLoadSurvivesPeerDeathAndRevival: two tiered instances, B
+// mounting A's cache as its peer tier, under a verifying, hedging,
+// retrying load. A dies mid-run: its connections are cut and its cache
+// is never closed, as a SIGKILL leaves it. After B has carried a further
+// stretch of the load alone, A comes back on the same address as a fresh
+// server over the same disk directory, so its startup scrub runs. Death
+// and revival are triggered by request counts over both instances (A's
+// own share depends on where the ring places its ephemeral port). The
+// load must end with zero errors; B's peer probation must have opened
+// during the outage and be closed again once traffic has probed the
+// revived A.
+func TestRunLoadSurvivesPeerDeathAndRevival(t *testing.T) {
+	// Of the ~480 /v1 requests the load sends (compress + verify).
+	const killAt, reviveAt = 60, 160
+	var served atomic.Int64
+	killed, revive := make(chan struct{}), make(chan struct{})
+	count := func() {
+		switch served.Add(1) {
+		case killAt:
+			close(killed)
+		case reviveAt:
+			close(revive)
+		}
+	}
+
+	dirA := t.TempDir()
+	a := httptest.NewServer(countV1(tieredCore(t, dirA, ""), count))
+	t.Cleanup(a.Close)
+	addrA := a.Listener.Addr().String()
+	coreB := tieredCore(t, t.TempDir(), a.URL)
+	b := httptest.NewServer(countV1(coreB, count))
+	t.Cleanup(b.Close)
+
+	// The supervisor kills and revives A; its outcome is the revived
+	// server (nil if the load ended first) or the error that stopped it.
+	type revived struct {
+		ts  *httptest.Server
+		err error
+	}
+	loadDone := make(chan struct{})
+	supervised := make(chan revived, 1)
+	go func() {
+		select {
+		case <-killed:
+		case <-loadDone:
+			supervised <- revived{}
+			return
+		}
+		a.CloseClientConnections()
+		a.Close()
+		select {
+		case <-revive:
+		case <-loadDone:
+			supervised <- revived{}
+			return
+		}
+		coreA, err := newTieredCore(dirA, "")
+		if err != nil {
+			supervised <- revived{err: err}
+			return
+		}
+		ln, err := net.Listen("tcp", addrA)
+		if err != nil {
+			supervised <- revived{err: err}
+			return
+		}
+		a2 := httptest.NewUnstartedServer(coreA)
+		a2.Listener.Close()
+		a2.Listener = ln
+		a2.Start()
+		supervised <- revived{ts: a2}
+	}()
+
+	res, err := runLoad(loadConfig{
+		URLs:      []string{a.URL, b.URL},
+		Clients:   4,
+		Requests:  60,
+		Codecs:    []string{"lz77", "lzw", "bwt"},
+		Seed:      11,
+		ZipfS:     1.2,
+		Verify:    true,
+		BodyCap:   1024,
+		Retries:   8,
+		RetryBase: time.Millisecond,
+		RetryMax:  20 * time.Millisecond,
+		Hedge:     100 * time.Millisecond,
+	})
+	close(loadDone)
+	sup := <-supervised
+	if sup.ts != nil {
+		t.Cleanup(sup.ts.Close)
+	}
+	if err != nil {
+		t.Fatalf("runLoad: %v", err)
+	}
+	if sup.err != nil {
+		t.Fatalf("reviving A on %s: %v", addrA, sup.err)
+	}
+	if sup.ts == nil {
+		t.Fatalf("load ended after %d requests, before A was killed and revived", served.Load())
+	}
+	if res.Errors > 0 {
+		t.Fatalf("%d errors through A's death and revival (first: %s)", res.Errors, res.FirstError)
+	}
+	if opens := coreB.Registry().Snapshot().Counters["server.cache.peer.probation.opens"]; opens == 0 {
+		t.Fatal("B's peer probation never opened while A was dead")
+	}
+
+	// Fresh bodies miss B's local tiers, so each one is a peer exchange;
+	// the probation breaker admits a probe within a bounded number.
+	for i := 0; peerState(t, b.URL) != "closed"; i++ {
+		if i == 2*server.DefaultPeerProbeAfter {
+			t.Fatalf("B's peer probation still %q after %d fresh requests to the revived A", peerState(t, b.URL), i)
+		}
+		resp, err := http.Post(b.URL+"/v1/lz77/compress", "application/octet-stream",
+			strings.NewReader(fmt.Sprintf("probe %d for the revived peer", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("probe request to B: %d", resp.StatusCode)
+		}
+	}
+}
+
+// countV1 calls count before every /v1 request the core serves.
+func countV1(core http.Handler, count func()) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasPrefix(r.URL.Path, "/v1/") {
+			count()
+		}
+		core.ServeHTTP(w, r)
+	})
+}
+
+// peerState reads the peer tier's probation state from /healthz.
+func peerState(t *testing.T, base string) string {
+	t.Helper()
+	resp, err := http.Get(base + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var h struct {
+		Cache struct {
+			PeerState string `json:"peer_state"`
+		} `json:"cache"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+		t.Fatal(err)
+	}
+	return h.Cache.PeerState
 }
 
 // TestRetryAfterHonored: a shed (503 + Retry-After: 1) response stretches

@@ -13,8 +13,7 @@
 //
 // Every compress request is round-trip verified through the matching
 // decompress endpoint unless -verify=false. The exit status is non-zero if
-// any request failed, so scripts (the Makefile smoke target) can assert
-// zero errors.
+// any request failed, so scripts can assert zero errors.
 package main
 
 import (
@@ -83,19 +82,19 @@ func run() error {
 		return err
 	}
 	cfg := loadConfig{
-		BaseURL:   strings.TrimRight(*url, "/"),
-		ZipfS:     *zipfS,
-		Digest:    *digest,
-		Clients:   *clients,
-		Duration:  *duration,
-		Requests:  *requests,
-		Codecs:    names,
-		Seed:      *seed,
-		Verify:    *verify,
-		BodyCap:   *bodyCap,
-		PageFrac:  *pageFrac,
-		PageIDs:   *pageIDs,
-		PageBytes: *pageB,
+		BaseURL:     strings.TrimRight(*url, "/"),
+		ZipfS:       *zipfS,
+		Digest:      *digest,
+		Clients:     *clients,
+		Duration:    *duration,
+		Requests:    *requests,
+		Codecs:      names,
+		Seed:        *seed,
+		Verify:      *verify,
+		BodyCap:     *bodyCap,
+		PageFrac:    *pageFrac,
+		PageIDs:     *pageIDs,
+		PageBytes:   *pageB,
 		Retries:     *retries,
 		RetryBase:   *rbase,
 		RetryMax:    *rmax,

@@ -10,9 +10,9 @@ import (
 	"github.com/zipchannel/zipchannel/internal/server"
 )
 
-// TestRunLoadAgainstLiveServer is the in-process version of the Makefile
-// smoke target: boot internal/server, drive it with several verifying
-// clients across all codecs, and require zero errors plus sane metrics.
+// TestRunLoadAgainstLiveServer boots internal/server, drives it with
+// several verifying clients across all codecs, and requires zero errors
+// plus sane metrics.
 func TestRunLoadAgainstLiveServer(t *testing.T) {
 	s := server.New(server.Config{Workers: 4})
 	ts := httptest.NewServer(s)

@@ -8,8 +8,8 @@ package main
 // from its own RNG stream (split separately from the codec stream), page
 // ids are routed and folded into the -digest accumulator only when the
 // flag is set, and a run with -pagestore 0 draws nothing from the page
-// stream at all — so `make bench-cluster` baselines against servers
-// with or without a mounted page store stay byte-identical.
+// stream at all — so cluster baselines against servers with or without
+// a mounted page store stay byte-identical.
 
 import (
 	"bytes"

@@ -47,7 +47,7 @@ func TestPageTrafficRoundTrips(t *testing.T) {
 	}
 }
 
-// TestPageFlagOffIsByteIdenticalBaseline is the bench-cluster guarantee:
+// TestPageFlagOffIsByteIdenticalBaseline is the cluster-baseline guarantee:
 // with -pagestore 0, the request stream and the response digest are
 // identical whether or not the target servers mount a page store — so a
 // page-capable cluster can be benchmarked against old baselines.

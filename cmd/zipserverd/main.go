@@ -1,6 +1,6 @@
 // Command zipserverd serves the repository's three from-scratch codecs over
 // HTTP (internal/server): POST /v1/{lz77|lzw|bwt}/{compress|decompress} with
-// a content-addressed LRU response cache, a bounded codec worker pool, and
+// a content-addressed response cache, a bounded codec worker pool, and
 // live telemetry at GET /metrics (canonical obs snapshot by default,
 // Prometheus text exposition with ?format=prom). Request tracing is on by
 // default: every /v1 request gets a span tree continuing any incoming
@@ -20,10 +20,17 @@
 //
 //	zipserverd -access-log access.ndjson -trace-file spans.ndjson -pprof
 //
-// For scripting (the Makefile smoke target), -addr supports port 0 and
-// -addr-file writes the actually-bound address once listening.
+// The cache topology follows from the tier budgets: a hot in-memory LRU
+// when -cache-mb > 0 (default 64), a disk cold tier under it when
+// -cache-cold-mb > 0 (default 0), and a peer instance's cache as the
+// outermost tier when -cache-peer is set (DESIGN.md §10):
 //
-// Chaos runs (make test-chaos) arm deterministic fault injection:
+//	zipserverd -cache-mb 4 -cache-cold-mb 64 -cache-dir /var/cache/zip -cache-peer http://10.0.0.2:8321
+//
+// For scripting, -addr supports port 0 and -addr-file writes the
+// actually-bound address once listening.
+//
+// Chaos runs arm deterministic fault injection:
 //
 //	zipserverd -faults 'server.codec.compress=error:0.05,server.cache.get=corrupt:0.05' -fault-seed 7
 //
@@ -56,49 +63,36 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, os.Args[1:], os.Stderr)
+	stop()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "zipserverd:", err)
 		os.Exit(1)
 	}
 }
 
 // cacheConfig collects the -cache-* flags that shape the backend
-// hierarchy.
+// hierarchy. Each tier exists when its budget or URL is set.
 type cacheConfig struct {
-	Backend     string
-	HotBytes    int64 // in-memory budget (also the plain lru/sharded budget)
-	ColdBytes   int64 // disk budget
-	Shards      int
+	HotBytes    int64 // in-memory LRU budget; <= 0 means no hot tier
+	ColdBytes   int64 // disk tier budget; <= 0 means no cold tier
 	Dir         string
 	Peer        string
 	PeerTimeout time.Duration
 }
 
 // buildCache composes the configured backend hierarchy (DESIGN.md §10).
-// It returns the full lookup chain, the local view served to peers on
-// /internal/cache (never includes the peer tier, so two instances peered
-// at each other terminate), and a cleanup for any temp dir it created.
+// It returns the full lookup chain (nil when no tier is configured), the
+// local view served to peers on /internal/cache (never includes the peer
+// tier, so two instances peered at each other terminate), and a cleanup
+// for any temp dir it created.
 //
 // Metric prefixes: a single-backend setup keeps the classic server.cache
 // series; a hierarchy puts the aggregate there and per-tier series under
 // server.cache.{hot,cold,local,peer}.
 func buildCache(cc cacheConfig, reg *obs.Registry, freg *fault.Registry) (cache, peerView server.CacheBackend, cleanup func(), err error) {
 	cleanup = func() {}
-	if cc.HotBytes <= 0 && cc.Backend != "disk" {
-		return nil, nil, cleanup, nil // caching disabled; "lru" default also lands here when budget <= 0
-	}
-	// A disk tier needs a directory; default to a disposable temp dir.
-	ensureDir := func() (string, error) {
-		if cc.Dir != "" {
-			return cc.Dir, nil
-		}
-		dir, err := os.MkdirTemp("", "zipserverd-cache-*")
-		if err != nil {
-			return "", err
-		}
-		cleanup = func() { os.RemoveAll(dir) }
-		return dir, nil
-	}
 	// localPrefix is where the innermost composition hangs its aggregate
 	// counters: the classic name when it IS the whole cache, a sub-name
 	// when a peer tier wraps it.
@@ -106,59 +100,44 @@ func buildCache(cc cacheConfig, reg *obs.Registry, freg *fault.Registry) (cache,
 	if cc.Peer != "" {
 		localPrefix = "server.cache.local"
 	}
-
-	var local server.CacheBackend
-	switch cc.Backend {
-	case "lru":
-		if lru := server.NewLRUBackend(cc.HotBytes, reg, localPrefix); lru != nil {
-			local = lru
-		}
-	case "sharded":
-		if sh := server.NewShardedBackend(cc.HotBytes, cc.Shards, reg, localPrefix); sh != nil {
-			local = sh
-		}
-	case "disk":
-		dir, derr := ensureDir()
-		if derr != nil {
-			return nil, nil, cleanup, derr
-		}
-		budget := cc.ColdBytes
-		if budget <= 0 {
-			budget = cc.HotBytes
-		}
-		d, derr := server.NewDiskBackend(dir, budget, reg, localPrefix, freg)
-		if derr != nil {
-			return nil, nil, cleanup, derr
-		}
-		if d != nil {
-			local = d
-		}
-	case "tiered":
-		dir, derr := ensureDir()
-		if derr != nil {
-			return nil, nil, cleanup, derr
-		}
-		hot := server.NewLRUBackend(cc.HotBytes, reg, "server.cache.hot")
-		cold, derr := server.NewDiskBackend(dir, cc.ColdBytes, reg, "server.cache.cold", freg)
-		if derr != nil {
-			return nil, nil, cleanup, derr
-		}
-		var hotB, coldB server.CacheBackend
-		if hot != nil {
-			hotB = hot
-		}
-		if cold != nil {
-			coldB = cold
-		}
-		if t := server.NewTiered(hotB, coldB, reg, localPrefix); t != nil {
-			local = t
-		}
-	default:
-		return nil, nil, cleanup, fmt.Errorf("unknown -cache-backend %q (have lru, sharded, disk, tiered)", cc.Backend)
+	hotPrefix, coldPrefix := localPrefix, localPrefix
+	if cc.HotBytes > 0 && cc.ColdBytes > 0 {
+		hotPrefix, coldPrefix = "server.cache.hot", "server.cache.cold"
 	}
 
-	if cc.Peer == "" || local == nil {
+	var hot, cold server.CacheBackend
+	// The typed-nil guard: a disabled LRU is a nil *LRUBackend, which
+	// must stay a nil interface.
+	if lru := server.NewLRUBackend(cc.HotBytes, reg, hotPrefix); lru != nil {
+		hot = lru
+	}
+	if cc.ColdBytes > 0 {
+		dir := cc.Dir
+		if dir == "" {
+			if dir, err = os.MkdirTemp("", "zipserverd-cache-*"); err != nil {
+				return nil, nil, cleanup, err
+			}
+			cleanup = func() { os.RemoveAll(dir) }
+		}
+		d, err := server.NewDiskBackend(dir, cc.ColdBytes, reg, coldPrefix, freg)
+		if err != nil {
+			return nil, nil, cleanup, err
+		}
+		cold = d
+	}
+	local := hot
+	if cold != nil {
+		local = cold
+		if hot != nil {
+			local = server.NewTiered(hot, cold, reg, localPrefix)
+		}
+	}
+
+	if cc.Peer == "" {
 		return local, local, cleanup, nil
+	}
+	if local == nil {
+		return nil, nil, cleanup, fmt.Errorf("-cache-peer needs a local tier (-cache-mb or -cache-cold-mb > 0)")
 	}
 	peer := server.NewPeerBackend(cc.Peer, cc.PeerTimeout, reg, "server.cache.peer", freg)
 	full := server.NewTiered(local, peer, reg, "server.cache")
@@ -205,83 +184,110 @@ func parsePlant(s string) (id string, attackerLen int, secret []byte, err error)
 	return id, attackerLen, []byte(rest[colon+1:]), nil
 }
 
-func run() error {
+// run parses args, serves until ctx is done, then drains for at most
+// -drain and writes the -metrics snapshot. Cancelling ctx is the
+// SIGTERM of a test.
+func run(ctx context.Context, args []string, stderr io.Writer) error {
+	d, err := start(args, stderr)
+	if err != nil || d == nil {
+		return err
+	}
+	return d.serve(ctx)
+}
+
+// daemon is a listening zipserverd: start has bound its address and
+// begun serving; serve waits for the end and shuts it down.
+type daemon struct {
+	srv     *server.Server
+	httpSrv *http.Server
+	addr    string // the bound address, port 0 resolved
+	errc    chan error
+	drain   time.Duration
+	metrics string
+	stderr  io.Writer
+	closers []func() // sink files and the cache temp dir, in order
+}
+
+// start parses args, builds the server and its cache, listens, and
+// starts serving. It returns a nil daemon (and nil error) for the
+// one-shot -cache-scrub mode and for -h.
+func start(args []string, stderr io.Writer) (_ *daemon, err error) {
+	fs := flag.NewFlagSet("zipserverd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		addr     = flag.String("addr", "127.0.0.1:8321", "listen address (port 0 picks a free port)")
-		addrFile = flag.String("addr-file", "", "write the bound address to this file once listening")
-		workers  = flag.Int("workers", 0, "max concurrent codec executions (0 = GOMAXPROCS)")
-		queueLim = flag.Int("queue-limit", 0, "max codec requests waiting beyond -workers before shedding 503+Retry-After (0 = 8x workers, negative disables shedding)")
-		maxBody  = flag.Int64("max-body", server.DefaultMaxBodyBytes, "per-request body cap in bytes")
-		cacheMB  = flag.Int64("cache-mb", 64, "response cache budget in MiB (negative disables; the hot tier for -cache-backend tiered)")
+		addr     = fs.String("addr", "127.0.0.1:8321", "listen address (port 0 picks a free port)")
+		addrFile = fs.String("addr-file", "", "write the bound address to this file once listening")
+		workers  = fs.Int("workers", 0, "max concurrent codec executions (0 = GOMAXPROCS)")
+		queueLim = fs.Int("queue-limit", 0, "max codec requests waiting beyond -workers before shedding 503+Retry-After (0 = 8x workers, negative disables shedding)")
+		maxBody  = fs.Int64("max-body", server.DefaultMaxBodyBytes, "per-request body cap in bytes")
 
-		cacheBackend = flag.String("cache-backend", "lru", "cache backend: lru, sharded, disk, or tiered (in-memory hot over disk cold)")
-		cacheShards  = flag.Int("cache-shards", 16, "shard count for -cache-backend sharded")
-		cacheDir     = flag.String("cache-dir", "", "directory for the disk tier (empty = private temp dir, removed on exit)")
-		cacheColdMB  = flag.Int64("cache-cold-mb", 256, "disk (cold) tier budget in MiB for -cache-backend disk/tiered")
-		cachePeer    = flag.String("cache-peer", "", "base URL of a peer zipserverd whose cache becomes this instance's outermost cold tier")
-		peerTimeout  = flag.Duration("cache-peer-timeout", server.DefaultPeerTimeout, "per-exchange deadline for the peer tier")
-		cacheMaxAge  = flag.Int("cache-max-age", 0, "max-age seconds advertised in Cache-Control on /v1 responses (0 = default, negative disables)")
-		cacheScrub   = flag.Bool("cache-scrub", false, "scrub -cache-dir (verify entries, quarantine torn ones, remove temps), print the report, and exit")
-		metrics  = flag.String("metrics", "", "write a final obs snapshot to this file on shutdown")
-		faults   = flag.String("faults", "", "deterministic fault injections, comma-separated point=kind:prob[:param] or point=kind@n[:param] (empty disables)")
-		fseed    = flag.Int64("fault-seed", 1, "root seed for the fault registry's per-point streams")
-		drain    = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain deadline before in-flight connections are cut")
+		cacheMB     = fs.Int64("cache-mb", 64, "in-memory (hot) LRU tier budget in MiB (0 or negative: no hot tier)")
+		cacheColdMB = fs.Int64("cache-cold-mb", 0, "disk (cold) tier budget in MiB (0: no disk tier)")
+		cacheDir    = fs.String("cache-dir", "", "directory for the disk tier (empty = private temp dir, removed on exit)")
+		cachePeer   = fs.String("cache-peer", "", "base URL of a peer zipserverd whose cache becomes this instance's outermost cold tier")
+		peerTimeout = fs.Duration("cache-peer-timeout", server.DefaultPeerTimeout, "per-exchange deadline for the peer tier")
+		cacheMaxAge = fs.Int("cache-max-age", 0, "max-age seconds advertised in Cache-Control on /v1 responses (0 = default, negative disables)")
+		cacheScrub  = fs.Bool("cache-scrub", false, "scrub -cache-dir (verify entries, quarantine torn ones, remove temps), print the report, and exit")
+		metrics     = fs.String("metrics", "", "write a final obs snapshot to this file on shutdown")
+		faults      = fs.String("faults", "", "deterministic fault injections, comma-separated point=kind:prob[:param] or point=kind@n[:param] (empty disables)")
+		fseed       = fs.Int64("fault-seed", 1, "root seed for the fault registry's per-point streams")
+		drain       = fs.Duration("drain", 10*time.Second, "graceful-shutdown drain deadline before in-flight connections are cut")
 
-		pagestoreOn = flag.Bool("pagestore", false, "mount the compressed page store on PUT/GET /v1/pages/{id}")
-		pageSize    = flag.Int("page-size", pagestore.DefaultPageSize, "page size in bytes for -pagestore")
-		poolMB      = flag.Int64("pool-mb", 1, "compressed page pool budget in MiB for -pagestore (LRU writeback past it)")
-		pageCodec   = flag.String("page-codec", pagestore.DefaultCodec, "registry codec pages compress with")
-		pagePlant   = flag.String("pagestore-plant", "", "plant a co-located page: id=attackerLen:secret (e.g. 'victim=64:key=HUNTER2') — the attack target cmd/zippages recovers")
+		pagestoreOn = fs.Bool("pagestore", false, "mount the compressed page store on PUT/GET /v1/pages/{id}")
+		pageSize    = fs.Int("page-size", pagestore.DefaultPageSize, "page size in bytes for -pagestore")
+		poolMB      = fs.Int64("pool-mb", 1, "compressed page pool budget in MiB for -pagestore (LRU writeback past it)")
+		pageCodec   = fs.String("page-codec", pagestore.DefaultCodec, "registry codec pages compress with")
+		pagePlant   = fs.String("pagestore-plant", "", "plant a co-located page: id=attackerLen:secret (e.g. 'victim=64:key=HUNTER2') — the attack target cmd/zippages recovers")
 
-		trace     = flag.Bool("trace", true, "per-request span trees + traceparent propagation (false disables tracing entirely)")
-		traceSeed = flag.Int64("trace-seed", 1, "seed for trace/span ID generation (reproducible ID sequences under sequential load)")
-		traceFile = flag.String("trace-file", "", "append span NDJSON records to this file (- for stderr; empty = spans counted but not logged)")
-		accessLog = flag.String("access-log", "", "append one NDJSON access record per /v1 request to this file (- for stderr)")
-		pprofOn   = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (opt-in profiling surface)")
-		slo       = flag.Duration("slo", 0, "per-request latency objective for server.slo.* counters (0 = default 500ms, negative disables latency breaches)")
+		trace     = fs.Bool("trace", true, "per-request span trees + traceparent propagation (false disables tracing entirely)")
+		traceSeed = fs.Int64("trace-seed", 1, "seed for trace/span ID generation (reproducible ID sequences under sequential load)")
+		traceFile = fs.String("trace-file", "", "append span NDJSON records to this file (- for stderr; empty = spans counted but not logged)")
+		accessLog = fs.String("access-log", "", "append one NDJSON access record per /v1 request to this file (- for stderr)")
+		pprofOn   = fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (opt-in profiling surface)")
+		slo       = fs.Duration("slo", 0, "per-request latency objective for server.slo.* counters (0 = default 500ms, negative disables latency breaches)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return nil, nil
+		}
+		return nil, err
+	}
+	if fs.NArg() > 0 {
+		return nil, fmt.Errorf("unexpected arguments: %v", fs.Args())
+	}
 
 	if *cacheScrub {
 		if *cacheDir == "" {
-			return fmt.Errorf("-cache-scrub requires -cache-dir")
+			return nil, fmt.Errorf("-cache-scrub requires -cache-dir")
 		}
-		return runScrub(*cacheDir)
+		return nil, runScrub(*cacheDir)
 	}
 
 	var freg *fault.Registry
 	if *faults != "" {
 		freg = fault.NewRegistry(*fseed)
 		if err := freg.ArmAll(*faults); err != nil {
-			return err
+			return nil, err
 		}
-	}
-	cacheBytes := *cacheMB
-	if cacheBytes > 0 {
-		cacheBytes <<= 20
-	}
-	coldBytes := *cacheColdMB
-	if coldBytes > 0 {
-		coldBytes <<= 20
 	}
 
-	// openSink maps a flag value to a writer: "-" is stderr (stdout stays
-	// clean for scripted output), anything else appends to the named file.
-	var sinks []*os.File
+	d := &daemon{drain: *drain, metrics: *metrics, stderr: stderr}
 	defer func() {
-		for _, f := range sinks {
-			f.Close()
+		if err != nil {
+			d.close()
 		}
 	}()
+	// openSink maps a flag value to a writer: "-" is stderr (stdout stays
+	// clean for scripted output), anything else appends to the named file.
 	openSink := func(path string) (io.Writer, error) {
 		if path == "-" {
-			return os.Stderr, nil
+			return stderr, nil
 		}
 		f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return nil, err
 		}
-		sinks = append(sinks, f)
+		d.closers = append(d.closers, func() { f.Close() })
 		return f, nil
 	}
 
@@ -289,7 +295,7 @@ func run() error {
 	if *traceFile != "" {
 		w, err := openSink(*traceFile)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		reg.SetTraceSink(obs.NewTraceSink(w))
 	}
@@ -301,24 +307,22 @@ func run() error {
 	if *accessLog != "" {
 		w, err := openSink(*accessLog)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		accessW = w
 	}
 
 	cache, peerView, cleanup, err := buildCache(cacheConfig{
-		Backend:     *cacheBackend,
-		HotBytes:    cacheBytes,
-		ColdBytes:   coldBytes,
-		Shards:      *cacheShards,
+		HotBytes:    *cacheMB << 20,
+		ColdBytes:   *cacheColdMB << 20,
 		Dir:         *cacheDir,
 		Peer:        *cachePeer,
 		PeerTimeout: *peerTimeout,
 	}, reg, freg)
+	d.closers = append(d.closers, cleanup)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	defer cleanup()
 
 	var pages *pagestore.Store
 	if *pagestoreOn {
@@ -330,23 +334,23 @@ func run() error {
 			Faults:    freg,
 		})
 		if *pagePlant != "" {
-			id, attackerLen, secret, perr := parsePlant(*pagePlant)
-			if perr != nil {
-				return perr
+			id, attackerLen, secret, err := parsePlant(*pagePlant)
+			if err != nil {
+				return nil, err
 			}
-			if _, perr := pages.Plant(id, attackerLen, secret); perr != nil {
-				return perr
+			if _, err := pages.Plant(id, attackerLen, secret); err != nil {
+				return nil, err
 			}
-			fmt.Fprintf(os.Stderr, "zipserverd: planted page %q (attacker region %d, %d secret bytes co-located)\n",
+			fmt.Fprintf(stderr, "zipserverd: planted page %q (attacker region %d, %d secret bytes co-located)\n",
 				id, attackerLen, len(secret))
 		}
 	} else if *pagePlant != "" {
-		return fmt.Errorf("-pagestore-plant requires -pagestore")
+		return nil, fmt.Errorf("-pagestore-plant requires -pagestore")
 	}
 
-	srv := server.New(server.Config{
+	d.srv = server.New(server.Config{
 		MaxBodyBytes: *maxBody,
-		CacheBytes:   cacheBytes,
+		CacheBytes:   -1, // buildCache is the only cache source: nil means no tier configured
 		Cache:        cache,
 		PeerView:     peerView,
 		CacheMaxAge:  *cacheMaxAge,
@@ -361,51 +365,62 @@ func run() error {
 		PageStore:    pages,
 	})
 	if freg != nil {
-		fmt.Fprintf(os.Stderr, "zipserverd: chaos armed (seed %d): %s\n", *fseed, strings.Join(freg.Armed(), " "))
+		fmt.Fprintf(stderr, "zipserverd: chaos armed (seed %d): %s\n", *fseed, strings.Join(freg.Armed(), " "))
 	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	bound := ln.Addr().String()
+	d.addr = ln.Addr().String()
 	if *addrFile != "" {
-		if err := os.WriteFile(*addrFile, []byte(bound), 0o644); err != nil {
+		if err := os.WriteFile(*addrFile, []byte(d.addr), 0o644); err != nil {
 			ln.Close()
-			return err
+			return nil, err
 		}
 	}
-	fmt.Fprintf(os.Stderr, "zipserverd: listening on %s (workers=%d)\n", bound, srv.Workers())
+	fmt.Fprintf(stderr, "zipserverd: listening on %s (workers=%d)\n", d.addr, d.srv.Workers())
 
-	httpSrv := &http.Server{Handler: srv}
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.Serve(ln) }()
+	d.httpSrv = &http.Server{Handler: d.srv}
+	d.errc = make(chan error, 1)
+	go func() { d.errc <- d.httpSrv.Serve(ln) }()
+	return d, nil
+}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+// serve waits for ctx to end (or Serve to fail), drains in-flight
+// requests for at most the drain deadline, and writes the final metrics
+// snapshot.
+func (d *daemon) serve(ctx context.Context) error {
+	defer d.close()
 	select {
-	case err := <-errc:
+	case err := <-d.errc:
 		return err // Serve never returns nil before Shutdown
 	case <-ctx.Done():
 	}
-	stop()
-	fmt.Fprintf(os.Stderr, "zipserverd: shutting down (drain %s)\n", *drain)
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drain)
+	fmt.Fprintf(d.stderr, "zipserverd: shutting down (drain %s)\n", d.drain)
+	shutdownCtx, cancel := context.WithTimeout(context.Background(), d.drain)
 	defer cancel()
-	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
+	if err := d.httpSrv.Shutdown(shutdownCtx); err != nil {
 		// The drain deadline expired with requests still in flight: cut
 		// them rather than hang forever. Exit stays clean — a bounded
 		// drain is the contract, not a zero-loss one.
-		fmt.Fprintf(os.Stderr, "zipserverd: drain deadline exceeded, forcing close: %v\n", err)
-		httpSrv.Close()
+		fmt.Fprintf(d.stderr, "zipserverd: drain deadline exceeded, forcing close: %v\n", err)
+		d.httpSrv.Close()
 	}
-	<-errc // reap the Serve goroutine (returns http.ErrServerClosed)
+	<-d.errc // reap the Serve goroutine (returns http.ErrServerClosed)
 	// The final snapshot is written even after a forced close — a chaos
 	// run's post-mortem needs the counters most when shutdown was ugly.
-	if *metrics != "" {
-		if err := srv.Registry().WriteSnapshot(*metrics); err != nil {
+	if d.metrics != "" {
+		if err := d.srv.Registry().WriteSnapshot(d.metrics); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// close releases the sink files and the cache temp dir.
+func (d *daemon) close() {
+	for _, c := range d.closers {
+		c()
+	}
 }

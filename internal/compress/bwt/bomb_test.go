@@ -49,6 +49,40 @@ func TestDecompressRejectsZeroRunBomb(t *testing.T) {
 	}
 }
 
+// groupCountBomb is a 21-byte stream whose one block declares 2^24
+// Huffman groups and then ends: the selector table was allocated from
+// the declared count, 16.8 MB, before the first selector was read.
+func groupCountBomb() []byte {
+	var w huffcoding.BitWriter
+	w.WriteBits(magic, 32)
+	w.WriteBits(1, 32)  // blocks
+	w.WriteBits(10, 32) // block length
+	w.WriteBits(0, 32)  // origPtr
+	w.WriteBits(1, 3)   // tables
+	w.WriteBits(1<<24, 32)
+	return w.Bytes()
+}
+
+// TestDecompressRejectsGroupCountBomb requires a group count the input
+// cannot hold selectors for to fail as corrupt with less than 64 KiB
+// allocated.
+func TestDecompressRejectsGroupCountBomb(t *testing.T) {
+	bomb := groupCountBomb()
+	if len(bomb) != 21 {
+		t.Fatalf("bomb is %d bytes, want 21", len(bomb))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Decompress(bomb)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Decompress(bomb) error = %v, want ErrCorrupt", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 64<<10 {
+		t.Fatalf("Decompress(bomb) allocated %d bytes, want < 64 KiB", alloc)
+	}
+}
+
 // TestDecompressRejectsBadSymbols covers two streams zrleEncode never
 // writes: symbol 257 (MTF value 256, which used to decode silently to
 // byte 0) and a literal past the declared block length.

@@ -190,8 +190,11 @@ func decodeMultiTable(r *huffcoding.BitReader) ([]uint16, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	if nGroups > 1<<24 {
-		return nil, fmt.Errorf("%w: %d groups", ErrCorrupt, nGroups)
+	// Each group has a 3-bit selector, so a count the rest of the input
+	// cannot hold is corrupt; rejecting it first bounds the selector
+	// allocation by the input size.
+	if uint64(nGroups)*3 > uint64(r.BitsLeft()) {
+		return nil, fmt.Errorf("%w: %d groups in %d bits", ErrCorrupt, nGroups, r.BitsLeft())
 	}
 	selectors := make([]uint8, nGroups)
 	for i := range selectors {

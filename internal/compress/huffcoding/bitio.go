@@ -74,6 +74,9 @@ func (r *BitReader) ReadBits(n uint) (uint32, error) {
 // ReadBit consumes one bit.
 func (r *BitReader) ReadBit() (uint32, error) { return r.ReadBits(1) }
 
+// BitsLeft returns how many bits remain unread.
+func (r *BitReader) BitsLeft() int { return (len(r.buf)-r.pos)*8 + int(r.nCur) }
+
 // Offset returns how many whole bits have been consumed.
 func (r *BitReader) Offset() int { return r.pos*8 - int(r.nCur) }
 

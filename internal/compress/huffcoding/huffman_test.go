@@ -31,6 +31,31 @@ func TestBitIORoundTrip(t *testing.T) {
 	}
 }
 
+// TestBitReaderBitsLeft checks that BitsLeft counts every unread bit,
+// including the ones already buffered from a partly consumed byte, and
+// that it and Offset always sum to the stream length.
+func TestBitReaderBitsLeft(t *testing.T) {
+	r := NewBitReader([]byte{0xa5, 0x5a, 0xff})
+	total := 24
+	for _, n := range []uint{3, 8, 1, 12} {
+		if got := r.BitsLeft(); got != total-r.Offset() {
+			t.Fatalf("BitsLeft() = %d at offset %d, want %d", got, r.Offset(), total-r.Offset())
+		}
+		if _, err := r.ReadBits(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := r.BitsLeft(); got != 0 {
+		t.Fatalf("BitsLeft() = %d after reading all 24 bits, want 0", got)
+	}
+	if _, err := r.ReadBits(1); !errors.Is(err, ErrUnexpectedEOF) {
+		t.Fatalf("read past end: got %v, want ErrUnexpectedEOF", err)
+	}
+	if got := NewBitReader(nil).BitsLeft(); got != 0 {
+		t.Fatalf("empty reader BitsLeft() = %d, want 0", got)
+	}
+}
+
 func TestBitIOPropertyRoundTrip(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

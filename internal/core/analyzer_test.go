@@ -14,22 +14,29 @@ import (
 // fresh analyzer and returns the report.
 func analyze(t *testing.T, prog *isa.Program, input []byte, cfg Config) (*Report, *Analyzer) {
 	t.Helper()
-	return analyzeOn(t, prog, input, cfg, vm.DefaultEngine())
+	return analyzeOn(t, prog, input, cfg, compiled)
 }
 
-// engines are the two execution strategies every edge-case program runs
-// under: the per-instruction interpreter and the compiled engine with
-// block-level taint skipping.
-var engines = []vm.Engine{vm.EngineInterp, vm.EngineCompiled}
+// engine names one of the two execution strategies every edge-case
+// program runs under: the per-instruction interpreter and the compiled
+// engine with block-level taint skipping.
+type engine string
+
+const (
+	interp   engine = "interp"
+	compiled engine = "compiled"
+)
+
+var engines = []engine{interp, compiled}
 
 // analyzeOn is analyze on a chosen engine.
-func analyzeOn(t *testing.T, prog *isa.Program, input []byte, cfg Config, eng vm.Engine) (*Report, *Analyzer) {
+func analyzeOn(t *testing.T, prog *isa.Program, input []byte, cfg Config, eng engine) (*Report, *Analyzer) {
 	t.Helper()
 	machine, err := vm.NewFlat(prog)
 	if err != nil {
 		t.Fatalf("NewFlat: %v", err)
 	}
-	machine.Engine = eng
+	machine.Interp = eng == interp
 	machine.SetInput(input)
 	a := New(cfg)
 	a.Attach(machine)

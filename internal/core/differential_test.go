@@ -34,13 +34,15 @@ type diffRun struct {
 // the differential runs record and compare.
 var trackedTags = []taint.Tag{1, 2, 3, 7}
 
-func runOneEngine(t testing.TB, prog *isa.Program, input []byte, eng vm.Engine, carry bool, maxSteps uint64) *diffRun {
+// runOneEngine runs prog on the interpreter (interp) or the compiled
+// engine under a fresh analyzer.
+func runOneEngine(t testing.TB, prog *isa.Program, input []byte, interp, carry bool, maxSteps uint64) *diffRun {
 	t.Helper()
 	machine, err := vm.NewFlat(prog)
 	if err != nil {
 		t.Fatalf("NewFlat(%s): %v", prog.Name, err)
 	}
-	machine.Engine = eng
+	machine.Interp = interp
 	machine.SetInput(input)
 	if maxSteps > 0 {
 		machine.MaxSteps = maxSteps
@@ -171,9 +173,9 @@ func TestEngineDifferential(t *testing.T) {
 			for _, in := range [][]byte{input, short} {
 				label := fmt.Sprintf("%s/carry=%v/input=%d", name, carry, len(in))
 				t.Run(label, func(t *testing.T) {
-					interp := runOneEngine(t, prog, in, vm.EngineInterp, carry, 0)
-					compiled := runOneEngine(t, prog, in, vm.EngineCompiled, carry, 0)
-					compareRuns(t, label, interp, compiled)
+					interpRun := runOneEngine(t, prog, in, true, carry, 0)
+					compiledRun := runOneEngine(t, prog, in, false, carry, 0)
+					compareRuns(t, label, interpRun, compiledRun)
 				})
 			}
 		}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"github.com/zipchannel/zipchannel/internal/isa"
-	"github.com/zipchannel/zipchannel/internal/vm"
 )
 
 // FuzzVMDifferential feeds random short programs through both engines and
@@ -107,9 +106,9 @@ func FuzzVMDifferential(f *testing.F) {
 			t.Fatalf("generated program failed to assemble: %v\n%s", err, src)
 		}
 		input := []byte("fuzz secret input: 0123456789abcdefghijklmnopqrstuvwxyz")
-		interp := runOneEngine(t, prog, input, vm.EngineInterp, false, 10000)
-		compiled := runOneEngine(t, prog, input, vm.EngineCompiled, false, 10000)
-		compareRuns(t, "fuzz", interp, compiled)
+		interpRun := runOneEngine(t, prog, input, true, false, 10000)
+		compiledRun := runOneEngine(t, prog, input, false, false, 10000)
+		compareRuns(t, "fuzz", interpRun, compiledRun)
 		if t.Failed() {
 			t.Logf("program:\n%s", src)
 		}

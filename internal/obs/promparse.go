@@ -9,9 +9,9 @@ import (
 )
 
 // A minimal Prometheus text-exposition parser — the verifying half of
-// prom.go, used by cmd/promcheck and the smoke-obs CI target to prove
-// that what the server exposes is actually scrapeable. It checks the
-// rules an external scraper would: metric-name and label-name charsets,
+// prom.go, used by cmd/promcheck and the zipserverd end-to-end test to
+// prove that what the server exposes is actually scrapeable. It checks
+// the rules an external scraper would: metric-name and label-name charsets,
 // label-value escaping, float-parseable values, TYPE declarations with
 // known types, histogram families exposing _sum/_count and cumulative
 // non-decreasing buckets ending in le="+Inf". It accepts (and skips over)

@@ -2,8 +2,8 @@ package server
 
 // This file defines the pluggable cache-backend contract (DESIGN.md §10).
 // The server composes backends into a hot/cold hierarchy; every
-// implementation — in-memory LRU, sharded LRU, disk, remote peer, tiered
-// composite — obeys the same observable semantics, pinned by the
+// implementation — in-memory LRU, disk, remote peer, tiered composite —
+// obeys the same observable semantics, pinned by the
 // internal/server/cachetest conformance suite:
 //
 //   - content-addressed Get/Put under a byte budget with LRU-order
@@ -36,8 +36,8 @@ type Key = [sha256.Size]byte
 // treats a nil CacheBackend as "caching disabled"; implementations do not
 // need to support nil receivers through the interface.
 type CacheBackend interface {
-	// Name identifies the backend ("lru", "sharded", "disk", "peer",
-	// "tiered") for /healthz and logs.
+	// Name identifies the backend ("lru", "disk", "peer", "tiered") for
+	// /healthz and logs.
 	Name() string
 	// Get returns the value stored under key and whether it was present
 	// and intact. The returned slice is shared; callers must not mutate
@@ -73,4 +73,3 @@ type CacheBackend interface {
 type PeerHealth interface {
 	PeerState() (state string, ok bool)
 }
-

@@ -18,7 +18,6 @@ import (
 func TestBackendConformance(t *testing.T) {
 	factories := []cachetest.Factory{
 		{Name: "lru", Prefix: "server.cache", New: newLRU},
-		{Name: "sharded", Prefix: "server.cache", New: newSharded},
 		{Name: "disk", Prefix: "server.cache", New: newDisk},
 		{Name: "peer", Prefix: "server.cache", New: newPeer},
 		{Name: "tiered", Prefix: "server.cache", New: newTiered},
@@ -64,10 +63,6 @@ func newTieredAt(t *testing.T, reg *obs.Registry, budget int64, dir string) serv
 
 func newLRU(t *testing.T, reg *obs.Registry, budget int64) server.CacheBackend {
 	return server.NewLRUBackend(budget, reg, "server.cache")
-}
-
-func newSharded(t *testing.T, reg *obs.Registry, budget int64) server.CacheBackend {
-	return server.NewShardedBackend(budget, 8, reg, "server.cache")
 }
 
 func newDisk(t *testing.T, reg *obs.Registry, budget int64) server.CacheBackend {

@@ -104,7 +104,7 @@ type Config struct {
 	// negative disables caching entirely. Ignored when Cache is set.
 	CacheBytes int64
 	// Cache overrides the default single-LRU backend with any
-	// CacheBackend composition (sharded, disk, tiered, peer — see
+	// CacheBackend composition (disk, tiered, peer — see
 	// DESIGN.md §10). Nil means a byte-budgeted LRU of CacheBytes.
 	Cache CacheBackend
 	// PeerView is the backend served to other zipserverd instances on

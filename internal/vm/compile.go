@@ -3,7 +3,6 @@ package vm
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"github.com/zipchannel/zipchannel/internal/isa"
 )
@@ -31,54 +30,6 @@ import (
 // text with the same faulting PC, and same obs counter totals. The
 // all-victims differential test and FuzzVMDifferential (internal/core)
 // enforce this.
-
-// Engine selects how Run executes a program.
-type Engine uint8
-
-// Engine choices. The zero value (EngineAuto) picks the compiled engine
-// whenever the machine is eligible (flat memory), which is the default
-// everywhere; EngineInterp forces the interpreter, kept for differential
-// runs and the opcode-pair profile.
-const (
-	EngineAuto Engine = iota
-	EngineInterp
-	EngineCompiled
-)
-
-// String names the engine.
-func (e Engine) String() string {
-	switch e {
-	case EngineInterp:
-		return "interp"
-	case EngineCompiled:
-		return "compiled"
-	default:
-		return "auto"
-	}
-}
-
-// ParseEngine parses an -engine flag value.
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "interp":
-		return EngineInterp, nil
-	case "compiled":
-		return EngineCompiled, nil
-	case "", "auto":
-		return EngineAuto, nil
-	}
-	return EngineAuto, fmt.Errorf("vm: unknown engine %q (want interp or compiled)", s)
-}
-
-// defaultEngine is the process-wide default applied to newly created VMs
-// (CLIs set it from their -engine flag before running).
-var defaultEngine atomic.Int32
-
-// SetDefaultEngine sets the engine newly created VMs start with.
-func SetDefaultEngine(e Engine) { defaultEngine.Store(int32(e)) }
-
-// DefaultEngine returns the engine newly created VMs start with.
-func DefaultEngine() Engine { return Engine(defaultEngine.Load()) }
 
 // stepFn executes one instruction (or one fused pair) against v and
 // returns the next pc. On error it leaves v.PC at the failing

@@ -69,39 +69,6 @@ loop:
 	}
 }
 
-func TestParseEngine(t *testing.T) {
-	for _, tc := range []struct {
-		s    string
-		want Engine
-	}{{"auto", EngineAuto}, {"interp", EngineInterp}, {"compiled", EngineCompiled}} {
-		got, err := ParseEngine(tc.s)
-		if err != nil || got != tc.want {
-			t.Errorf("ParseEngine(%q) = %v, %v; want %v", tc.s, got, err, tc.want)
-		}
-		if got.String() != tc.s {
-			t.Errorf("Engine(%v).String() = %q, want %q", got, got.String(), tc.s)
-		}
-	}
-	if _, err := ParseEngine("jit"); err == nil {
-		t.Error("ParseEngine(\"jit\") should fail")
-	}
-}
-
-func TestDefaultEngine(t *testing.T) {
-	old := DefaultEngine()
-	defer SetDefaultEngine(old)
-
-	SetDefaultEngine(EngineInterp)
-	p := mustAssemble(t, "main:\n  mov r1, 1\n  halt\n")
-	v, err := NewFlat(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Engine != EngineInterp {
-		t.Fatalf("New did not seed Engine from the process default: got %v", v.Engine)
-	}
-}
-
 func TestPairProfileForcesInterp(t *testing.T) {
 	p := mustAssemble(t, `
 main:

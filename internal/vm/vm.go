@@ -64,10 +64,10 @@ type VM struct {
 	Steps    uint64
 	MaxSteps uint64
 
-	// Engine selects the Run execution strategy (compile.go). The zero
-	// value EngineAuto means compiled whenever the machine is eligible
-	// (flat memory); New seeds it from the process default.
-	Engine Engine
+	// Interp forces Run onto the interpreter where the compiled engine
+	// (compile.go) is eligible; the differential tests set it to compare
+	// the two.
+	Interp bool
 
 	input    []byte
 	inputPos int
@@ -89,7 +89,7 @@ const DefaultMaxSteps = 500_000_000
 // New creates a VM for prog with the given memory, copying the program's
 // .init data into place.
 func New(prog *isa.Program, mem Memory) (*VM, error) {
-	v := &VM{Prog: prog, Mem: mem, PC: prog.Entry, MaxSteps: DefaultMaxSteps, Engine: DefaultEngine()}
+	v := &VM{Prog: prog, Mem: mem, PC: prog.Entry, MaxSteps: DefaultMaxSteps}
 	v.dec = decodeProgram(prog)
 	v.flat, _ = mem.(*FlatMemory)
 	type rawWriter interface{ WriteBytes(uint64, []byte) error }
@@ -154,10 +154,7 @@ func (v *VM) Run() error {
 // (SGX) memory always interprets: the fast path has no fault/resume
 // story. The opcode-pair profiler is interpreter-only by design.
 func (v *VM) useCompiled() bool {
-	if v.flat == nil || v.pair != nil {
-		return false
-	}
-	return v.Engine != EngineInterp
+	return v.flat != nil && v.pair == nil && !v.Interp
 }
 
 // Step executes a single instruction. On *Fault the PC is unchanged.
