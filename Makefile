@@ -10,11 +10,16 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Static analysis beyond vet: staticcheck at a pinned version so CI runs
-# are reproducible. `go run` fetches it on first use (needs module network
+# Static analysis beyond vet: a gofmt check over the tracked Go files
+# (git ls-files, so build output such as .bench_build/ is never scanned),
+# then staticcheck at a pinned version so CI runs are reproducible.
+# `go run` fetches staticcheck on first use (needs module network
 # access); override STATICCHECK to point at a local binary offline.
+GOFMT ?= gofmt
 STATICCHECK ?= $(GO) run honnef.co/go/tools/cmd/staticcheck@2025.1.1
 lint: vet
+	@unformatted=$$($(GOFMT) -l $$(git ls-files '*.go')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	$(STATICCHECK) ./...
 
 test:

@@ -64,9 +64,9 @@ var budgets = []budget{
 	{name: "taint/bzip2-2KiB", runs: 10, setup: taintRun, allocs: 16, bytes: 561637},
 	{name: "taint/lzw-16KiB-random", runs: 10, setup: taintLZWRandom, allocs: 549, bytes: 5523502},
 	{name: "sgx/attack-10KiB", runs: 3, setup: sgxAttack, allocs: 703, bytes: 3095672},
-	{name: "serve/v1-hit", runs: 200, setup: serveHit, allocs: 49, bytes: 10753},
-	{name: "serve/v1-miss", runs: 100, setup: serveMiss, allocs: 86, bytes: 153769},
-	{name: "serve/page-put-get", runs: 100, setup: pagePutGet, allocs: 124, bytes: 158680},
+	{name: "serve/v1-hit", runs: 200, setup: serveHit, allocs: 44, bytes: 10165},
+	{name: "serve/v1-miss", runs: 100, setup: serveMiss, allocs: 84, bytes: 153438},
+	{name: "serve/page-put-get", runs: 100, setup: pagePutGet, allocs: 122, bytes: 158038},
 	{name: "codec/bwt-compress-4KiB", runs: 20, setup: bwtCompress, allocs: 191, bytes: 276398},
 }
 

@@ -9,8 +9,8 @@ import (
 )
 
 // A minimal Prometheus text-exposition parser — the verifying half of
-// prom.go, used by cmd/promcheck and the zipserverd end-to-end test to
-// prove that what the server exposes is actually scrapeable. It checks
+// prom.go, used by the zipserverd end-to-end test to prove that what
+// the server exposes is actually scrapeable. It checks
 // the rules an external scraper would: metric-name and label-name charsets,
 // label-value escaping, float-parseable values, TYPE declarations with
 // known types, histogram families exposing _sum/_count and cumulative

@@ -42,7 +42,7 @@ import (
 const (
 	stepsPerInsert  = 1
 	stepsPerFollow  = 2
-	stepsPerCmpWord = 1  // per 8 compared bytes
+	stepsPerCmpWord = 1 // per 8 compared bytes
 	stepsPerToken   = 24
 	stepsPerOutByte = 8
 	stepsPerProbe   = 2 // lzw dictionary probe: hash + table load

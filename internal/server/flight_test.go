@@ -8,10 +8,12 @@ package server
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -154,5 +156,81 @@ func TestFlightSharesFailures(t *testing.T) {
 	}
 	if shares == 0 || shares != errs {
 		t.Fatalf("shares = %d, shared errors = %d — followers did not share the leader's failure", shares, errs)
+	}
+}
+
+// TestFlightLeaderPanicReleasesKey: a leader that panics out of its
+// flight (here an injected gate panic, which propagates to the request's
+// panic recovery) must still end the flight. Before the fix the key
+// stayed registered with its done channel open, so every later miss on
+// the same content address blocked forever.
+func TestFlightLeaderPanicReleasesKey(t *testing.T) {
+	faults := fault.NewRegistry(1)
+	if err := faults.ArmAll("server.gate.acquire=panic@1"); err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	// In process, not over a listener: a wedged request must fail this
+	// test, not hang the server's shutdown.
+	s := New(Config{Registry: reg, Faults: faults, CodecRetries: -1})
+	body := []byte("a body whose leader panics")
+	for i := 0; i < 2; i++ {
+		done := make(chan int, 1)
+		go func() {
+			rec := httptest.NewRecorder()
+			s.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/lz77/compress", bytes.NewReader(body)))
+			done <- rec.Code
+		}()
+		select {
+		case code := <-done:
+			if code != http.StatusInternalServerError {
+				t.Fatalf("request %d: status %d, want 500", i, code)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("request %d still blocked after 2s: the panicked flight was never released", i)
+		}
+	}
+	if got := reg.Counter("server.errors.panic").Value(); got != 2 {
+		t.Fatalf("server.errors.panic = %d, want 2 (each leader's panic reaches its recovery)", got)
+	}
+}
+
+// TestFlightPanicFailsFollowers: followers waiting on a leader that
+// panics get a transient error instead of the leader's (absent) result,
+// and the panic itself continues up the leader's stack.
+func TestFlightPanicFailsFollowers(t *testing.T) {
+	var g flightGroup
+	key := cacheKey("compress", "lz77", "", []byte("panics"))
+	started := make(chan struct{})
+	release := make(chan struct{})
+	leaderPanic := make(chan any, 1)
+	go func() {
+		defer func() { leaderPanic <- recover() }()
+		g.do(key, func() ([]byte, error) {
+			close(started)
+			<-release
+			panic("leader crash")
+		})
+	}()
+	<-started
+	followerErr := make(chan error, 1)
+	var followerLed atomic.Bool
+	go func() {
+		_, _, err := g.do(key, func() ([]byte, error) { followerLed.Store(true); return nil, nil })
+		followerErr <- err
+	}()
+	// Give the follower time to join the held flight. One that arrives
+	// after the flight ended leads a fresh flight instead, which the
+	// check below allows.
+	time.Sleep(20 * time.Millisecond)
+	close(release)
+	if v := <-leaderPanic; v != "leader crash" {
+		t.Fatalf("leader recovered %v, want its own panic", v)
+	}
+	if err := <-followerErr; !followerLed.Load() && !errors.Is(err, errFlightPanic) {
+		t.Fatalf("follower err = %v, want errFlightPanic", err)
+	}
+	if _, _, err := g.do(key, func() ([]byte, error) { return nil, nil }); err != nil {
+		t.Fatalf("key still held after the panicked flight: %v", err)
 	}
 }

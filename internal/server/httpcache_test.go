@@ -38,9 +38,9 @@ func TestParseCacheControl(t *testing.T) {
 		{"no-cache", cacheControl{NoCache: true, MaxAge: -1}},
 		{"No-Store , max-age=60", cacheControl{NoStore: true, MaxAge: 60}},
 		{`max-age="30"`, cacheControl{MaxAge: 30}},
-		{"max-age=-5", cacheControl{MaxAge: -1}},  // negative: ignored
-		{"max-age=abc", cacheControl{MaxAge: -1}}, // junk value: ignored
-		{"max-age", cacheControl{MaxAge: -1}},     // valueless: ignored
+		{"max-age=-5", cacheControl{MaxAge: -1}},                                   // negative: ignored
+		{"max-age=abc", cacheControl{MaxAge: -1}},                                  // junk value: ignored
+		{"max-age", cacheControl{MaxAge: -1}},                                      // valueless: ignored
 		{"private, immutable, stale-while-revalidate=7", cacheControl{MaxAge: -1}}, // unknown directives
 		{"=,, =;===,no-cache", cacheControl{NoCache: true, MaxAge: -1}},            // garbage + real
 	}

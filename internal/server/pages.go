@@ -2,8 +2,9 @@ package server
 
 // The pagestore surface: PUT/GET /v1/pages/{id} mounts an
 // internal/pagestore.Store behind the same middleware stack as the
-// codec endpoints — worker gate, request deadline, tracing, SLO
-// accounting, and the access log (codec "pages", op "put"/"get").
+// codec endpoints — the work gate (slots, shedding, request deadline),
+// tracing, SLO accounting, and the access log (codec "pages", op
+// "put"/"get").
 //
 // The response deliberately leaks the page's store cost in the
 // X-Page-Steps header: a remote attacker co-located with a secret in
@@ -22,6 +23,7 @@ import (
 	"strconv"
 
 	"github.com/zipchannel/zipchannel/internal/fault"
+	"github.com/zipchannel/zipchannel/internal/obs"
 	"github.com/zipchannel/zipchannel/internal/pagestore"
 )
 
@@ -58,7 +60,9 @@ func (s *Server) pageError(w http.ResponseWriter, err error) {
 		// recovery path depends on exactly this mapping.
 		s.reg.Counter("server.errors.page_corrupt").Inc()
 		http.Error(w, err.Error(), http.StatusInternalServerError)
-	case errors.Is(err, fault.ErrInjected):
+	case errors.Is(err, errShed):
+		s.writeShed(w, "pages")
+	case errors.Is(err, fault.ErrInjected), errors.Is(err, errTransient):
 		s.reg.Counter("server.errors.transient").Inc()
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
@@ -70,34 +74,20 @@ func (s *Server) pageError(w http.ResponseWriter, err error) {
 	}
 }
 
-// runPageOp executes one store operation inside a worker slot — page
-// compression is codec work, so it shares the same bounded gate as the
-// /v1/{codec} endpoints — containing panics (injected pagestore faults
-// included) as errors.
+// runPageOp executes one store operation under the work gate — page
+// compression is codec work, so it shares the slots, shedding and
+// deadline of the /v1/{codec} endpoints. The gate contains panics
+// (injected pagestore faults included) as transient errors.
 func (s *Server) runPageOp(ctx context.Context, op string, fn func() error) error {
-	var opErr error
-	_, gsp := s.tracer.StartSpan(ctx, "server.gate.wait")
-	wait, gateErr := s.gate.DoCtxWait(ctx, func() {
-		gsp.End()
-		_, psp := s.tracer.StartSpan(ctx, "server.pages.run")
-		psp.SetAttr("op", op)
-		defer psp.End()
-		defer func() {
-			if v := recover(); v != nil {
-				s.reg.Counter("server.errors.codec_panic").Inc()
-				opErr = fmt.Errorf("%w: pagestore panic: %v", fault.ErrInjected, v)
-			}
-		}()
-		opErr = fn()
+	ctx, cancel, err := s.gate.enter(ctx)
+	if err != nil {
+		return err
+	}
+	defer s.gate.leave(cancel)
+	return s.gate.do(ctx, "server.pages.run", func(sp *obs.TraceSpan) error {
+		sp.SetAttr("op", op)
+		return fn()
 	})
-	gsp.End()
-	if ri := reqInfoFrom(ctx); ri != nil {
-		ri.gateWait += wait
-	}
-	if gateErr != nil {
-		return gateErr
-	}
-	return opErr
 }
 
 // handlePagePut serves PUT /v1/pages/{id}: store the request body into

@@ -8,17 +8,18 @@
 //   - a content-addressed (SHA-256 keyed), byte-budgeted LRU response cache
 //     with hit/miss/eviction counters and per-entry integrity checksums
 //     (corrupted stored responses degrade to misses, never to wrong bytes),
-//   - a bounded worker gate (internal/par.Gate) so concurrent codec
-//     executions are capped at an explicit -workers regardless of open
-//     connections,
-//   - per-request deadlines and panic-recovery middleware (a crashing codec
-//     worker is a 500 and a counter, never a dead process),
+//   - one work gate (gate.go) that codec and page work share: it caps
+//     concurrent executions at an explicit -workers regardless of open
+//     connections, sheds overload with 503 + Retry-After, and starts the
+//     request deadline when work enters it (a cache hit never does),
+//   - panic-recovery middleware (a crashing codec worker is a 500 and a
+//     counter, never a dead process),
 //   - a deterministic circuit breaker per codec/op: consecutive transient
 //     codec failures trip it open, cached responses keep flowing while
 //     uncached requests fast-fail 503 until a trial succeeds,
 //   - named fault-injection points (internal/fault) on the codec workers,
-//     the cache, and pool admission, so chaos runs (make test-chaos) can
-//     rehearse all of the above deterministically,
+//     the cache, and the gate's slot acquisition, so chaos runs (make
+//     test-chaos) can rehearse all of the above deterministically,
 //   - request metrics counted straight into the server's obs.Registry
 //     (per-codec/op instruments resolved once in New), exposed at
 //     GET /metrics as a canonical obs snapshot, plus GET /healthz for
@@ -48,6 +49,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -57,7 +59,6 @@ import (
 	"github.com/zipchannel/zipchannel/internal/fault"
 	"github.com/zipchannel/zipchannel/internal/obs"
 	"github.com/zipchannel/zipchannel/internal/pagestore"
-	"github.com/zipchannel/zipchannel/internal/par"
 )
 
 // Version identifies the server build in /healthz; bumped when the HTTP
@@ -68,8 +69,8 @@ const Version = "0.9.0"
 const (
 	DefaultMaxBodyBytes = 8 << 20  // 8 MiB per request body
 	DefaultCacheBytes   = 64 << 20 // 64 MiB of cached responses
-	// DefaultRequestTimeout bounds one request end to end: gate wait,
-	// codec execution, and transient retries.
+	// DefaultRequestTimeout bounds one request's gate work: queue wait,
+	// execution, and transient retries.
 	DefaultRequestTimeout = 30 * time.Second
 	// DefaultBreakerThreshold is how many consecutive transient codec
 	// failures open the circuit breaker for that codec/op.
@@ -116,24 +117,31 @@ type Config struct {
 	// Cache-Control response header on /v1 responses; 0 means
 	// DefaultCacheMaxAge, negative disables the header.
 	CacheMaxAge int
-	// Workers caps concurrent codec executions; <= 0 means GOMAXPROCS.
+	// Workers caps concurrent codec executions and page operations; <= 0
+	// means GOMAXPROCS.
 	Workers int
-	// QueueLimit caps how many codec-execution requests may wait for a
-	// worker beyond the ones executing; past it the admission controller
-	// sheds with 503 + Retry-After instead of queueing (DESIGN.md §13).
+	// QueueLimit caps how many requests (codec executions and page
+	// operations) may wait for a worker beyond the ones executing; past
+	// it the gate sheds with 503 + Retry-After instead of queueing
+	// (DESIGN.md §13).
 	// 0 means DefaultQueueLimitFactor × Workers; negative disables
 	// shedding entirely (the pre-0.9 unbounded-queue behavior).
 	QueueLimit int
 	// Registry receives every request's metrics and serves /metrics.
 	// Created if nil.
 	Registry *obs.Registry
-	// RequestTimeout bounds each request (gate wait + codec run +
-	// retries); 0 means DefaultRequestTimeout, negative disables.
+	// RequestTimeout bounds each request's gate work (queue wait +
+	// execution + retries), starting when the request enters the gate —
+	// a cache hit never does; 0 means DefaultRequestTimeout, negative
+	// disables.
 	RequestTimeout time.Duration
 	// Faults arms deterministic fault injection at the server's named
 	// points (server.codec.{compress,decompress}, server.cache.{get,put},
 	// server.gate.acquire). Nil disables injection entirely and leaves
-	// every output byte identical to a fault-free build.
+	// every output byte identical to a fault-free build. Armed, it also
+	// makes the server verify every compress response by decompressing
+	// it before it leaves the process, so corruption can only reach
+	// clients as a 500, never as wrong bytes.
 	Faults *fault.Registry
 	// BreakerThreshold is the consecutive-transient-failure count that
 	// opens a codec/op breaker; 0 means DefaultBreakerThreshold, negative
@@ -145,11 +153,6 @@ type Config struct {
 	// CodecRetries caps transient-failure retries per request; 0 means
 	// DefaultCodecRetries, negative disables retries.
 	CodecRetries int
-	// SelfCheck makes the server verify every compress response by
-	// decompressing it before it leaves the process (corruption can then
-	// only reach clients as a 500, never as wrong bytes). Forced on when
-	// Faults is non-nil.
-	SelfCheck bool
 	// Tracer records a span tree per /v1 request (server.request plus
 	// gate/breaker/codec/cache children), honoring incoming traceparent
 	// headers and echoing the request's traceparent on responses. Nil
@@ -178,14 +181,12 @@ type Config struct {
 type Server struct {
 	maxBody    int64
 	reg        *obs.Registry
-	gate       *par.Gate
-	admission  *admission
+	gate       *gate
 	cache      CacheBackend
 	peerView   CacheBackend
 	flight     flightGroup
 	maxAge     int
 	mux        *http.ServeMux
-	reqTimeout time.Duration
 	retries    int
 	selfCheck  bool
 	tracer     *obs.Tracer
@@ -263,14 +264,12 @@ func New(cfg Config) *Server {
 	s := &Server{
 		maxBody:          cfg.MaxBodyBytes,
 		reg:              cfg.Registry,
-		gate:             par.NewGate(cfg.Workers),
 		cache:            cache,
 		peerView:         peerView,
 		maxAge:           cfg.CacheMaxAge,
 		mux:              http.NewServeMux(),
-		reqTimeout:       cfg.RequestTimeout,
 		retries:          cfg.CodecRetries,
-		selfCheck:        cfg.SelfCheck || cfg.Faults != nil,
+		selfCheck:        cfg.Faults != nil,
 		tracer:           cfg.Tracer,
 		sloLatency:       cfg.SLOLatency,
 		pages:            cfg.PageStore,
@@ -279,7 +278,6 @@ func New(cfg Config) *Server {
 		breakerCooldown:  cfg.BreakerCooldown,
 		breakers:         map[string]*breaker{},
 	}
-	s.admission = newAdmission(s.gate.Capacity(), cfg.QueueLimit, cfg.Registry)
 	s.reg.SetSimClock(s.simSteps.Load)
 	if cfg.AccessLog != nil {
 		s.accessSink = obs.NewTraceSink(cfg.AccessLog)
@@ -290,20 +288,8 @@ func New(cfg Config) *Server {
 		s.fpDecompress = cfg.Faults.Point("server.codec.decompress")
 		s.fpCacheGet = cfg.Faults.Point("server.cache.get")
 		s.fpCachePut = cfg.Faults.Point("server.cache.put")
-		fpGate := cfg.Faults.Point("server.gate.acquire")
-		s.gate.SetAdmit(func() error {
-			in := fpGate.Hit()
-			switch in.Kind {
-			case fault.KindPanic:
-				panic(fmt.Sprintf("fault: injected panic at %s", in.Point))
-			case fault.KindLatency:
-				time.Sleep(time.Duration(in.Param) * time.Microsecond)
-			case fault.KindError:
-				return fmt.Errorf("%w: %v", errTransient, in.Error())
-			}
-			return nil
-		})
 	}
+	s.gate = newGate(cfg.Workers, cfg.QueueLimit, cfg.RequestTimeout, cfg.Registry, cfg.Faults, cfg.Tracer)
 	// Every operational series (cache, breaker, SLO, per-codec request
 	// counters) is declared up front so scrapers see zeros from the
 	// first scrape; armed fault points are declared by AttachObs above.
@@ -341,15 +327,15 @@ func New(cfg Config) *Server {
 // counts into and /metrics serves.
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
-// Workers reports the codec-execution concurrency cap.
-func (s *Server) Workers() int { return s.gate.Capacity() }
+// Workers reports the gate's concurrency cap.
+func (s *Server) Workers() int { return cap(s.gate.slots) }
 
-// ServeHTTP applies the resilience and observability middleware — per-
-// request deadline, panic recovery, and (for /v1 codec requests) trace
-// context, access logging, and SLO accounting — then dispatches to the
-// server's routes. A panic anywhere below (a codec worker, an injected
-// fault, a bug) is converted into a 500 and a server.errors.panic
-// counter; the process never dies with a request.
+// ServeHTTP applies the resilience and observability middleware — panic
+// recovery and (for /v1 requests) trace context, access logging, and SLO
+// accounting — then dispatches to the server's routes. A panic anywhere
+// below (a codec worker, an injected fault, a bug) is converted into a
+// 500 and a server.errors.panic counter; the process never dies with a
+// request.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -357,11 +343,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, fmt.Sprintf("internal error: %v", v), http.StatusInternalServerError)
 		}
 	}()
-	if s.reqTimeout > 0 {
-		ctx, cancel := context.WithTimeout(r.Context(), s.reqTimeout)
-		defer cancel()
-		r = r.WithContext(ctx)
-	}
 	if !strings.HasPrefix(r.URL.Path, "/v1/") {
 		// Scrapes and probes stay outside the traced path: they advance
 		// no sim step, mint no trace, and write no access-log line.
@@ -527,12 +508,8 @@ func (s *Server) handleCodec(w http.ResponseWriter, r *http.Request) {
 		if codecErr != nil {
 			switch {
 			case errors.Is(codecErr, errShed):
-				// Overload: refuse with a drain-time hint so a retrying
-				// client's next attempt lands when a slot is plausible.
 				ri.cacheTier = "shed"
-				w.Header().Set("Retry-After", fmt.Sprint(s.admission.retryAfterSeconds()))
-				http.Error(w, fmt.Sprintf("%s %s overloaded (queue full), retry later", name, op),
-					http.StatusServiceUnavailable)
+				s.writeShed(w, name+" "+op)
 			case errors.Is(codecErr, errBreakerOpen):
 				s.reg.Counter("server.breaker.rejected").Inc()
 				// The breaker's cooldown is counted in requests, not
@@ -668,75 +645,50 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool)
 	return body, true
 }
 
-// runCodec executes one codec operation under the worker gate, retrying
+// runCodec executes one codec operation under the work gate, retrying
 // transient failures (injected faults, codec panics, failed self-checks,
-// injected pool-admission errors) up to s.retries times while the request
-// deadline lives. Genuine codec errors (bad input) are returned on the
-// first attempt — retrying a deterministic parse failure only burns a
-// worker slot.
+// injected slot-acquisition errors) up to s.retries times while the
+// request deadline lives. Retries hold one admission and take a fresh
+// slot each. Genuine codec errors (bad input) are returned on the first
+// attempt — retrying a deterministic parse failure only burns a slot.
 func (s *Server) runCodec(ctx context.Context, cd codec.Codec, op string,
 	fp *fault.Point, run func([]byte) ([]byte, error), body []byte) ([]byte, error) {
-	// Overload admission covers the whole gate interaction — queue wait,
-	// execution, and retries hold one admission slot, so the controller's
-	// inSystem count is exactly the load the gate is carrying.
-	release, admErr := s.admission.acquire(ctx)
-	if admErr != nil {
-		return nil, admErr
+	ctx, cancel, err := s.gate.enter(ctx)
+	if err != nil {
+		return nil, err
 	}
-	defer release()
-	var lastErr error
+	defer s.gate.leave(cancel)
 	for attempt := 0; ; attempt++ {
 		var out []byte
-		var execErr error
-		_, gsp := s.tracer.StartSpan(ctx, "server.gate.wait")
-		wait, gateErr := s.gate.DoCtxWait(ctx, func() {
-			gsp.End() // admission: the wait is over once fn starts
-			_, csp := s.tracer.StartSpan(ctx, "server.codec.run")
-			csp.SetAttr("op", op)
-			csp.SetAttr("attempt", attempt)
-			defer csp.End()
-			execStart := time.Now()
-			out, execErr = s.execOnce(fp, run, body, csp)
-			s.admission.observeExec(time.Since(execStart))
+		err := s.gate.do(ctx, "server.codec.run", func(sp *obs.TraceSpan) (err error) {
+			sp.SetAttr("op", op)
+			sp.SetAttr("attempt", attempt)
+			out, err = s.execOnce(fp, run, body, sp)
+			return err
 		})
-		gsp.End() // idempotent: closes the span on the rejected path too
-		if ri := reqInfoFrom(ctx); ri != nil {
-			ri.gateWait += wait
-		}
-		switch {
-		case gateErr != nil:
-			lastErr = gateErr
-		case execErr != nil:
-			lastErr = execErr
-		default:
-			if s.selfCheck && op == "compress" {
-				if back, err := cd.Decompress(out); err != nil || !bytes.Equal(back, body) {
-					s.reg.Counter("server.errors.selfcheck").Inc()
-					lastErr = fmt.Errorf("%w: compress output failed decompression self-check", errTransient)
-					break
-				}
+		if err == nil && s.selfCheck && op == "compress" {
+			if back, derr := cd.Decompress(out); derr != nil || !bytes.Equal(back, body) {
+				s.reg.Counter("server.errors.selfcheck").Inc()
+				err = fmt.Errorf("%w: compress output failed decompression self-check", errTransient)
 			}
+		}
+		if err == nil {
 			return out, nil
 		}
-		if !errors.Is(lastErr, errTransient) || attempt >= s.retries || ctx.Err() != nil {
-			return nil, lastErr
+		if !errors.Is(err, errTransient) || attempt >= s.retries || ctx.Err() != nil {
+			return nil, err
 		}
 		s.reg.Counter("server.codec.retries").Inc()
 	}
 }
 
 // execOnce runs the codec once inside a worker slot, applying the codec
-// fault point and containing panics — injected or genuine — as transient
-// errors so the retry loop and the breaker see them instead of the client.
-// A fired injection is recorded on the codec-run span (nil-safe).
+// fault point; the gate contains its panics, injected or genuine, as
+// transient errors so the retry loop and the breaker see them instead of
+// the client. A fired injection is recorded on the codec-run span
+// (nil-safe).
 func (s *Server) execOnce(fp *fault.Point, run func([]byte) ([]byte, error), body []byte,
-	sp *obs.TraceSpan) (out []byte, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			s.reg.Counter("server.errors.codec_panic").Inc()
-			out, err = nil, fmt.Errorf("%w: codec panic: %v", errTransient, v)
-		}
-	}()
+	sp *obs.TraceSpan) ([]byte, error) {
 	s.reg.Counter("server.codec.executions").Inc()
 	in := fp.Hit()
 	if in.Fired() {
@@ -750,13 +702,21 @@ func (s *Server) execOnce(fp *fault.Point, run func([]byte) ([]byte, error), bod
 	case fault.KindLatency:
 		time.Sleep(time.Duration(in.Param) * time.Microsecond)
 	}
-	out, err = run(body)
+	out, err := run(body)
 	if err != nil {
 		return nil, err
 	}
 	// Injected output corruption: the compress self-check (or, for cached
 	// entries, the integrity checksum) is what must catch this.
 	return in.CorruptCopy(out), nil
+}
+
+// writeShed answers a request the gate shed: 503 with a drain-time
+// Retry-After hint, so a retrying client's next attempt lands when a
+// slot is plausible.
+func (s *Server) writeShed(w http.ResponseWriter, what string) {
+	w.Header().Set("Retry-After", strconv.Itoa(s.gate.retryAfterSeconds()))
+	http.Error(w, what+" overloaded (queue full), retry later", http.StatusServiceUnavailable)
 }
 
 // handleMetrics serves the server registry: the canonical obs snapshot by
@@ -849,11 +809,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Version:        Version,
 		Go:             runtime.Version(),
 		Codecs:         codec.Names(),
-		Workers:        s.gate.Capacity(),
+		Workers:        cap(s.gate.slots),
 		UptimeSimSteps: s.simSteps.Load(),
 		UptimeSeconds:  time.Since(s.started).Seconds(),
 		Breakers:       breakers,
-		Overload:       s.admission.health(),
+		Overload:       s.gate.health(),
 		Cache:          cacheHealth,
 	}
 	if s.pages != nil {

@@ -1,6 +1,9 @@
 package server
 
-import "sync"
+import (
+	"fmt"
+	"sync"
+)
 
 // flightGroup coalesces concurrent codec executions for one content
 // address: when a miss storm lands on a single key (the Zipf-head case
@@ -24,10 +27,16 @@ type flightCall struct {
 	err  error
 }
 
+// errFlightPanic is what followers get when their leader panicked: the
+// panic itself stays with the leader's request.
+var errFlightPanic = fmt.Errorf("%w: coalesced request's leader panicked", errTransient)
+
 // do runs fn under the key's flight, returning fn's result, whether this
 // caller shared a leader's result instead of executing (shared=true for
 // followers), and fn's error. fn runs exactly once per flight however
-// many callers pile on.
+// many callers pile on. A panicking fn still ends the flight — followers
+// get errFlightPanic and the key is free for the next miss — and the
+// panic continues up the leader's stack.
 func (g *flightGroup) do(key Key, fn func() ([]byte, error)) (val []byte, shared bool, err error) {
 	g.mu.Lock()
 	if g.calls == nil {
@@ -42,11 +51,13 @@ func (g *flightGroup) do(key Key, fn func() ([]byte, error)) (val []byte, shared
 	g.calls[key] = c
 	g.mu.Unlock()
 
+	c.err = errFlightPanic
+	defer func() {
+		g.mu.Lock()
+		delete(g.calls, key)
+		g.mu.Unlock()
+		close(c.done)
+	}()
 	c.val, c.err = fn()
-
-	g.mu.Lock()
-	delete(g.calls, key)
-	g.mu.Unlock()
-	close(c.done)
 	return c.val, false, c.err
 }
