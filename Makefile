@@ -103,14 +103,15 @@ test-chaos:
 		./internal/server/ ./internal/zipchannel/ ./cmd/zipload/ ./internal/pagestore/ ./cmd/zipserverd/
 
 # Regenerate golden files (obs snapshot, server /metrics, TaintChannel
-# reports, experiments example manifest).
+# reports, attack snapshots, zipserverd cache topologies, and the
+# experiments' sgx quick manifest and quick-suite digest).
 golden:
 	$(GO) test ./internal/obs/ -run TestSnapshotGolden -update
 	$(GO) test ./internal/server/ -run TestMetricsGolden -update
 	$(GO) test ./internal/core/ -run TestReportGolden -update
-	@set -e; out=cmd/experiments/testdata/sgx-quick.json; \
-	$(GO) run ./cmd/experiments -run sgx -quick -json > $$out.tmp || { rm -f $$out.tmp; exit 1; }; \
-	mv $$out.tmp $$out
+	$(GO) test ./internal/zipchannel/ -run TestAttackSnapshotGolden -update
+	$(GO) test ./cmd/zipserverd/ -run TestCacheTopologies -update
+	$(GO) test ./cmd/experiments/ -run TestSGXQuickGolden -update
 
 clean:
 	$(GO) clean ./...

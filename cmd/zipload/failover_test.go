@@ -142,47 +142,54 @@ func TestHedgedRaceFastFailure(t *testing.T) {
 	}
 }
 
-// startInstance boots a real zipserverd core for cluster tests.
-func startInstance(t *testing.T) *httptest.Server {
-	t.Helper()
-	s := server.New(server.Config{
-		Registry: obs.NewRegistry(),
-		Faults:   fault.NewRegistry(1),
-	})
-	ts := httptest.NewServer(s)
-	t.Cleanup(ts.Close)
-	return ts
-}
-
 // TestRunLoadFailsOverAroundMidRunDeath: two-instance cluster, one dies
 // mid-run. The load must finish with zero errors (failover + retries
 // carry it), count failovers, and classify the dead instance as
 // unreachable for the exit-code path.
 func TestRunLoadFailsOverAroundMidRunDeath(t *testing.T) {
-	a := startInstance(t)
-
-	// Instance B dies after serving 20 codec requests — request-driven so
-	// the load is demonstrably underway (and the pre-run health check long
-	// past) when it goes, however slow the build (-race) is.
-	core := server.New(server.Config{
-		Registry: obs.NewRegistry(),
-		Faults:   fault.NewRegistry(1),
-	})
-	var served atomic.Int64
-	var dead sync.Once
-	var b *httptest.Server
-	b = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if strings.HasPrefix(r.URL.Path, "/v1/") && served.Add(1) == 20 {
-			go dead.Do(func() {
-				b.CloseClientConnections()
-				b.Close()
-			})
-		}
-		core.ServeHTTP(w, r)
-	}))
-	t.Cleanup(b.Close)
+	// The instance that served more of the load's first killAt /v1
+	// requests (of ~320) dies then — request-driven, so the load is
+	// demonstrably underway (and the pre-run health check long past) when
+	// it goes, however slow the build (-race) is. The ring places the 21
+	// pool bodies by the instances' ephemeral ports, and one instance can
+	// own only a few of them: it may serve under 20 requests in the whole
+	// run, so killing a fixed instance after its own 20th request can
+	// miss the run. The busier instance keeps most of each client's
+	// remaining requests, enough for every client to mark it down.
+	const killAt = 40
+	var (
+		served [2]atomic.Int64
+		total  atomic.Int64
+		victim atomic.Int64
+		dead   sync.Once
+		ts     [2]*httptest.Server
+	)
+	for i := range ts {
+		core := server.New(server.Config{
+			Registry: obs.NewRegistry(),
+			Faults:   fault.NewRegistry(1),
+		})
+		ts[i] = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if strings.HasPrefix(r.URL.Path, "/v1/") {
+				served[i].Add(1)
+				if total.Add(1) == killAt {
+					v := 0
+					if served[1].Load() > served[0].Load() {
+						v = 1
+					}
+					victim.Store(int64(v))
+					go dead.Do(func() {
+						ts[v].CloseClientConnections()
+						ts[v].Close()
+					})
+				}
+			}
+			core.ServeHTTP(w, r)
+		}))
+		t.Cleanup(ts[i].Close)
+	}
 	res, err := runLoad(loadConfig{
-		URLs:      []string{a.URL, b.URL},
+		URLs:      []string{ts[0].URL, ts[1].URL},
 		Clients:   4,
 		Requests:  40,
 		Codecs:    []string{"lz77"},
@@ -201,10 +208,10 @@ func TestRunLoadFailsOverAroundMidRunDeath(t *testing.T) {
 	}
 	snap := res.Registry.Snapshot()
 	if snap.Counters["zipload.failovers"] == 0 {
-		t.Fatal("no failovers counted around a dead instance")
+		t.Fatalf("no failovers counted around a dead instance (served %d and %d)", served[0].Load(), served[1].Load())
 	}
-	if len(res.Unreachable) != 1 || res.Unreachable[0] != b.URL {
-		t.Fatalf("Unreachable = %v, want [%s]", res.Unreachable, b.URL)
+	if want := ts[victim.Load()].URL; len(res.Unreachable) != 1 || res.Unreachable[0] != want {
+		t.Fatalf("Unreachable = %v, want [%s]", res.Unreachable, want)
 	}
 }
 

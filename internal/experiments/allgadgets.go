@@ -11,9 +11,9 @@ import (
 
 // AllGadgetsSGX regenerates E13, our extension of the paper's §V attack
 // to the other two surveyed gadgets: §IV-E proves that zlib and
-// ncompress leak through the cache exactly like bzip2, and the
-// generalized two-array stepper turns those survey results into
-// end-to-end extractions with the same §V machinery.
+// ncompress leak through the cache exactly like bzip2, and the Fig 5
+// stepper over their two-array gadget loops turns those survey results
+// into end-to-end extractions with the same §V machinery.
 //
 // The four extractions are independent attack repetitions, so they fan
 // out across ctx.Parallelism workers. Each runs against a private

@@ -22,42 +22,48 @@ func (e *Enclave) AttachObs(reg *obs.Registry) {
 	e.obs.faultPage = reg.Histogram("sgx.fault_page")
 }
 
-// stepperObs is shared by both controlled-channel steppers; the metric
-// prefix distinguishes them (sgx.step vs sgx.step2).
+// stepperObs is the stepper's pre-resolved instruments. prefix is
+// sgx.step for Fig 5's three-array ring and sgx.step2 for the two-array
+// rings of §IV-E.
 type stepperObs struct {
+	prefix      string
 	starts      *obs.Counter
 	transitions *obs.Counter
 	iterations  *obs.Counter
-	s0s1        *obs.Counter
-	s1s2        *obs.Counter
-	s2s4        *obs.Counter
+	// hops counts Fig 5's edges S0->S1, S1->S2 and S2->S4, one per array
+	// of the three-array ring. A two-array ring's hops have no Fig 5
+	// names: its sgx.step2 edge counters are registered but stay zero.
+	hops [3]*obs.Counter
 }
 
-func attachStepperObs(reg *obs.Registry, prefix string) stepperObs {
-	return stepperObs{
-		starts:      reg.Counter(prefix + ".starts"),
-		transitions: reg.Counter(prefix + ".transitions"),
-		iterations:  reg.Counter(prefix + ".iterations"),
-		s0s1:        reg.Counter(prefix + ".s0_s1"),
-		s1s2:        reg.Counter(prefix + ".s1_s2"),
-		s2s4:        reg.Counter(prefix + ".s2_s4"),
+// hop counts the resume of ring[i] (a no-op without instruments).
+func (o *stepperObs) hop(i int) {
+	if i < len(o.hops) {
+		o.hops[i].Inc()
 	}
 }
 
-// AttachObs registers the Fig 5 state machine's telemetry on reg under
-// sgx.step: starts, per-edge transition counts (s0_s1, s1_s2, s2_s4),
-// completed iterations, and raw permission-flip transitions.
+// AttachObs registers the stepper's telemetry on reg under sgx.step (a
+// three-array ring) or sgx.step2 (a two-array ring): starts, per-edge
+// transition counts (s0_s1, s1_s2, s2_s4), completed iterations, and raw
+// permission-flip transitions.
 func (s *Stepper) AttachObs(reg *obs.Registry) {
-	s.obs = attachStepperObs(reg, "sgx.step")
-	// reg also backs the fault-path counters (sgx.step.protect_retries,
-	// sgx.step.noise_storms), registered lazily on first injection so
+	p := "sgx.step"
+	if len(s.ring) == 2 {
+		p = "sgx.step2"
+	}
+	s.obs = stepperObs{
+		prefix:      p,
+		starts:      reg.Counter(p + ".starts"),
+		transitions: reg.Counter(p + ".transitions"),
+		iterations:  reg.Counter(p + ".iterations"),
+	}
+	hops := [3]*obs.Counter{reg.Counter(p + ".s0_s1"), reg.Counter(p + ".s1_s2"), reg.Counter(p + ".s2_s4")}
+	if len(s.ring) == len(hops) {
+		s.obs.hops = hops
+	}
+	// reg also backs the fault-path counters (<prefix>.protect_retries,
+	// <prefix>.noise_storms), registered lazily on first injection so
 	// fault-free runs keep their snapshots unchanged.
 	s.reg = reg
-}
-
-// AttachObs registers the two-array stepper's telemetry on reg under
-// sgx.step2 (the s*_s* edge counters stay zero; its protocol has a single
-// resume pair per iteration).
-func (s *Stepper2) AttachObs(reg *obs.Registry) {
-	s.obs = attachStepperObs(reg, "sgx.step2")
 }

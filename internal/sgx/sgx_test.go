@@ -132,122 +132,54 @@ func TestEnclaveRemapKeepsContents(t *testing.T) {
 	}
 }
 
-// The stepper must single-step the whole loop, delivering exactly one
-// ftab page per input byte, with the pages matching ground truth.
-func TestStepperSingleStepsAllIterations(t *testing.T) {
+func TestEnclaveProtectUnknownSymbol(t *testing.T) {
+	prog := victims.ZlibInsertString()
+	e, err := NewEnclave(prog, NewFrameAllocator(0x1000, 4096))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Protect("nothere", vm.PermRW); err == nil {
+		t.Error("protecting an unknown symbol should error")
+	}
+}
+
+func TestEnclaveOnFaultHook(t *testing.T) {
 	prog := victims.BzipFtabAligned()
 	e, err := NewEnclave(prog, NewFrameAllocator(0x1000, 4096))
 	if err != nil {
 		t.Fatal(err)
 	}
-	input := []byte("The quick brown fox jumps over the lazy dog")
-	e.VM.SetInput(input)
-
-	st := NewStepper(e, "quadrant", "block", "ftab")
-	var transitions int
-	st.OnTransition = func() { transitions++ }
-
-	ok, err := st.Start()
-	if err != nil {
-		t.Fatalf("Start: %v", err)
+	e.VM.SetInput([]byte("xy"))
+	faults := 0
+	e.OnFault = func() { faults++ }
+	if err := e.Protect("ftab", vm.PermRead); err != nil {
+		t.Fatal(err)
 	}
+	if _, _, err := e.Resume(); err != nil {
+		t.Fatal(err)
+	}
+	if faults != 1 {
+		t.Errorf("OnFault fired %d times, want 1", faults)
+	}
+}
+
+func TestEnclavePhysAddr(t *testing.T) {
+	prog := victims.BzipFtabAligned()
+	e, err := NewEnclave(prog, NewFrameAllocator(0x9000, 4096))
+	if err != nil {
+		t.Fatal(err)
+	}
+	block := prog.MustSymbol("block")
+	pa, err := e.PhysAddr(block.Addr + 123)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, ok := e.FrameOf(block.Addr)
 	if !ok {
-		t.Fatal("Start: enclave halted before the loop")
+		t.Fatal("block page should be mapped")
 	}
-
-	ftab := prog.MustSymbol("ftab")
-	n := len(input)
-	var pages []uint64
-	for {
-		var page uint64
-		done, err := st.Step(func(p uint64) { page = p }, nil)
-		if err != nil {
-			t.Fatalf("Step %d: %v", len(pages), err)
-		}
-		pages = append(pages, page)
-		if done {
-			break
-		}
-		if len(pages) > n+1 {
-			t.Fatal("stepper did not terminate")
-		}
-	}
-	if len(pages) != n {
-		t.Fatalf("observed %d iterations, want %d", len(pages), n)
-	}
-	// Ground truth: iteration k corresponds to i = n-1-k, j =
-	// block[i]<<8 | block[(i+1)%n]; the page is of ftab.Addr + 4j.
-	for k, page := range pages {
-		i := n - 1 - k
-		j := uint64(input[i])<<8 | uint64(input[(i+1)%n])
-		want := (ftab.Addr + 4*j) &^ (PageSize - 1)
-		if page != want {
-			t.Errorf("iteration %d: page %#x, want %#x", k, page, want)
-		}
-	}
-	if transitions == 0 {
-		t.Error("transition hook never fired")
-	}
-}
-
-// After single-stepping, the histogram must equal a natively computed one:
-// stepping must not corrupt execution.
-func TestStepperPreservesSemantics(t *testing.T) {
-	prog := victims.BzipFtab(victims.BzipFtabOptions{FtabPad: 20})
-	e, err := NewEnclave(prog, NewFrameAllocator(0x1000, 8192))
-	if err != nil {
-		t.Fatal(err)
-	}
-	input := []byte("abracadabra")
-	e.VM.SetInput(input)
-	st := NewStepper(e, "quadrant", "block", "ftab")
-	if ok, err := st.Start(); err != nil || !ok {
-		t.Fatalf("Start: ok=%v err=%v", ok, err)
-	}
-	for {
-		done, err := st.Step(nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if done {
-			break
-		}
-	}
-	// Recompute expected histogram.
-	n := len(input)
-	want := map[uint64]uint64{}
-	for i := 0; i < n; i++ {
-		j := uint64(input[i])<<8 | uint64(input[(i+1)%n])
-		want[j]++
-	}
-	ftab := prog.MustSymbol("ftab")
-	for j, cnt := range want {
-		got, err := e.Mem.Load(ftab.Addr+4*j, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != cnt {
-			t.Errorf("ftab[%#x] = %d, want %d", j, got, cnt)
-		}
-	}
-}
-
-func TestStepperEmptyInput(t *testing.T) {
-	prog := victims.BzipFtabAligned()
-	e, err := NewEnclave(prog, NewFrameAllocator(0x1000, 4096))
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.VM.SetInput(nil)
-	st := NewStepper(e, "quadrant", "block", "ftab")
-	ok, err := st.Start()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok {
-		t.Error("empty input should halt before the loop")
-	}
-	if _, err := st.Step(nil, nil); !errors.Is(err, ErrProtocol) {
-		t.Errorf("Step without loop entry should be a protocol error, got %v", err)
+	want := frame*PageSize + (block.Addr+123)%PageSize
+	if pa != want {
+		t.Errorf("PhysAddr = %#x, want %#x", pa, want)
 	}
 }

@@ -19,14 +19,37 @@ const protectRetries = 3
 // machine does not expect (e.g. a different gadget layout).
 var ErrProtocol = errors.New("sgx: single-step protocol violation")
 
-// Stepper drives the controlled-channel state machine of Fig 5 over the
-// bzip2 histogram gadget: by rotating revoked permissions across the
-// quadrant, block, and ftab arrays — each accessed by exactly one line of
-// the loop — it single-steps the enclave one loop iteration at a time and
-// exposes the page of each ftab access.
+// Array is one array of a stepped gadget loop, named by its data symbol.
+// Store says the loop only stores to it: revoked, the array keeps read
+// permission so that only the store faults. An array the loop loads from
+// keeps no permission, so its first access — the load — faults.
+type Array struct {
+	Symbol string
+	Store  bool
+}
+
+// revoked is the permission the array keeps while revoked.
+func (a Array) revoked() vm.Perm {
+	if a.Store {
+		return vm.PermRead
+	}
+	return 0
+}
+
+// Stepper drives the controlled-channel state machine of Fig 5 over a
+// gadget loop: a table indexed by a secret-derived value plus the other
+// arrays the loop touches, each accessed by exactly one line of the loop.
+// Listed in loop order they form a ring, and revoking one array at a time
+// around it single-steps the enclave one loop iteration per turn while
+// exposing the page of each table access. The paper's bzip2 ring is
+// quadrant (store), block (load), ftab (store, the table); the same
+// machine steps zlib's head (store, the table), window (load) and
+// ncompress's htab (load, the table), inputbuf (load), the gadgets §IV-E
+// surveys.
 type Stepper struct {
-	e                     *Enclave
-	quadrant, block, ftab string
+	e     *Enclave
+	ring  []Array
+	table int // index of the table in ring
 
 	// OnTransition, if set, runs at every permission flip + resume: the
 	// hook where the simulation injects the OS/SGX transition noise that
@@ -43,13 +66,15 @@ type Stepper struct {
 	FaultTransition *fault.Point
 
 	started bool
+	page    uint64 // page base of the last fault, the table's when stopped there
 	obs     stepperObs
 	reg     *obs.Registry // backs lazily-registered fault-path counters
 }
 
-// NewStepper builds a stepper for the three gadget arrays.
-func NewStepper(e *Enclave, quadrant, block, ftab string) *Stepper {
-	return &Stepper{e: e, quadrant: quadrant, block: block, ftab: ftab}
+// NewStepper builds a stepper over ring, the gadget loop's arrays in loop
+// order, of which ring[table] is the table.
+func NewStepper(e *Enclave, ring []Array, table int) *Stepper {
+	return &Stepper{e: e, ring: ring, table: table}
 }
 
 func (s *Stepper) transition() {
@@ -59,7 +84,7 @@ func (s *Stepper) transition() {
 	}
 	if in := s.FaultTransition.Hit(); in.Kind == fault.KindLatency {
 		if s.reg != nil {
-			s.reg.Counter("sgx.step.noise_storms").Inc()
+			s.reg.Counter(s.obs.prefix + ".noise_storms").Inc()
 		}
 		n := int(in.Param)
 		if n <= 0 {
@@ -80,7 +105,7 @@ func (s *Stepper) protect(symbol string, perm vm.Perm) error {
 		if err := s.FaultProtect.Err(); err != nil {
 			if attempt < protectRetries {
 				if s.reg != nil {
-					s.reg.Counter("sgx.step.protect_retries").Inc()
+					s.reg.Counter(s.obs.prefix + ".protect_retries").Inc()
 				}
 				s.transition()
 				continue
@@ -91,128 +116,94 @@ func (s *Stepper) protect(symbol string, perm vm.Perm) error {
 	}
 }
 
-// Start lets the enclave run its input read and ftab clearing, then stops
-// it at the first quadrant store (state S0). Returns false if the enclave
-// halted before reaching the loop (empty input).
+// arrive checks that the enclave stopped at ring[k]'s access and records
+// the faulting page.
+func (s *Stepper) arrive(k int, f MaskedFault) error {
+	if a := s.ring[k]; f.Write != a.Store {
+		return fmt.Errorf("%w: expected a fault on %s (store %v), got %+v", ErrProtocol, a.Symbol, a.Store, f)
+	}
+	s.page = f.PageBase
+	return nil
+}
+
+// Start revokes ring[0] and lets the enclave run its set-up (input read,
+// table clearing) up to the first ring[0] access. Returns false if the
+// enclave halted before reaching the loop (input too short).
 func (s *Stepper) Start() (bool, error) {
-	if err := s.protect(s.quadrant, vm.PermRead); err != nil {
+	if err := s.protect(s.ring[0].Symbol, s.ring[0].revoked()); err != nil {
 		return false, err
 	}
 	s.transition()
 	f, faulted, err := s.e.Resume()
-	if err != nil {
+	if err != nil || !faulted {
+		return false, err // !faulted: halted before the loop
+	}
+	if err := s.arrive(0, f); err != nil {
 		return false, err
-	}
-	if !faulted {
-		return false, nil // halted: input too short to enter the loop
-	}
-	if !f.Write {
-		return false, fmt.Errorf("%w: expected quadrant write fault, got read fault at %#x", ErrProtocol, f.PageBase)
 	}
 	s.started = true
 	s.obs.starts.Inc()
 	return true, nil
 }
 
-// Step advances one loop iteration. It:
+// Step advances one loop iteration by going once around the ring. At
+// each array it restores that array, revokes the next one and resumes,
+// so exactly the one access of the current array executes before the
+// next array's access faults. While the enclave is stopped at the table
+// access it calls prime(tablePage) (the attacker fills the monitored
+// sets); after the resume that lets the table access run it calls
+// probe() (the attacker measures). That resume's own kernel footprint
+// still pollutes the cache (the attacker "simply logs any noisy cache
+// lines ... and will treat them as false positives", §V-C2), which is
+// what frame selection compensates for.
 //
-//  1. S0->S1: restores quadrant, revokes block; the quadrant store runs,
-//     the block load faults.
-//  2. S1->S2: restores block, revokes ftab writes; the block load runs,
-//     the ftab store faults — its masked address gives the accessed page.
-//  3. calls prime(ftabPageBase): the attacker fills the monitored sets.
-//  4. S2->S3->S4: restores ftab, revokes quadrant; exactly one victim
-//     memory access (the ftab increment) executes before the next
-//     iteration's quadrant store faults (or the loop exits and the
-//     enclave halts).
-//  5. calls probe(): the attacker measures.
-//
-// Returns done=true when the enclave halted (last iteration completed).
-func (s *Stepper) Step(prime func(ftabPage uint64), probe func()) (done bool, err error) {
+// Every fault must be the next array's declared access. A halt before
+// the iteration's table access is ErrProtocol; a halt after it returns
+// done=true (the last iteration completed).
+func (s *Stepper) Step(prime func(tablePage uint64), probe func()) (done bool, err error) {
 	if !s.started {
 		return false, fmt.Errorf("%w: Step before Start", ErrProtocol)
 	}
-	// S0 -> S1.
-	if err := s.protect(s.quadrant, vm.PermRW); err != nil {
-		return false, err
-	}
-	if err := s.protect(s.block, 0); err != nil {
-		return false, err
-	}
-	s.transition()
-	f, faulted, err := s.e.Resume()
-	if err != nil {
-		return false, err
-	}
-	if !faulted || f.Write {
-		return false, fmt.Errorf("%w: expected block read fault, got %s", ErrProtocol, exitString(f, faulted))
-	}
-	s.obs.s0s1.Inc()
-
-	// S1 -> S2.
-	if err := s.protect(s.block, vm.PermRW); err != nil {
-		return false, err
-	}
-	if err := s.protect(s.ftab, vm.PermRead); err != nil {
-		return false, err
-	}
-	s.transition()
-	f, faulted, err = s.e.Resume()
-	if err != nil {
-		return false, err
-	}
-	if !faulted || !f.Write {
-		return false, fmt.Errorf("%w: expected ftab write fault, got %s", ErrProtocol, exitString(f, faulted))
-	}
-	s.obs.s1s2.Inc()
-	ftabPage := f.PageBase
-
-	if prime != nil {
-		prime(ftabPage)
-	}
-
-	// S2 -> S3 -> S4: the single ftab access executes. This transition's
-	// own kernel footprint still pollutes the cache (the attacker "simply
-	// logs any noisy cache lines ... and will treat them as false
-	// positives", §V-C2), which is what frame selection compensates for.
-	if err := s.protect(s.ftab, vm.PermRW); err != nil {
-		return false, err
-	}
-	if err := s.protect(s.quadrant, vm.PermRead); err != nil {
-		return false, err
-	}
-	s.transition()
-	f, faulted, err = s.e.Resume()
-	if err != nil {
-		return false, err
-	}
-
-	s.obs.s2s4.Inc()
-	if probe != nil {
-		probe()
-	}
-	s.obs.iterations.Inc()
-
-	if !faulted {
-		return true, nil // enclave halted: that was the last iteration
-	}
-	if !f.Write {
-		return false, fmt.Errorf("%w: expected quadrant write fault, got read fault", ErrProtocol)
+	for i, a := range s.ring {
+		if i == s.table && prime != nil {
+			prime(s.page)
+		}
+		next := (i + 1) % len(s.ring)
+		if err := s.protect(a.Symbol, vm.PermRW); err != nil {
+			return false, err
+		}
+		if err := s.protect(s.ring[next].Symbol, s.ring[next].revoked()); err != nil {
+			return false, err
+		}
+		s.transition()
+		f, faulted, err := s.e.Resume()
+		if err != nil {
+			return false, err
+		}
+		s.obs.hop(i)
+		if i == s.table {
+			if probe != nil {
+				probe()
+			}
+			s.obs.iterations.Inc()
+		}
+		if !faulted {
+			if i < s.table {
+				return false, fmt.Errorf("%w: halted before the %s access", ErrProtocol, s.ring[s.table].Symbol)
+			}
+			return true, nil // enclave halted: that was the last iteration
+		}
+		if err := s.arrive(next, f); err != nil {
+			return false, err
+		}
 	}
 	return false, nil
 }
 
-// DryTransition repeats the S2 permission traffic without letting the
-// victim touch ftab, so the attacker can observe which monitored sets the
-// transition noise itself pollutes (§V-C2's frame-selection probe).
+// DryTransition repeats one permission flip's transition traffic without
+// letting the victim run, so the attacker can observe which monitored
+// sets the transition noise itself pollutes (§V-C2's frame-selection
+// probe).
 func (s *Stepper) DryTransition() {
 	s.transition()
-}
-
-// exitString describes an enclave exit for a protocol error.
-func exitString(f MaskedFault, faulted bool) string {
-	if !faulted {
-		return "halt"
-	}
-	return fmt.Sprintf("%+v", f)
 }

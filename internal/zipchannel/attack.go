@@ -24,7 +24,6 @@ import (
 	"github.com/zipchannel/zipchannel/internal/isa"
 	"github.com/zipchannel/zipchannel/internal/obs"
 	"github.com/zipchannel/zipchannel/internal/recovery"
-	"github.com/zipchannel/zipchannel/internal/sgx"
 	"github.com/zipchannel/zipchannel/internal/victims"
 )
 
@@ -84,15 +83,16 @@ type Config struct {
 	// fill in.
 	Obs *obs.Registry `json:"-"`
 
-	// Faults is the chaos-run injection registry. The attack consults
-	// attacker.pp.timer (latency kind: jittered timer readings, filtered
-	// by the attacker's median-of-TimerSamples classifier),
-	// sgx.stepper.protect (error kind: failed permission flips, retried
-	// with extra kernel noise), and sgx.stepper.transition (latency kind:
-	// injected noise storms in the measurement window). Nil — the default
-	// — leaves every measurement path byte-identical to a fault-free
-	// build. Excluded from manifests: arming faults is a property of a
-	// chaos run, not of the attack configuration it perturbs.
+	// Faults is the chaos-run injection registry. All three attacks
+	// (Attack, ZlibAttack, LZWAttack) consult attacker.pp.timer (latency
+	// kind: jittered timer readings, filtered by the attacker's
+	// median-of-TimerSamples classifier), sgx.stepper.protect (error
+	// kind: failed permission flips, retried with extra kernel noise),
+	// and sgx.stepper.transition (latency kind: injected noise storms in
+	// the measurement window). Nil — the default — leaves every
+	// measurement path byte-identical to a fault-free build. Excluded
+	// from manifests: arming faults is a property of a chaos run, not of
+	// the attack configuration it perturbs.
 	Faults *fault.Registry `json:"-"`
 	// TimerSamples is the attacker's per-line timer-reading count for
 	// median filtering (default attacker.DefaultTimerSamples; consulted
@@ -214,58 +214,9 @@ func Attack(input []byte, cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	st := sgx.NewStepper(r.enc, "quadrant", "block", "ftab")
-	st.AttachObs(r.reg)
-	st.OnTransition = r.injectNoise
-	st.FaultProtect = cfg.Faults.Point("sgx.stepper.protect")
-	st.FaultTransition = cfg.Faults.Point("sgx.stepper.transition")
-	r.dryTransition = st.DryTransition
-
-	ftab := prog.MustSymbol("ftab")
-	ok, err := st.Start()
+	trace, err := r.observe(bzipRing, bzipTable, len(input)) // one observation per input byte
 	if err != nil {
-		return nil, fmt.Errorf("zipchannel: start: %w", err)
-	}
-
-	trace := make(recovery.BzipTrace, 0, len(input)) // one observation per input byte
-	for ok {
-		var (
-			ps      *pageState
-			pageVA  uint64
-			stepErr error
-		)
-		done, err := st.Step(
-			func(page uint64) {
-				pageVA = page
-				if ps, stepErr = r.pageFor(page); stepErr != nil {
-					return
-				}
-				r.prime(ps)
-			},
-			func() {
-				if ps == nil {
-					return
-				}
-				if line := r.probeLine(ps); line >= 0 {
-					lineVA := pageVA + uint64(line*r.c.Config().LineSize)
-					trace = append(trace, int64(lineVA)-int64(ftab.Addr))
-				} else {
-					trace = append(trace, recovery.UnknownObservation)
-					r.unknownObs.Inc()
-				}
-				r.iterations.Inc()
-				r.publish()
-			},
-		)
-		if stepErr != nil {
-			return nil, fmt.Errorf("zipchannel: vetting: %w", stepErr)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("zipchannel: step: %w", err)
-		}
-		if done {
-			break
-		}
+		return nil, err
 	}
 
 	rec, err := recovery.RecoverBzip(trace, len(input), r.c.Config().LineSize)

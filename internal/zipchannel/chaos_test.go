@@ -29,40 +29,58 @@ func chaosAttackConfig(t *testing.T, seed int64) Config {
 	return cfg
 }
 
-// TestChaosAttackRecoversUnderInjectedNoise: the paper's headline >99%
-// recovery must survive the chaos profile — the median filter absorbs the
-// timer jitter, protect retries absorb the failed flips, and the §V-D
-// redundancy absorbs whatever the noise storms turn into unknown
-// observations.
+// TestChaosAttackRecoversUnderInjectedNoise: each attack's recovery
+// must survive the chaos profile — the median filter absorbs the timer
+// jitter, protect retries absorb the failed flips, and the §V-D
+// redundancy (bzip2) or the recovery's local damage (zlib, lzw) absorbs
+// whatever the noise storms turn into unknown observations. bzip2 keeps
+// the paper's headline >99%; the two-array floors are the lowest bit
+// accuracy of chaos seeds 1–40 on these texts, rounded down (zlib
+// 0.925, lzw 0.931; seed 9 gives 0.970 and 0.989).
 func TestChaosAttackRecoversUnderInjectedNoise(t *testing.T) {
-	input := randomInput(2048, 42)
-	cfg := chaosAttackConfig(t, 9)
-	res, err := Attack(input, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("chaos result: %s", res)
-	if res.BitAcc < 0.99 {
-		t.Errorf("bit accuracy under injected noise = %.4f, want >= 0.99", res.BitAcc)
-	}
-	if res.Iterations != len(input) {
-		t.Errorf("iterations = %d, want %d (protect retries must not drop steps)", res.Iterations, len(input))
-	}
-
-	// The faults must actually have fired — otherwise this test is
-	// vacuously green.
-	snap := cfg.Obs.Snapshot()
-	for _, c := range []string{
-		"fault.attacker.pp.timer.injected",
-		"fault.sgx.stepper.protect.injected",
-		"fault.sgx.stepper.transition.injected",
-		"pp.noisy_reads",
-		"sgx.step.protect_retries",
-		"sgx.step.noise_storms",
+	random := randomInput(2048, 42)
+	for _, tc := range []struct {
+		name       string
+		run        func(Config) (*Result, error)
+		step       string // the stepper's metric prefix
+		iterations int    // the clean run's count: one per loop iteration
+		bitFloor   float64
+	}{
+		{"bzip2", func(c Config) (*Result, error) { return Attack(random, c) }, "sgx.step", len(random), 0.99},
+		{"zlib", func(c Config) (*Result, error) { return ZlibAttack(lowercaseText, 0x60, true, c) },
+			"sgx.step2", len(lowercaseText) - 2, 0.92},
+		{"lzw", func(c Config) (*Result, error) { return LZWAttack(rainText, c) }, "sgx.step2", len(rainText) - 1, 0.93},
 	} {
-		if snap.Counters[c] == 0 {
-			t.Errorf("counter %s = 0; the chaos profile did not exercise its site", c)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := chaosAttackConfig(t, 9)
+			res, err := tc.run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("chaos result: %s", res)
+			if res.BitAcc < tc.bitFloor {
+				t.Errorf("bit accuracy under injected noise = %.4f, want >= %.2f", res.BitAcc, tc.bitFloor)
+			}
+			if res.Iterations != tc.iterations {
+				t.Errorf("iterations = %d, want %d (protect retries must not drop steps)", res.Iterations, tc.iterations)
+			}
+
+			// The faults must actually have fired — otherwise this test
+			// is vacuously green.
+			snap := cfg.Obs.Snapshot()
+			for _, c := range []string{
+				"fault.attacker.pp.timer.injected",
+				"fault.sgx.stepper.protect.injected",
+				"fault.sgx.stepper.transition.injected",
+				"pp.noisy_reads",
+				tc.step + ".protect_retries",
+				tc.step + ".noise_storms",
+			} {
+				if snap.Counters[c] == 0 {
+					t.Errorf("counter %s = 0; the chaos profile did not exercise its site", c)
+				}
+			}
+		})
 	}
 }
 

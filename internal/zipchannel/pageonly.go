@@ -35,29 +35,23 @@ func PageOnlyAttack(input []byte, cfg Config) (*Result, error) {
 	enc.VM.AttachObs(cfg.Obs)
 	iterations := cfg.Obs.Counter("attack.iterations")
 
-	st := sgx.NewStepper(enc, "quadrant", "block", "ftab")
+	st := sgx.NewStepper(enc, bzipRing, bzipTable)
 	st.AttachObs(cfg.Obs)
-	ok, err := st.Start()
-	if err != nil {
-		return nil, fmt.Errorf("zipchannel: start: %w", err)
-	}
-
 	ftab := prog.MustSymbol("ftab")
 	res := &Result{}
 	var trace recovery.BzipTrace
-	for ok {
-		var pageVA uint64
-		done, err := st.Step(func(page uint64) { pageVA = page }, func() {
-			trace = append(trace, int64(pageVA)-int64(ftab.Addr))
+	ok, err := st.Start()
+	for ok && err == nil {
+		var done bool
+		done, err = st.Step(func(page uint64) {
+			trace = append(trace, int64(page)-int64(ftab.Addr))
 			res.Iterations++
 			iterations.Inc()
-		})
-		if err != nil {
-			return nil, fmt.Errorf("zipchannel: step: %w", err)
-		}
-		if done {
-			break
-		}
+		}, nil)
+		ok = !done
+	}
+	if err != nil {
+		return nil, fmt.Errorf("zipchannel: stepping: %w", err)
 	}
 
 	rec, err := recovery.RecoverBzip(trace, len(input), sgx.PageSize)

@@ -7,7 +7,29 @@ import (
 	"github.com/zipchannel/zipchannel/internal/cache"
 	"github.com/zipchannel/zipchannel/internal/isa"
 	"github.com/zipchannel/zipchannel/internal/obs"
+	"github.com/zipchannel/zipchannel/internal/recovery"
 	"github.com/zipchannel/zipchannel/internal/sgx"
+)
+
+// The gadget loops the attacks single-step: each ring lists a loop's
+// arrays in loop order (see sgx.Stepper), and the matching *Table
+// constant is the index of its table.
+var (
+	// bzip2's ftab histogram (Listing 3): quadrant[i] = 0, the block[i]
+	// load, ftab[j]++.
+	bzipRing = []sgx.Array{{Symbol: "quadrant", Store: true}, {Symbol: "block"}, {Symbol: "ftab", Store: true}}
+	// zlib's INSERT_STRING (Listing 1): head[ins_h] = i, then the next
+	// window byte.
+	zlibRing = []sgx.Array{{Symbol: "head", Store: true}, {Symbol: "window"}}
+	// ncompress's hash probe (Listing 2): the htab[hp] probe, then the
+	// next inputbuf byte.
+	lzwRing = []sgx.Array{{Symbol: "htab"}, {Symbol: "inputbuf"}}
+)
+
+const (
+	bzipTable = 2 // ftab
+	zlibTable = 0 // head
+	lzwTable  = 0 // htab
 )
 
 // rig is the shared attack harness: the cache with CAT partitioning, the
@@ -23,9 +45,9 @@ type rig struct {
 	injectNoise func()
 	pages       map[uint64]*pageState
 	res         *Result
-	// dryTransition replays one permission-flip's worth of system noise
-	// for frame vetting.
-	dryTransition func()
+	// st is the stepper observe drives; frame vetting replays its
+	// transition noise.
+	st *sgx.Stepper
 	// noisy is vetPage's scratch: the sets that fired in a dry run.
 	noisy map[int]bool
 
@@ -123,6 +145,65 @@ func newRig(prog *isa.Program, input []byte, cfg Config) (*rig, error) {
 	}, nil
 }
 
+// observe single-steps the victim over ring, whose table is ring[table],
+// with the rig's noise, chaos points and telemetry wired into the
+// stepper. Per loop iteration it primes the table page's monitored sets,
+// lets the one table access run and probes them, and it returns the
+// observed cache-line offsets from the table's base
+// (recovery.UnknownObservation where zero or several sets fired). n is
+// the expected iteration count, a capacity hint.
+func (r *rig) observe(ring []sgx.Array, table, n int) ([]int64, error) {
+	st := sgx.NewStepper(r.enc, ring, table)
+	st.AttachObs(r.reg)
+	st.OnTransition = r.injectNoise
+	st.FaultProtect = r.cfg.Faults.Point("sgx.stepper.protect")
+	st.FaultTransition = r.cfg.Faults.Point("sgx.stepper.transition")
+	r.st = st
+	tableVA := r.enc.Prog.MustSymbol(ring[table].Symbol).Addr
+
+	offs := make([]int64, 0, n)
+	var (
+		ps     *pageState
+		pageVA uint64
+		vetErr error
+	)
+	prime := func(page uint64) {
+		pageVA = page
+		if ps, vetErr = r.pageFor(page); vetErr == nil {
+			r.prime(ps)
+		}
+	}
+	probe := func() {
+		if vetErr != nil {
+			return
+		}
+		off := recovery.UnknownObservation
+		if line := r.probeLine(ps); line >= 0 {
+			off = int64(pageVA+uint64(line*r.c.Config().LineSize)) - int64(tableVA)
+		} else {
+			r.unknownObs.Inc()
+		}
+		offs = append(offs, off)
+		r.iterations.Inc()
+		r.publish()
+	}
+	ok, err := st.Start()
+	if err != nil {
+		return nil, fmt.Errorf("zipchannel: start: %w", err)
+	}
+	for ok {
+		done, err := st.Step(prime, probe)
+		if vetErr != nil {
+			return nil, fmt.Errorf("zipchannel: vetting: %w", vetErr)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("zipchannel: step: %w", err)
+		}
+		ok = !done
+	}
+	return offs, nil
+}
+
 // publish hands the cache's and the attacker's counts to the registry.
 // The attacks call it once per stepper iteration, at the end of the
 // probe callback, so a concurrent reader of the registry (-progress)
@@ -195,9 +276,7 @@ func (r *rig) vetPage(pageVA uint64) (*pageState, error) {
 		for _, ev := range ps.evict {
 			r.pp.Prime(ev)
 		}
-		if r.dryTransition != nil {
-			r.dryTransition()
-		}
+		r.st.DryTransition()
 		r.injectNoise() // a fault delivery's worth of kernel traffic
 		noisy := r.noisy
 		clear(noisy)
