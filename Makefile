@@ -46,14 +46,19 @@ test-differential:
 	$(GO) test -race -count=1 -run 'TestEngineDifferential' ./internal/core/
 
 # Short fuzz pass over every from-scratch compressor's round trip, every
-# decompressor on raw input, and the Huffman builder against its
-# reference (the checked-in corpora under testdata/fuzz/ always run as
-# part of `test`; this additionally explores for FUZZTIME per target).
+# decompressor on raw input, the Huffman builder against its reference
+# and bwt's comparison-free rotation order against both comparison sorts
+# (the checked-in corpora under testdata/fuzz/ always run as part of
+# `test`; this additionally explores for FUZZTIME per target).
+# FuzzRotationOrder builds mainSort's 65537-entry tables on every call,
+# so minimising one new input for the default 60 s would take the whole
+# FUZZTIME; its minimisation is capped by a run count instead.
 FUZZTIME ?= 10s
 test-fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzRoundTrip -fuzztime $(FUZZTIME) ./internal/compress/lz77/
 	$(GO) test -run '^$$' -fuzz FuzzRoundTrip -fuzztime $(FUZZTIME) ./internal/compress/lzw/
 	$(GO) test -run '^$$' -fuzz FuzzRoundTrip -fuzztime $(FUZZTIME) ./internal/compress/bwt/
+	$(GO) test -run '^$$' -fuzz FuzzRotationOrder -fuzztime $(FUZZTIME) -fuzzminimizetime 50x ./internal/compress/bwt/
 	$(GO) test -run '^$$' -fuzz FuzzRoundTrip -fuzztime $(FUZZTIME) ./internal/compress/huffcoding/
 	$(GO) test -run '^$$' -fuzz FuzzBuildLengths -fuzztime $(FUZZTIME) ./internal/compress/huffcoding/
 	$(GO) test -run '^$$' -fuzz FuzzDecompress -fuzztime $(FUZZTIME) ./internal/compress/codec/
@@ -78,10 +83,10 @@ bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
 
 # One-iteration hot-path smoke (CI runs this so compile or gross perf
-# regressions on the taint/LZ77 paths and the in-process /v1 request
+# regressions on the taint/LZ77/BWT paths and the in-process /v1 request
 # path surface in PRs).
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkTaintAnalysis|BenchmarkLZ77Compress' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkTaintAnalysis|BenchmarkLZ77Compress|BenchmarkBWTCompress' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkServeHit|BenchmarkServeMiss' -benchtime 1x ./internal/server/
 
 # Quick cross-layer check: SGX attack telemetry end to end.

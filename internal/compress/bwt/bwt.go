@@ -81,7 +81,9 @@ type Options struct {
 	BlockSize int
 	// WorkFactor scales mainSort's budget (default 30).
 	WorkFactor int
-	// Tracer observes input-dependent behaviour (may be nil).
+	// Tracer observes input-dependent behaviour (may be nil). Without
+	// one, blocks are sorted by a faster comparison-free order where
+	// that gives the same bytes, and no Work is counted.
 	Tracer Tracer
 }
 

@@ -2,7 +2,10 @@ package bwt
 
 import (
 	"bytes"
+	"slices"
 	"testing"
+
+	"github.com/zipchannel/zipchannel/internal/corpus"
 )
 
 // FuzzRoundTrip asserts Decompress(Compress(x)) == x for arbitrary
@@ -31,6 +34,47 @@ func FuzzRoundTrip(f *testing.F) {
 			if !bytes.Equal(got, data) {
 				t.Fatalf("round trip mismatch (block=%d): %d bytes in, %d out", blockSize, len(data), len(got))
 			}
+		}
+	})
+}
+
+// FuzzRotationOrder checks rotationOrder against both comparison sorts:
+// it must return nil exactly for a block with a proper period (one with
+// identical rotations), and otherwise the permutation fallbackSort and
+// an unbounded mainSort return. Inputs are capped at 1 KiB because
+// mainSort's comparisons walk up to n bytes each.
+func FuzzRotationOrder(f *testing.F) {
+	f.Add([]byte("a"))
+	f.Add([]byte("BANANA"))
+	f.Add(bytes.Repeat([]byte("abcab"), 40))
+	f.Add(bytes.Repeat([]byte("ab"), 300))
+	f.Add(append(bytes.Repeat([]byte("ab"), 300), 'c'))
+	f.Add(bytes.Repeat([]byte{0}, 700))
+	for _, c := range corpus.BrotliLike(1)[:4] {
+		f.Add(c.Data[:min(len(c.Data), 1<<10)])
+	}
+	f.Fuzz(func(t *testing.T, block []byte) {
+		if len(block) == 0 {
+			return
+		}
+		block = block[:min(len(block), 1<<10)]
+		got := rotationOrder(block)
+		n := len(block)
+		// A rotation by s in 1..n-1 equals the block exactly when the
+		// block occurs at offset s of itself doubled.
+		periodic := bytes.Index(slices.Concat(block[1:], block), block) < n-1
+		if (got == nil) != periodic {
+			t.Fatalf("%d bytes: rotationOrder nil = %v, block periodic = %v", n, got == nil, periodic)
+		}
+		if periodic {
+			return
+		}
+		if !slices.Equal(got, fallbackSort(block, nil)) {
+			t.Fatalf("%d bytes: rotationOrder differs from fallbackSort", n)
+		}
+		main, err := mainSort(block, 1<<40, nil)
+		if err != nil || !slices.Equal(got, main) {
+			t.Fatalf("%d bytes: rotationOrder differs from mainSort (err %v)", n, err)
 		}
 	})
 }

@@ -155,10 +155,108 @@ func fallbackSort(block []byte, tr Tracer) []int32 {
 	return rank
 }
 
+// rotationOrder sorts the rotations of block without comparisons: a
+// cyclic Manber-Myers prefix doubling whose rounds are counting sorts.
+// One byte-bucket pass ranks the rotations by their first byte. Each
+// round then takes the order by second key, rank[i+k], straight from
+// the previous order (rotation sa[j]-k mod n follows sa[j]), sorts it
+// stably by first key rank[i] into the class buckets the last re-rank
+// recorded, and re-ranks neighbours by the pair; it stops once all n
+// ranks are distinct. The order of an aperiodic block is unique, so it
+// is fallbackSort's and mainSort's. A block with a proper period has
+// identical rotations, whose order is a tie-break of the comparison
+// sorts: rotationOrder returns nil for it, once ranks over prefixes of
+// length k >= n still tie.
+func rotationOrder(block []byte) []int32 {
+	n := len(block)
+	if n == 0 {
+		return nil
+	}
+	buf := make([]int32, 3*n+max(n, 256))
+	sa, tmp, rank := buf[:n:n], buf[n:2*n:2*n], buf[2*n:3*n:3*n]
+	start := buf[3*n:] // start[r]: where class r's bucket begins in sa
+	for _, b := range block {
+		start[b]++
+	}
+	var sum int32
+	for b := range 256 {
+		start[b], sum = sum, sum+start[b]
+	}
+	for i, b := range block {
+		sa[start[b]] = int32(i)
+		start[b]++
+	}
+	classes := rerank(sa, rank, start, func(a, b int32) bool { return block[a] != block[b] })
+	for k := int32(1); int(classes) < n; k *= 2 {
+		if int(k) >= n {
+			return nil
+		}
+		for j, i := range sa {
+			if i -= k; i < 0 {
+				i += int32(n)
+			}
+			tmp[j] = i
+		}
+		for _, i := range tmp {
+			r := rank[i]
+			sa[start[r]] = i
+			start[r]++
+		}
+		classes = rerank(sa, tmp, start, func(a, b int32) bool {
+			if rank[a] != rank[b] {
+				return true
+			}
+			if a += k; int(a) >= n {
+				a -= int32(n)
+			}
+			if b += k; int(b) >= n {
+				b -= int32(n)
+			}
+			return rank[a] != rank[b]
+		})
+		rank, tmp = tmp, rank
+	}
+	return sa
+}
+
+// rerank writes into rank the class of each rotation in the order sa,
+// where differ reports whether neighbours belong to different classes,
+// records where each class begins in start, and returns the class count.
+func rerank(sa, rank, start []int32, differ func(a, b int32) bool) int32 {
+	classes := int32(1)
+	start[0] = 0
+	rank[sa[0]] = 0
+	for j := 1; j < len(sa); j++ {
+		if differ(sa[j-1], sa[j]) {
+			start[classes] = int32(j)
+			classes++
+		}
+		rank[sa[j]] = classes - 1
+	}
+	return classes
+}
+
 // sortBlock applies the Fig 6 control flow: full-size blocks start in
 // mainSort and may abandon to fallbackSort; short blocks go straight to
-// fallbackSort.
+// fallbackSort. Only a Tracer observes that control flow and its Work,
+// so an untraced block whose rotations are all distinct takes
+// rotationOrder's comparison-free order instead, the same permutation.
 func sortBlock(block []byte, fullSize bool, workFactor int, tr Tracer) []int32 {
+	if tr == nil {
+		if ptr := rotationOrder(block); ptr != nil {
+			return ptr
+		}
+		// The block has a proper period p, a divisor of n, so p <= n/2.
+		// mainSort could only abandon it when n > 2·workFactor: the
+		// identical rotations i, i+p, i+2p, ... are adjacent in the
+		// sorted order, a correct comparison sort compares every
+		// adjacent pair of its output, and mainSort's comparator walks
+		// all n bytes of two identical rotations. That is n-p >= n/2
+		// such compares, work >= n²/2 > workFactor·n, and mainSort
+		// abandons after the bucket that crosses its budget. Going
+		// straight to fallbackSort yields the same order.
+		fullSize = fullSize && len(block) <= 2*workFactor
+	}
 	if fullSize {
 		if tr != nil {
 			tr.MainSortEnter()
