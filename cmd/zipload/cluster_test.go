@@ -101,13 +101,12 @@ func newTieredCore(dir, peerURL string) (*server.Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	local := server.CacheBackend(server.NewTiered(hot, cold, reg, localPrefix))
-	cache := local
+	cache := server.CacheBackend(server.NewTiered(hot, cold, reg, localPrefix))
 	if peerURL != "" {
 		peer := server.NewPeerBackend(peerURL, 0, reg, "server.cache.peer", nil)
-		cache = server.NewTiered(local, peer, reg, "server.cache")
+		cache = server.NewTiered(cache, peer, reg, "server.cache")
 	}
-	return server.New(server.Config{Workers: 2, Registry: reg, Cache: cache, PeerView: local}), nil
+	return server.New(server.Config{Workers: 2, Registry: reg, Cache: cache}), nil
 }
 
 // TestRunLoadClusterMatchesSingleBaseline: the same seeded, Zipf-skewed

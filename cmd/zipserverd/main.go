@@ -83,15 +83,14 @@ type cacheConfig struct {
 }
 
 // buildCache composes the configured backend hierarchy (DESIGN.md §10).
-// It returns the full lookup chain (nil when no tier is configured), the
-// local view served to peers on /internal/cache (never includes the peer
-// tier, so two instances peered at each other terminate), and a cleanup
-// for any temp dir it created.
+// It returns the full lookup chain (nil when no tier is configured) and a
+// cleanup for any temp dir it created. The server finds a peer tier in
+// the chain itself and serves only the local tiers to peers.
 //
 // Metric prefixes: a single-backend setup keeps the classic server.cache
 // series; a hierarchy puts the aggregate there and per-tier series under
 // server.cache.{hot,cold,local,peer}.
-func buildCache(cc cacheConfig, reg *obs.Registry, freg *fault.Registry) (cache, peerView server.CacheBackend, cleanup func(), err error) {
+func buildCache(cc cacheConfig, reg *obs.Registry, freg *fault.Registry) (cache server.CacheBackend, cleanup func(), err error) {
 	cleanup = func() {}
 	// localPrefix is where the innermost composition hangs its aggregate
 	// counters: the classic name when it IS the whole cache, a sub-name
@@ -105,43 +104,37 @@ func buildCache(cc cacheConfig, reg *obs.Registry, freg *fault.Registry) (cache,
 		hotPrefix, coldPrefix = "server.cache.hot", "server.cache.cold"
 	}
 
-	var hot, cold server.CacheBackend
-	// The typed-nil guard: a disabled LRU is a nil *LRUBackend, which
-	// must stay a nil interface.
-	if lru := server.NewLRUBackend(cc.HotBytes, reg, hotPrefix); lru != nil {
-		hot = lru
+	var local server.CacheBackend
+	if cc.HotBytes > 0 {
+		local = server.NewLRUBackend(cc.HotBytes, reg, hotPrefix)
 	}
 	if cc.ColdBytes > 0 {
 		dir := cc.Dir
 		if dir == "" {
 			if dir, err = os.MkdirTemp("", "zipserverd-cache-*"); err != nil {
-				return nil, nil, cleanup, err
+				return nil, cleanup, err
 			}
 			cleanup = func() { os.RemoveAll(dir) }
 		}
-		d, err := server.NewDiskBackend(dir, cc.ColdBytes, reg, coldPrefix, freg)
+		cold, err := server.NewDiskBackend(dir, cc.ColdBytes, reg, coldPrefix, freg)
 		if err != nil {
-			return nil, nil, cleanup, err
+			return nil, cleanup, err
 		}
-		cold = d
-	}
-	local := hot
-	if cold != nil {
-		local = cold
-		if hot != nil {
-			local = server.NewTiered(hot, cold, reg, localPrefix)
+		if local == nil {
+			local = cold
+		} else {
+			local = server.NewTiered(local, cold, reg, localPrefix)
 		}
 	}
 
 	if cc.Peer == "" {
-		return local, local, cleanup, nil
+		return local, cleanup, nil
 	}
 	if local == nil {
-		return nil, nil, cleanup, fmt.Errorf("-cache-peer needs a local tier (-cache-mb or -cache-cold-mb > 0)")
+		return nil, cleanup, fmt.Errorf("-cache-peer needs a local tier (-cache-mb or -cache-cold-mb > 0)")
 	}
 	peer := server.NewPeerBackend(cc.Peer, cc.PeerTimeout, reg, "server.cache.peer", freg)
-	full := server.NewTiered(local, peer, reg, "server.cache")
-	return full, local, cleanup, nil
+	return server.NewTiered(local, peer, reg, "server.cache"), cleanup, nil
 }
 
 // runScrub is the -cache-scrub mode: one offline pass over a disk-cache
@@ -312,7 +305,7 @@ func start(args []string, stderr io.Writer) (_ *daemon, err error) {
 		accessW = w
 	}
 
-	cache, peerView, cleanup, err := buildCache(cacheConfig{
+	cache, cleanup, err := buildCache(cacheConfig{
 		HotBytes:    *cacheMB << 20,
 		ColdBytes:   *cacheColdMB << 20,
 		Dir:         *cacheDir,
@@ -352,7 +345,6 @@ func start(args []string, stderr io.Writer) (_ *daemon, err error) {
 		MaxBodyBytes: *maxBody,
 		CacheBytes:   -1, // buildCache is the only cache source: nil means no tier configured
 		Cache:        cache,
-		PeerView:     peerView,
 		CacheMaxAge:  *cacheMaxAge,
 		Workers:      *workers,
 		QueueLimit:   *queueLim,

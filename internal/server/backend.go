@@ -11,8 +11,6 @@ package server
 //   - per-entry SHA-256 integrity: a corrupted stored value is detected
 //     on Get, counted, dropped, and reported as a miss — a backend can
 //     degrade to a miss but never to wrong bytes,
-//   - deterministic Keys() iteration (most- to least-recently used), so
-//     snapshots and tests see a reproducible view,
 //   - safety under concurrent use (the conformance suite runs every
 //     backend under -race).
 //
@@ -51,9 +49,6 @@ type CacheBackend interface {
 	Put(key Key, val []byte)
 	// Stats reports current occupancy (entries, stored value bytes).
 	Stats() (entries int, bytes int64)
-	// Keys returns the stored keys in deterministic most- to least-
-	// recently-used order (the snapshot/debug view).
-	Keys() []Key
 	// CorruptStored simulates a storage bit-flip on key's entry (chaos
 	// runs only): the stored value is damaged while the recorded
 	// integrity checksum keeps the original digest, so the next Get must
@@ -62,14 +57,4 @@ type CacheBackend interface {
 	// Close releases backend resources (files, idle connections).
 	// Backends remain usable as always-miss stores after Close.
 	Close() error
-}
-
-// PeerHealth is the optional interface a backend (or a composite
-// containing one) implements when it fronts a remote peer: PeerState
-// reports the peer probation breaker's state ("closed", "open",
-// "trial") and whether a peer tier exists at all. /healthz surfaces it
-// so a fleet dashboard — and the chaos-cluster harness — can watch a
-// dead peer's breaker open and recover without scraping metrics.
-type PeerHealth interface {
-	PeerState() (state string, ok bool)
 }

@@ -32,6 +32,127 @@ func cacheKey(op, codecName, level string, body []byte) Key {
 	return k
 }
 
+// lruIndex is the byte-budgeted recency index both local tiers embed:
+// the MRU→LRU list, the key map, strict byte accounting, the five
+// standard series under prefix (.hits, .misses, .evictions, .bytes,
+// .entries) and the evict-over-budget loop. V is what a tier keeps per
+// entry beyond its length (the memory tier: the value and its checksum;
+// the disk tier: nothing). unlink, when set, runs for every entry that
+// leaves the index (the disk tier removes the entry's file). Callers
+// hold mu around every method but Stats.
+type lruIndex[V any] struct {
+	mu     sync.Mutex
+	max    int64      // byte budget for stored values
+	size   int64      // current stored bytes
+	order  *list.List // front = most recently used; values are *lruEntry[V]
+	items  map[Key]*list.Element
+	unlink func(Key)
+
+	hits      *obs.Counter
+	misses    *obs.Counter
+	evictions *obs.Counter
+	bytes     *obs.Gauge
+	entries   *obs.Gauge
+	// reg and prefix back the lazily-registered failure series
+	// (.corruptions_detected, .read_errors, .write_errors), so a run
+	// that never sees one keeps its metrics snapshot byte-identical to
+	// a pre-integrity build.
+	reg    *obs.Registry
+	prefix string
+}
+
+type lruEntry[V any] struct {
+	key Key
+	n   int64 // stored value bytes
+	v   V
+}
+
+func (x *lruIndex[V]) init(maxBytes int64, reg *obs.Registry, prefix string, unlink func(Key)) {
+	x.max = maxBytes
+	x.order = list.New()
+	x.items = map[Key]*list.Element{}
+	x.unlink = unlink
+	x.hits = reg.Counter(prefix + ".hits")
+	x.misses = reg.Counter(prefix + ".misses")
+	x.evictions = reg.Counter(prefix + ".evictions")
+	x.bytes = reg.Gauge(prefix + ".bytes")
+	x.entries = reg.Gauge(prefix + ".entries")
+	x.reg = reg
+	x.prefix = prefix
+}
+
+// find returns key's element, counting a miss when it is absent.
+func (x *lruIndex[V]) find(key Key) (*list.Element, *lruEntry[V]) {
+	el, ok := x.items[key]
+	if !ok {
+		x.misses.Inc()
+		return nil, nil
+	}
+	return el, el.Value.(*lruEntry[V])
+}
+
+// hit marks el most recently used and counts a hit.
+func (x *lruIndex[V]) hit(el *list.Element) {
+	x.order.MoveToFront(el)
+	x.hits.Inc()
+}
+
+// fail counts a miss plus one on the series named by suffix, dropping el
+// (when non-nil) so the caller's re-put heals the entry.
+func (x *lruIndex[V]) fail(el *list.Element, suffix string) {
+	if el != nil {
+		x.remove(el)
+	}
+	x.reg.Counter(x.prefix + suffix).Inc()
+	x.misses.Inc()
+}
+
+// insert stores (or refreshes) key as most recently used with n value
+// bytes, without evicting; evict restores the budget.
+func (x *lruIndex[V]) insert(key Key, n int64, v V) {
+	if el, ok := x.items[key]; ok {
+		ent := el.Value.(*lruEntry[V])
+		x.size += n - ent.n
+		ent.n, ent.v = n, v
+		x.order.MoveToFront(el)
+		return
+	}
+	x.items[key] = x.order.PushFront(&lruEntry[V]{key: key, n: n, v: v})
+	x.size += n
+}
+
+// evict drops least-recently-used entries until the byte budget holds.
+func (x *lruIndex[V]) evict() {
+	for x.size > x.max {
+		x.remove(x.order.Back())
+		x.evictions.Inc()
+	}
+	x.sync()
+}
+
+func (x *lruIndex[V]) remove(el *list.Element) {
+	ent := x.order.Remove(el).(*lruEntry[V])
+	delete(x.items, ent.key)
+	x.size -= ent.n
+	if x.unlink != nil {
+		x.unlink(ent.key)
+	}
+	x.sync()
+}
+
+func (x *lruIndex[V]) sync() {
+	x.bytes.Set(float64(x.size))
+	x.entries.Set(float64(len(x.items)))
+}
+
+// Stats implements CacheBackend for both local tiers: the current entry
+// count and stored value bytes.
+func (x *lruIndex[V]) Stats() (entries int, bytes int64) {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	return len(x.items), x.size
+}
+
 // LRUBackend is a byte-budgeted in-memory LRU of codec responses, modeled
 // on the MemoryCache of the httpcache reference repo but with strict size
 // accounting, obs counters, and end-to-end integrity: every entry stores a
@@ -41,52 +162,22 @@ func cacheKey(op, codecName, level string, body []byte) Key {
 // degrade to a miss but never to wrong bytes. It is the reference
 // CacheBackend implementation and the hot tier of the default hierarchy.
 type LRUBackend struct {
-	mu    sync.Mutex
-	max   int64      // byte budget for stored values
-	size  int64      // current stored bytes
-	order *list.List // front = most recently used
-	items map[Key]*list.Element
-
-	hits      *obs.Counter
-	misses    *obs.Counter
-	evictions *obs.Counter
-	bytes     *obs.Gauge
-	entries   *obs.Gauge
-	// reg and prefix back the lazily-registered corruption counter, so a
-	// run that never sees corruption keeps its metrics snapshot
-	// byte-identical to a pre-integrity build.
-	reg    *obs.Registry
-	prefix string
+	lruIndex[memValue]
 }
 
-type cacheEntry struct {
-	key Key
+type memValue struct {
 	val []byte
 	sum [sha256.Size]byte // integrity checksum of val, fixed at put time
 }
 
-// NewLRUBackend creates a cache holding at most maxBytes of values,
-// hanging its counters off reg under prefix (e.g. "server.cache" →
-// server.cache.hits; the single-backend default keeps the metric names
-// every earlier build used). maxBytes <= 0 returns nil (caching
-// disabled); note New wraps the nil in a nil CacheBackend interface, not
-// a typed nil.
+// NewLRUBackend creates a cache holding at most maxBytes (> 0) of
+// values, hanging its counters off reg under prefix (e.g. "server.cache"
+// → server.cache.hits; the single-backend default keeps the metric names
+// every earlier build used).
 func NewLRUBackend(maxBytes int64, reg *obs.Registry, prefix string) *LRUBackend {
-	if maxBytes <= 0 {
-		return nil
-	}
-	return &LRUBackend{
-		max:       maxBytes,
-		order:     list.New(),
-		items:     map[Key]*list.Element{},
-		hits:      reg.Counter(prefix + ".hits"),
-		misses:    reg.Counter(prefix + ".misses"),
-		evictions: reg.Counter(prefix + ".evictions"),
-		bytes:     reg.Gauge(prefix + ".bytes"),
-		entries:   reg.Gauge(prefix + ".entries"),
-		reg:       reg,
-		prefix:    prefix,
-	}
+	c := &LRUBackend{}
+	c.init(maxBytes, reg, prefix, nil)
+	return c
 }
 
 // Name implements CacheBackend.
@@ -97,26 +188,18 @@ func (c *LRUBackend) Name() string { return "lru" }
 // corruption plus a miss — the caller recomputes and re-puts. The returned
 // slice is shared; callers must not mutate it.
 func (c *LRUBackend) Get(key Key) ([]byte, bool) {
-	if c == nil {
-		return nil, false
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		c.misses.Inc()
+	el, ent := c.find(key)
+	if el == nil {
 		return nil, false
 	}
-	ent := el.Value.(*cacheEntry)
-	if sha256.Sum256(ent.val) != ent.sum {
-		c.removeLocked(el, ent)
-		c.reg.Counter(c.prefix + ".corruptions_detected").Inc()
-		c.misses.Inc()
+	if sha256.Sum256(ent.v.val) != ent.v.sum {
+		c.fail(el, ".corruptions_detected")
 		return nil, false
 	}
-	c.order.MoveToFront(el)
-	c.hits.Inc()
-	return ent.val, true
+	c.hit(el)
+	return ent.v.val, true
 }
 
 // CorruptStored simulates a storage bit-flip on the entry under key (the
@@ -126,17 +209,12 @@ func (c *LRUBackend) Get(key Key) ([]byte, bool) {
 // unaffected (the flip lands in storage, not in buffers already handed
 // out). No-op when the key is absent.
 func (c *LRUBackend) CorruptStored(key Key, in fault.Injection) {
-	if c == nil {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		return
+	if el, ok := c.items[key]; ok {
+		ent := el.Value.(*lruEntry[memValue])
+		ent.v.val = in.CorruptCopy(ent.v.val)
 	}
-	ent := el.Value.(*cacheEntry)
-	ent.val = in.CorruptCopy(ent.val)
 }
 
 // Put inserts val under key, evicting least-recently-used entries until the
@@ -145,69 +223,15 @@ func (c *LRUBackend) CorruptStored(key Key, in fault.Injection) {
 // bytes (the value is correct by construction: the key hashes the full
 // input, and a corrupted entry was just recomputed by the caller).
 func (c *LRUBackend) Put(key Key, val []byte) {
-	if c == nil || int64(len(val)) > c.max {
+	if int64(len(val)) > c.max {
 		return
 	}
+	v := memValue{val: val, sum: sha256.Sum256(val)}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		ent := el.Value.(*cacheEntry)
-		c.size += int64(len(val)) - int64(len(ent.val))
-		ent.val, ent.sum = val, sha256.Sum256(val)
-		c.order.MoveToFront(el)
-	} else {
-		c.items[key] = c.order.PushFront(&cacheEntry{key: key, val: val, sum: sha256.Sum256(val)})
-		c.size += int64(len(val))
-	}
-	for c.size > c.max {
-		back := c.order.Back()
-		if back == nil {
-			break
-		}
-		ent := back.Value.(*cacheEntry)
-		c.removeLocked(back, ent)
-		c.evictions.Inc()
-	}
-	c.bytes.Set(float64(c.size))
-	c.entries.Set(float64(len(c.items)))
-}
-
-// Stats reports the current entry count and stored bytes (0, 0 for a
-// nil/disabled cache) — the health endpoint's view of the cache.
-func (c *LRUBackend) Stats() (entries int, bytes int64) {
-	if c == nil {
-		return 0, 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.items), c.size
-}
-
-// Keys returns stored keys most- to least-recently used — the
-// deterministic iteration order the conformance suite and snapshot
-// tooling rely on.
-func (c *LRUBackend) Keys() []Key {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	keys := make([]Key, 0, len(c.items))
-	for el := c.order.Front(); el != nil; el = el.Next() {
-		keys = append(keys, el.Value.(*cacheEntry).key)
-	}
-	return keys
+	c.insert(key, int64(len(val)), v)
+	c.evict()
 }
 
 // Close implements CacheBackend; an in-memory store has nothing to release.
 func (c *LRUBackend) Close() error { return nil }
-
-// removeLocked unlinks one entry and updates the size accounting and
-// gauges. Callers hold c.mu.
-func (c *LRUBackend) removeLocked(el *list.Element, ent *cacheEntry) {
-	c.order.Remove(el)
-	delete(c.items, ent.key)
-	c.size -= int64(len(ent.val))
-	c.bytes.Set(float64(c.size))
-	c.entries.Set(float64(len(c.items)))
-}

@@ -74,15 +74,6 @@ func TestOversizedValueNotCached(t *testing.T) {
 	}
 }
 
-// TestNilCacheIsAlwaysMiss: disabled caching must be safe to call.
-func TestNilCacheIsAlwaysMiss(t *testing.T) {
-	var c *LRUBackend
-	c.Put(key("x"), []byte("y"))
-	if _, ok := c.Get(key("x")); ok {
-		t.Fatal("nil cache returned a hit")
-	}
-}
-
 // TestRePutRefreshesRecency: writing an existing key must not double-count
 // its size, and must move it to the front.
 func TestRePutRefreshesRecency(t *testing.T) {

@@ -4,8 +4,8 @@
 // factory table, or a direct cachetest.Run call in their own tests) and
 // gets the full battery: get/put/overwrite accounting, byte-budget
 // eviction, hit/miss counters, integrity ("degrade to a miss, never to
-// wrong bytes"), deterministic iteration, concurrent access (meaningful
-// under -race), and close semantics.
+// wrong bytes"), concurrent access (meaningful under -race), and close
+// semantics.
 package cachetest
 
 import (
@@ -181,34 +181,6 @@ func Run(t *testing.T, f Factory) {
 		}
 		if detected == 0 {
 			t.Fatal("corruption degraded to a miss without being counted")
-		}
-	})
-
-	t.Run("DeterministicKeys", func(t *testing.T) {
-		reg := obs.NewRegistry()
-		be := f.New(t, reg, Budget)
-		defer be.Close()
-
-		const n = 5
-		want := map[server.Key]bool{}
-		for i := 0; i < n; i++ {
-			be.Put(key(i), val(i, 128))
-			want[key(i)] = true
-		}
-		be.Get(key(2)) // recency churn must not break determinism
-
-		a, b := be.Keys(), be.Keys()
-		if len(a) != n || len(b) != n {
-			t.Fatalf("Keys() lengths %d/%d, want %d", len(a), len(b), n)
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("two consecutive Keys() calls disagree at %d", i)
-			}
-			if !want[a[i]] {
-				t.Fatalf("Keys() listed an unknown key at %d", i)
-			}
-			delete(want, a[i])
 		}
 	})
 

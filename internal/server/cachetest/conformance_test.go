@@ -82,7 +82,6 @@ func newPeer(t *testing.T, reg *obs.Registry, budget int64) server.CacheBackend 
 	srv := server.New(server.Config{
 		Registry: reg,
 		Cache:    remote,
-		PeerView: remote,
 		Faults:   fault.NewRegistry(99),
 	})
 	ts := httptest.NewServer(srv)

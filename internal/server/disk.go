@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"os"
 	"path/filepath"
-	"sync"
 
 	"github.com/zipchannel/zipchannel/internal/fault"
 	"github.com/zipchannel/zipchannel/internal/obs"
@@ -30,35 +29,18 @@ const (
 // (hex key + ".zc") laid out as a 32-byte SHA-256 of the value followed
 // by the value, so integrity survives the process: a Get re-hashes what
 // it read and a mismatch (torn write, chaos bit-flip) is a detected
-// corruption + miss, never wrong bytes. An in-memory index (map + LRU
-// list) keeps recency and strict byte accounting; eviction unlinks files.
+// corruption + miss, never wrong bytes. The embedded index keeps recency
+// and strict byte accounting; an entry leaving it unlinks its file.
 type DiskBackend struct {
-	mu    sync.Mutex
-	dir   string
-	max   int64
-	size  int64
-	order *list.List // front = most recently used; values are *diskEntry
-	items map[Key]*list.Element
-
-	hits      *obs.Counter
-	misses    *obs.Counter
-	evictions *obs.Counter
-	bytes     *obs.Gauge
-	entries   *obs.Gauge
-	reg       *obs.Registry
-	prefix    string
+	lruIndex[struct{}]
+	dir string
 
 	fpWrite *fault.Point
 	fpRead  *fault.Point
 }
 
-type diskEntry struct {
-	key Key
-	len int64
-}
-
 // NewDiskBackend creates (mkdir -p) a disk cache rooted at dir with a
-// maxBytes value budget, counters under prefix, and fault points
+// maxBytes (> 0) value budget, counters under prefix, and fault points
 // registered on faults (nil disables injection). The directory is
 // scrubbed on open (ScrubDir): leftover put-* temps from a crash are
 // removed, torn entries are quarantined, and every intact entry is
@@ -66,28 +48,16 @@ type diskEntry struct {
 // from whatever the previous process durably wrote, never from a lie.
 // A fresh/empty directory scrubs to an empty index at no cost.
 func NewDiskBackend(dir string, maxBytes int64, reg *obs.Registry, prefix string, faults *fault.Registry) (*DiskBackend, error) {
-	if maxBytes <= 0 {
-		return nil, nil
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
 	d := &DiskBackend{
-		dir:       dir,
-		max:       maxBytes,
-		order:     list.New(),
-		items:     map[Key]*list.Element{},
-		hits:      reg.Counter(prefix + ".hits"),
-		misses:    reg.Counter(prefix + ".misses"),
-		evictions: reg.Counter(prefix + ".evictions"),
-		bytes:     reg.Gauge(prefix + ".bytes"),
-		entries:   reg.Gauge(prefix + ".entries"),
-		reg:       reg,
-		prefix:    prefix,
-		fpWrite:   faults.Point(FaultDiskWrite),
-		fpRead:    faults.Point(FaultDiskRead),
+		dir:     dir,
+		fpWrite: faults.Point(FaultDiskWrite),
+		fpRead:  faults.Point(FaultDiskRead),
 	}
-	if err := d.recover(reg, prefix); err != nil {
+	d.init(maxBytes, reg, prefix, func(key Key) { os.Remove(d.path(key)) })
+	if err := d.recover(); err != nil {
 		return nil, err
 	}
 	return d, nil
@@ -98,28 +68,18 @@ func NewDiskBackend(dir string, maxBytes int64, reg *obs.Registry, prefix string
 // no durable recency to restore; any deterministic order keeps restarts
 // reproducible), and entries beyond the byte budget are evicted from the
 // LRU end like any other over-budget state.
-func (d *DiskBackend) recover(reg *obs.Registry, prefix string) error {
+func (d *DiskBackend) recover() error {
 	rep, err := ScrubDir(d.dir)
 	if err != nil {
 		return err
 	}
-	reg.Counter(prefix + ".scrub.recovered").Add(uint64(rep.Recovered))
-	reg.Counter(prefix + ".scrub.quarantined").Add(uint64(len(rep.Quarantined)))
-	reg.Counter(prefix + ".scrub.temps_removed").Add(uint64(rep.TempsRemoved))
+	d.reg.Counter(d.prefix + ".scrub.recovered").Add(uint64(rep.Recovered))
+	d.reg.Counter(d.prefix + ".scrub.quarantined").Add(uint64(len(rep.Quarantined)))
+	d.reg.Counter(d.prefix + ".scrub.temps_removed").Add(uint64(rep.TempsRemoved))
 	for _, ent := range rep.Entries {
-		d.items[ent.Key] = d.order.PushFront(&diskEntry{key: ent.Key, len: ent.Bytes})
-		d.size += ent.Bytes
+		d.insert(ent.Key, ent.Bytes, struct{}{})
 	}
-	for d.size > d.max {
-		back := d.order.Back()
-		if back == nil {
-			break
-		}
-		d.removeLocked(back, back.Value.(*diskEntry))
-		d.evictions.Inc()
-	}
-	d.bytes.Set(float64(d.size))
-	d.entries.Set(float64(len(d.items)))
+	d.evict()
 	return nil
 }
 
@@ -133,43 +93,32 @@ func (d *DiskBackend) Name() string { return "disk" }
 // Get implements CacheBackend: an indexed entry is read back from its
 // file and integrity-checked. A read error (ENOENT after external
 // tampering, injected fault) is a miss; a checksum mismatch additionally
-// counts a detected corruption. Either way the entry is dropped so the
-// caller's re-put heals it.
+// counts a detected corruption. Either way a damaged entry is dropped so
+// the caller's re-put heals it.
 func (d *DiskBackend) Get(key Key) ([]byte, bool) {
-	if d == nil {
-		return nil, false
-	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	el, ok := d.items[key]
-	if !ok {
-		d.misses.Inc()
+	el, _ := d.find(key)
+	if el == nil {
 		return nil, false
 	}
-	ent := el.Value.(*diskEntry)
 	if in := d.fpRead.Hit(); in.Kind == fault.KindError {
-		d.reg.Counter(d.prefix + ".read_errors").Inc()
-		d.misses.Inc()
+		d.fail(nil, ".read_errors")
 		return nil, false
 	}
 	raw, err := os.ReadFile(d.path(key))
 	if err != nil || len(raw) < sha256.Size {
-		d.removeLocked(el, ent)
-		d.reg.Counter(d.prefix + ".read_errors").Inc()
-		d.misses.Inc()
+		d.fail(el, ".read_errors")
 		return nil, false
 	}
 	var sum [sha256.Size]byte
 	copy(sum[:], raw[:sha256.Size])
 	val := raw[sha256.Size:]
 	if sha256.Sum256(val) != sum {
-		d.removeLocked(el, ent)
-		d.reg.Counter(d.prefix + ".corruptions_detected").Inc()
-		d.misses.Inc()
+		d.fail(el, ".corruptions_detected")
 		return nil, false
 	}
-	d.order.MoveToFront(el)
-	d.hits.Inc()
+	d.hit(el)
 	return val, true
 }
 
@@ -179,7 +128,7 @@ func (d *DiskBackend) Get(key Key) ([]byte, bool) {
 // — the response was already computed, so the degradation is "uncached",
 // never "broken".
 func (d *DiskBackend) Put(key Key, val []byte) {
-	if d == nil || int64(len(val)) > d.max {
+	if int64(len(val)) > d.max {
 		return
 	}
 	d.mu.Lock()
@@ -192,26 +141,8 @@ func (d *DiskBackend) Put(key Key, val []byte) {
 		d.reg.Counter(d.prefix + ".write_errors").Inc()
 		return
 	}
-	if el, ok := d.items[key]; ok {
-		ent := el.Value.(*diskEntry)
-		d.size += int64(len(val)) - ent.len
-		ent.len = int64(len(val))
-		d.order.MoveToFront(el)
-	} else {
-		d.items[key] = d.order.PushFront(&diskEntry{key: key, len: int64(len(val))})
-		d.size += int64(len(val))
-	}
-	for d.size > d.max {
-		back := d.order.Back()
-		if back == nil {
-			break
-		}
-		ent := back.Value.(*diskEntry)
-		d.removeLocked(back, ent)
-		d.evictions.Inc()
-	}
-	d.bytes.Set(float64(d.size))
-	d.entries.Set(float64(len(d.items)))
+	d.insert(key, int64(len(val)), struct{}{})
+	d.evict()
 }
 
 func (d *DiskBackend) writeEntry(key Key, val []byte) error {
@@ -237,9 +168,6 @@ func (d *DiskBackend) writeEntry(key Key, val []byte) error {
 // damaged while the stored checksum keeps the original digest — the next
 // Get must detect it.
 func (d *DiskBackend) CorruptStored(key Key, in fault.Injection) {
-	if d == nil {
-		return
-	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if _, ok := d.items[key]; !ok {
@@ -253,58 +181,20 @@ func (d *DiskBackend) CorruptStored(key Key, in fault.Injection) {
 	os.WriteFile(d.path(key), bad, 0o644)
 }
 
-// Stats implements CacheBackend.
-func (d *DiskBackend) Stats() (entries int, bytes int64) {
-	if d == nil {
-		return 0, 0
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.items), d.size
-}
-
-// Keys implements CacheBackend (MRU→LRU).
-func (d *DiskBackend) Keys() []Key {
-	if d == nil {
-		return nil
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	keys := make([]Key, 0, len(d.items))
-	for el := d.order.Front(); el != nil; el = el.Next() {
-		keys = append(keys, el.Value.(*diskEntry).key)
-	}
-	return keys
-}
-
 // Close implements CacheBackend: drops the index and deletes the entry
 // files (the cache directory is disposable state, usually a temp dir).
 func (d *DiskBackend) Close() error {
-	if d == nil {
-		return nil
-	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	var first error
 	for el := d.order.Front(); el != nil; el = el.Next() {
-		if err := os.Remove(d.path(el.Value.(*diskEntry).key)); err != nil && first == nil {
+		if err := os.Remove(d.path(el.Value.(*lruEntry[struct{}]).key)); err != nil && first == nil {
 			first = err
 		}
 	}
 	d.order.Init()
 	d.items = map[Key]*list.Element{}
 	d.size = 0
-	d.bytes.Set(0)
-	d.entries.Set(0)
+	d.sync()
 	return first
-}
-
-// removeLocked unlinks one entry (index + file) and updates accounting.
-func (d *DiskBackend) removeLocked(el *list.Element, ent *diskEntry) {
-	d.order.Remove(el)
-	delete(d.items, ent.key)
-	d.size -= ent.len
-	os.Remove(d.path(ent.key))
-	d.bytes.Set(float64(d.size))
-	d.entries.Set(float64(len(d.items)))
 }

@@ -54,7 +54,7 @@ const (
 // A dead peer is handled with failure-count probation: the same
 // deterministic count-based breaker that guards the codecs. After
 // DefaultPeerFailureThreshold consecutive transport failures the breaker
-// opens and every peer operation (Get, Put, Stats, Keys) short-circuits
+// opens and every peer operation (Get, Put, Stats) short-circuits
 // to a local miss/no-op — ~zero cost instead of a timeout per lookup —
 // until DefaultPeerProbeAfter skipped operations admit one probe; a
 // successful probe closes the breaker. Checksum mismatches and 404s do
@@ -135,13 +135,10 @@ func (p *PeerBackend) syncState() {
 	p.stateG.Set(float64(p.bk.stateCode()))
 }
 
-// PeerState implements PeerHealth.
-func (p *PeerBackend) PeerState() (string, bool) {
-	if p == nil {
-		return "", false
-	}
-	return p.bk.stateName(), true
-}
+// PeerState reports the probation breaker's state ("closed", "open",
+// "trial"); /healthz surfaces it as peer_state so a fleet dashboard can
+// watch a dead peer's breaker open and recover without scraping metrics.
+func (p *PeerBackend) PeerState() string { return p.bk.stateName() }
 
 func (p *PeerBackend) url(key Key) string {
 	return p.base + "/internal/cache/" + hex.EncodeToString(key[:])
@@ -154,9 +151,6 @@ func (p *PeerBackend) Name() string { return "peer" }
 // Anything short of a verified 200 — connection refused, timeout, 404,
 // checksum mismatch, injected fault, probation — is a miss.
 func (p *PeerBackend) Get(key Key) ([]byte, bool) {
-	if p == nil {
-		return nil, false
-	}
 	switch in := p.fpGet.Hit(); in.Kind {
 	case fault.KindError:
 		// Injected "peer down": feed probation exactly like a real
@@ -208,9 +202,6 @@ func (p *PeerBackend) Get(key Key) ([]byte, bool) {
 // degrade to "uncached on the peer" plus a counter; a peer on probation
 // is skipped without touching the network.
 func (p *PeerBackend) Put(key Key, val []byte) {
-	if p == nil {
-		return
-	}
 	if !p.admit() {
 		return
 	}
@@ -239,7 +230,7 @@ func (p *PeerBackend) Put(key Key, val []byte) {
 // peer runs with a fault registry). Chaos-only, like every
 // CorruptStored.
 func (p *PeerBackend) CorruptStored(key Key, in fault.Injection) {
-	if p == nil || in.Kind != fault.KindCorrupt {
+	if in.Kind != fault.KindCorrupt {
 		return
 	}
 	req, err := http.NewRequest(http.MethodPost,
@@ -253,78 +244,38 @@ func (p *PeerBackend) CorruptStored(key Key, in fault.Injection) {
 	}
 }
 
-// peerIndex is the GET /internal/cache listing: occupancy plus keys in
-// the peer's deterministic MRU→LRU order.
+// peerIndex is the GET /internal/cache body: the served view's name and
+// occupancy — constant-size, whatever the peer holds.
 type peerIndex struct {
-	Backend string   `json:"backend"`
-	Entries int      `json:"entries"`
-	Bytes   int64    `json:"bytes"`
-	Keys    []string `json:"keys"`
+	Backend string `json:"backend"`
+	Entries int    `json:"entries"`
+	Bytes   int64  `json:"bytes"`
 }
 
-func (p *PeerBackend) index() (peerIndex, bool) {
-	var idx peerIndex
+// Stats implements CacheBackend with one GET /internal/cache (zeros when
+// the peer is unreachable or on probation).
+func (p *PeerBackend) Stats() (entries int, bytes int64) {
 	if !p.admit() {
-		return idx, false
+		return 0, 0
 	}
 	resp, err := p.client.Get(p.base + "/internal/cache")
 	if err != nil {
 		p.errors.Inc()
 		p.recordFailure()
-		return idx, false
+		return 0, 0
 	}
 	defer resp.Body.Close()
 	p.recordSuccess()
-	if resp.StatusCode != http.StatusOK {
+	var idx peerIndex
+	if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&idx) != nil {
 		p.errors.Inc()
-		return idx, false
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&idx); err != nil {
-		p.errors.Inc()
-		return idx, false
-	}
-	return idx, true
-}
-
-// Stats implements CacheBackend (zeros when the peer is unreachable).
-func (p *PeerBackend) Stats() (entries int, bytes int64) {
-	if p == nil {
-		return 0, 0
-	}
-	idx, ok := p.index()
-	if !ok {
 		return 0, 0
 	}
 	return idx.Entries, idx.Bytes
 }
 
-// Keys implements CacheBackend: the peer's own deterministic order (nil
-// when unreachable).
-func (p *PeerBackend) Keys() []Key {
-	if p == nil {
-		return nil
-	}
-	idx, ok := p.index()
-	if !ok {
-		return nil
-	}
-	keys := make([]Key, 0, len(idx.Keys))
-	for _, s := range idx.Keys {
-		raw, err := hex.DecodeString(s)
-		if err != nil || len(raw) != sha256.Size {
-			continue
-		}
-		var k Key
-		copy(k[:], raw)
-		keys = append(keys, k)
-	}
-	return keys
-}
-
 // Close implements CacheBackend.
 func (p *PeerBackend) Close() error {
-	if p != nil {
-		p.client.CloseIdleConnections()
-	}
+	p.client.CloseIdleConnections()
 	return nil
 }

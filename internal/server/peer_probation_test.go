@@ -46,14 +46,14 @@ func TestPeerProbationOpensAndRations(t *testing.T) {
 
 	// Threshold consecutive transport failures trip the breaker.
 	for i := 0; i < DefaultPeerFailureThreshold; i++ {
-		if state, _ := p.PeerState(); state != "closed" {
+		if state := p.PeerState(); state != "closed" {
 			t.Fatalf("before failure %d: state %q, want closed", i, state)
 		}
 		if _, ok := p.Get(key); ok {
 			t.Fatalf("Get %d against dead peer reported a hit", i)
 		}
 	}
-	if state, _ := p.PeerState(); state != "open" {
+	if state := p.PeerState(); state != "open" {
 		t.Fatalf("after %d failures: state %q, want open", DefaultPeerFailureThreshold, state)
 	}
 	if got := reg.Counter("peer.probation.opens").Value(); got != 1 {
@@ -75,7 +75,7 @@ func TestPeerProbationOpensAndRations(t *testing.T) {
 	if got := reg.Counter("peer.probation.skipped").Value(); got != DefaultPeerProbeAfter {
 		t.Fatalf("probation.skipped = %d, want %d", got, DefaultPeerProbeAfter)
 	}
-	if state, _ := p.PeerState(); state != "trial" {
+	if state := p.PeerState(); state != "trial" {
 		t.Fatalf("after cooldown: state %q, want trial", state)
 	}
 
@@ -83,7 +83,7 @@ func TestPeerProbationOpensAndRations(t *testing.T) {
 	if _, ok := p.Get(key); ok {
 		t.Fatal("trial probe against dead peer reported a hit")
 	}
-	if state, _ := p.PeerState(); state != "open" {
+	if state := p.PeerState(); state != "open" {
 		t.Fatalf("after failed probe: state %q, want open", state)
 	}
 	if got := reg.Counter("peer.probation.opens").Value(); got != 2 {
@@ -117,7 +117,7 @@ func TestPeerProbationRecovers(t *testing.T) {
 	for i := 0; i < DefaultPeerFailureThreshold; i++ {
 		p.Get(key)
 	}
-	if state, _ := p.PeerState(); state != "open" {
+	if state := p.PeerState(); state != "open" {
 		t.Fatalf("state %q, want open", state)
 	}
 	for i := 0; i < DefaultPeerProbeAfter; i++ {
@@ -150,7 +150,7 @@ func TestPeerProbationRecovers(t *testing.T) {
 	if _, ok := p.Get(key); ok {
 		t.Fatal("404 probe reported a hit")
 	}
-	if state, _ := p.PeerState(); state != "closed" {
+	if state := p.PeerState(); state != "closed" {
 		t.Fatalf("after successful probe: state %q, want closed", state)
 	}
 	if got := reg.Gauge("peer.probation.state").Value(); got != 0 {
@@ -177,7 +177,7 @@ func TestPeerProbationChecksumMismatchNotCounted(t *testing.T) {
 			t.Fatalf("Get %d accepted tampered bytes", i)
 		}
 	}
-	if state, _ := p.PeerState(); state != "closed" {
+	if state := p.PeerState(); state != "closed" {
 		t.Fatalf("checksum mismatches opened probation: state %q", state)
 	}
 	if got := reg.Counter("peer.corruptions_detected").Value(); got == 0 {

@@ -2,11 +2,10 @@ package server
 
 // The /internal/cache surface: what one zipserverd instance exposes so
 // another instance's PeerBackend can mount it as a cold tier. Deliberately
-// minimal — content-addressed GET/PUT plus an index — and served from
-// Config.PeerView, which a tiered instance points at its *local* tiers
-// only, so two instances peered at each other terminate instead of
-// recursing. The chaos corrupt hook is mounted only when the process runs
-// with a fault registry.
+// minimal — content-addressed GET/PUT plus an occupancy index — and served
+// from the instance's local tiers only (peerTier), so two instances peered
+// at each other terminate instead of recursing. The chaos corrupt hook is
+// mounted only when the process runs with a fault registry.
 
 import (
 	"crypto/sha256"
@@ -19,6 +18,23 @@ import (
 
 	"github.com/zipchannel/zipchannel/internal/fault"
 )
+
+// peerTier finds the remote peer tier in a cache chain — the cache itself,
+// or the cold tier of a *TieredBackend, the only place zipserverd puts
+// one — and returns it with the chain minus that tier: the view this
+// instance serves on /internal/cache. Without a peer tier, peer is nil
+// and local is the whole chain.
+func peerTier(c CacheBackend) (peer *PeerBackend, local CacheBackend) {
+	switch b := c.(type) {
+	case *PeerBackend:
+		return b, nil
+	case *TieredBackend:
+		if p, ok := b.cold.(*PeerBackend); ok {
+			return p, b.hot
+		}
+	}
+	return nil, c
+}
 
 // parseCacheKeyPath decodes the {key} path value (64 hex chars).
 func parseCacheKeyPath(r *http.Request) (Key, bool) {
@@ -40,11 +56,11 @@ func (s *Server) handleCacheFetch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad cache key (want 64 hex chars)", http.StatusBadRequest)
 		return
 	}
-	if s.peerView == nil {
+	if s.local == nil {
 		http.Error(w, "cache disabled", http.StatusNotFound)
 		return
 	}
-	val, ok := s.peerView.Get(key)
+	val, ok := s.local.Get(key)
 	if !ok {
 		http.NotFound(w, r)
 		return
@@ -60,16 +76,19 @@ func (s *Server) handleCacheFetch(w http.ResponseWriter, r *http.Request) {
 // handleCacheStore serves PUT /internal/cache/{key}: stores the body
 // under the key. The key hashes the *request* that produced the value,
 // not the value itself, so the store cannot verify the binding — it
-// enforces only the size cap. A peer storing garbage poisons only
-// entries it alone addresses, and every read path re-verifies integrity
-// before serving.
+// enforces only the size cap. That leaves a poisoning hole (DESIGN.md
+// §10): a key is a hash of public request data, so anyone who can reach
+// this surface can store garbage under the key of a request other
+// clients will send, and the next such /v1 request is a 200 HIT with the
+// garbage. The read paths' integrity checks cannot catch it: they verify
+// the stored bytes against a checksum taken over those same bytes.
 func (s *Server) handleCacheStore(w http.ResponseWriter, r *http.Request) {
 	key, ok := parseCacheKeyPath(r)
 	if !ok {
 		http.Error(w, "bad cache key (want 64 hex chars)", http.StatusBadRequest)
 		return
 	}
-	if s.peerView == nil {
+	if s.local == nil {
 		http.Error(w, "cache disabled", http.StatusServiceUnavailable)
 		return
 	}
@@ -84,23 +103,18 @@ func (s *Server) handleCacheStore(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "entry exceeds peer store cap", http.StatusRequestEntityTooLarge)
 		return
 	}
-	s.peerView.Put(key, val)
+	s.local.Put(key, val)
 	s.reg.Counter("server.peerapi.stored").Inc()
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// handleCacheIndex serves GET /internal/cache: occupancy and the
-// deterministic MRU→LRU key listing (the peer Stats/Keys view).
+// handleCacheIndex serves GET /internal/cache: the served view's name and
+// occupancy (a PeerBackend's Stats).
 func (s *Server) handleCacheIndex(w http.ResponseWriter, r *http.Request) {
 	idx := peerIndex{Backend: "disabled"}
-	if s.peerView != nil {
-		idx.Backend = s.peerView.Name()
-		idx.Entries, idx.Bytes = s.peerView.Stats()
-		keys := s.peerView.Keys()
-		idx.Keys = make([]string, len(keys))
-		for i, k := range keys {
-			idx.Keys[i] = hex.EncodeToString(k[:])
-		}
+	if s.local != nil {
+		idx.Backend = s.local.Name()
+		idx.Entries, idx.Bytes = s.local.Stats()
 	}
 	b, err := json.Marshal(idx)
 	if err != nil {
@@ -122,7 +136,7 @@ func (s *Server) handleCacheCorrupt(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad cache key (want 64 hex chars)", http.StatusBadRequest)
 		return
 	}
-	if s.peerView == nil {
+	if s.local == nil {
 		http.Error(w, "cache disabled", http.StatusServiceUnavailable)
 		return
 	}
@@ -131,7 +145,7 @@ func (s *Server) handleCacheCorrupt(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad rand parameter", http.StatusBadRequest)
 		return
 	}
-	s.peerView.CorruptStored(key, fault.Injection{Kind: fault.KindCorrupt, Point: "peerapi", Rand: rnd})
+	s.local.CorruptStored(key, fault.Injection{Kind: fault.KindCorrupt, Point: "peerapi", Rand: rnd})
 	s.reg.Counter("server.peerapi.corruptions_injected").Inc()
 	w.WriteHeader(http.StatusNoContent)
 }

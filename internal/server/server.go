@@ -108,11 +108,6 @@ type Config struct {
 	// CacheBackend composition (disk, tiered, peer — see
 	// DESIGN.md §10). Nil means a byte-budgeted LRU of CacheBytes.
 	Cache CacheBackend
-	// PeerView is the backend served to other zipserverd instances on
-	// GET/PUT /internal/cache/{key}. Nil means Cache. A tiered setup
-	// whose cold tier is a remote peer MUST set PeerView to its local
-	// tiers only, or two instances peered at each other would recurse.
-	PeerView CacheBackend
 	// CacheMaxAge is the max-age (seconds) advertised in the
 	// Cache-Control response header on /v1 responses; 0 means
 	// DefaultCacheMaxAge, negative disables the header.
@@ -179,11 +174,14 @@ type Config struct {
 
 // Server is the http.Handler. Create with New.
 type Server struct {
-	maxBody    int64
-	reg        *obs.Registry
-	gate       *gate
-	cache      CacheBackend
-	peerView   CacheBackend
+	maxBody int64
+	reg     *obs.Registry
+	gate    *gate
+	cache   CacheBackend
+	// peer is the cache chain's remote tier (nil without one) and local
+	// the chain minus it, which /internal/cache serves (peerTier).
+	peer       *PeerBackend
+	local      CacheBackend
 	flight     flightGroup
 	maxAge     int
 	mux        *http.ServeMux
@@ -249,23 +247,13 @@ func New(cfg Config) *Server {
 		cfg.CacheMaxAge = 0
 	}
 	cache := cfg.Cache
-	if cache == nil {
-		// The typed-nil guard matters: a disabled LRU is a nil
-		// *LRUBackend, which must become a nil interface, not a non-nil
-		// interface wrapping nil.
-		if lru := NewLRUBackend(cfg.CacheBytes, cfg.Registry, "server.cache"); lru != nil {
-			cache = lru
-		}
-	}
-	peerView := cfg.PeerView
-	if peerView == nil {
-		peerView = cache
+	if cache == nil && cfg.CacheBytes > 0 {
+		cache = NewLRUBackend(cfg.CacheBytes, cfg.Registry, "server.cache")
 	}
 	s := &Server{
 		maxBody:          cfg.MaxBodyBytes,
 		reg:              cfg.Registry,
 		cache:            cache,
-		peerView:         peerView,
 		maxAge:           cfg.CacheMaxAge,
 		mux:              http.NewServeMux(),
 		retries:          cfg.CodecRetries,
@@ -278,6 +266,7 @@ func New(cfg Config) *Server {
 		breakerCooldown:  cfg.BreakerCooldown,
 		breakers:         map[string]*breaker{},
 	}
+	s.peer, s.local = peerTier(cache)
 	s.reg.SetSimClock(s.simSteps.Load)
 	if cfg.AccessLog != nil {
 		s.accessSink = obs.NewTraceSink(cfg.AccessLog)
@@ -798,10 +787,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			Entries: entries,
 			Bytes:   storedBytes,
 		}
-		if ph, ok := s.cache.(PeerHealth); ok {
-			if state, has := ph.PeerState(); has {
-				cacheHealth.PeerState = state
-			}
+		if s.peer != nil {
+			cacheHealth.PeerState = s.peer.PeerState()
 		}
 	}
 	resp := healthResponse{

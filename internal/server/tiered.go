@@ -32,12 +32,7 @@ type TieredBackend struct {
 }
 
 // NewTiered composes hot over cold with aggregate counters under prefix.
-// Either tier may be nil (the composite degrades to the other); both nil
-// yields a nil composite (caching disabled).
 func NewTiered(hot, cold CacheBackend, reg *obs.Registry, prefix string) *TieredBackend {
-	if hot == nil && cold == nil {
-		return nil
-	}
 	return &TieredBackend{
 		hot:        hot,
 		cold:       cold,
@@ -49,34 +44,20 @@ func NewTiered(hot, cold CacheBackend, reg *obs.Registry, prefix string) *Tiered
 
 // Name implements CacheBackend.
 func (t *TieredBackend) Name() string {
-	n := "tiered("
-	if t.hot != nil {
-		n += t.hot.Name()
-	}
-	n += "/"
-	if t.cold != nil {
-		n += t.cold.Name()
-	}
-	return n + ")"
+	return "tiered(" + t.hot.Name() + "/" + t.cold.Name() + ")"
 }
 
 // Get implements CacheBackend: hot, then cold with promotion.
 func (t *TieredBackend) Get(key Key) ([]byte, bool) {
-	if t.hot != nil {
-		if val, ok := t.hot.Get(key); ok {
-			t.hits.Inc()
-			return val, true
-		}
+	if val, ok := t.hot.Get(key); ok {
+		t.hits.Inc()
+		return val, true
 	}
-	if t.cold != nil {
-		if val, ok := t.cold.Get(key); ok {
-			if t.hot != nil {
-				t.hot.Put(key, val)
-				t.promotions.Inc()
-			}
-			t.hits.Inc()
-			return val, true
-		}
+	if val, ok := t.cold.Get(key); ok {
+		t.hot.Put(key, val)
+		t.promotions.Inc()
+		t.hits.Inc()
+		return val, true
 	}
 	t.misses.Inc()
 	return nil, false
@@ -84,82 +65,32 @@ func (t *TieredBackend) Get(key Key) ([]byte, bool) {
 
 // Put implements CacheBackend (write-through).
 func (t *TieredBackend) Put(key Key, val []byte) {
-	if t.hot != nil {
-		t.hot.Put(key, val)
-	}
-	if t.cold != nil {
-		t.cold.Put(key, val)
-	}
+	t.hot.Put(key, val)
+	t.cold.Put(key, val)
 }
 
 // CorruptStored implements CacheBackend. The chaos target is the cold
-// tier when present ("corrupt cold-tier entry" is the scenario the
-// hierarchy must absorb: the hot copy — if any — still serves, and once
-// it evicts, the cold read must detect the damage rather than serve it).
+// tier ("corrupt cold-tier entry" is the scenario the hierarchy must
+// absorb: the hot copy — if any — still serves, and once it evicts, the
+// cold read must detect the damage rather than serve it).
 func (t *TieredBackend) CorruptStored(key Key, in fault.Injection) {
-	if t.cold != nil {
-		t.cold.CorruptStored(key, in)
-		return
-	}
-	t.hot.CorruptStored(key, in)
+	t.cold.CorruptStored(key, in)
 }
 
 // Stats implements CacheBackend: occupancy summed over tiers (a
 // write-through entry counts in each tier holding it, matching what the
 // tiers' own gauges report).
 func (t *TieredBackend) Stats() (entries int, bytes int64) {
-	for _, b := range []CacheBackend{t.hot, t.cold} {
-		if b != nil {
-			e, n := b.Stats()
-			entries += e
-			bytes += n
-		}
-	}
-	return entries, bytes
-}
-
-// Keys implements CacheBackend: hot tier MRU→LRU, then cold-tier keys not
-// already listed — one deterministic view of the hierarchy.
-func (t *TieredBackend) Keys() []Key {
-	var keys []Key
-	seen := map[Key]bool{}
-	for _, b := range []CacheBackend{t.hot, t.cold} {
-		if b == nil {
-			continue
-		}
-		for _, k := range b.Keys() {
-			if !seen[k] {
-				seen[k] = true
-				keys = append(keys, k)
-			}
-		}
-	}
-	return keys
-}
-
-// PeerState implements PeerHealth by delegating to whichever tier fronts
-// a remote peer (cold first — the usual cluster composition — then hot).
-// ok is false when no tier is peer-backed.
-func (t *TieredBackend) PeerState() (string, bool) {
-	for _, b := range []CacheBackend{t.cold, t.hot} {
-		if ph, ok := b.(PeerHealth); ok {
-			if state, has := ph.PeerState(); has {
-				return state, true
-			}
-		}
-	}
-	return "", false
+	he, hb := t.hot.Stats()
+	ce, cb := t.cold.Stats()
+	return he + ce, hb + cb
 }
 
 // Close implements CacheBackend.
 func (t *TieredBackend) Close() error {
-	var first error
-	for _, b := range []CacheBackend{t.hot, t.cold} {
-		if b != nil {
-			if err := b.Close(); err != nil && first == nil {
-				first = err
-			}
-		}
+	herr, cerr := t.hot.Close(), t.cold.Close()
+	if herr != nil {
+		return herr
 	}
-	return first
+	return cerr
 }
