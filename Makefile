@@ -107,11 +107,12 @@ test-chaos:
 		-run 'TestChaos|TestDisarmedFaultsAreInvisible|TestRunLoadRetriesRecoverInjectedFaults|TestPageTrafficRecoversFromTransientCorruption|TestRunServesAndDrains' \
 		./internal/server/ ./internal/zipchannel/ ./cmd/zipload/ ./internal/pagestore/ ./cmd/zipserverd/
 
-# Regenerate golden files (obs snapshot, server /metrics, TaintChannel
-# reports, attack snapshots, zipserverd cache topologies, and the
-# experiments' sgx quick manifest and quick-suite digest).
+# Regenerate golden files (obs snapshot and Prometheus exposition,
+# server /metrics, TaintChannel reports, attack snapshots, zipserverd
+# cache topologies, and the experiments' sgx quick manifest and
+# quick-suite digest).
 golden:
-	$(GO) test ./internal/obs/ -run TestSnapshotGolden -update
+	$(GO) test ./internal/obs/ -run 'TestSnapshotGolden|TestPromGolden' -update
 	$(GO) test ./internal/server/ -run TestMetricsGolden -update
 	$(GO) test ./internal/core/ -run TestReportGolden -update
 	$(GO) test ./internal/zipchannel/ -run TestAttackSnapshotGolden -update

@@ -51,7 +51,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		track      = fs.Int("track", 0, "print the propagation history of input byte #n (1-based)")
 		samples    = fs.Int("samples", 2, "concrete samples kept per gadget")
 		disasm     = fs.Bool("disasm", false, "print the victim's disassembly first")
-		pairProf   = fs.Bool("pair-profile", false, "profile dynamic opcode pairs (forces the interpreter) and print the hottest pairs")
 	)
 	var cli obs.CLI
 	cli.Bind(fs)
@@ -82,9 +81,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	machine.SetInput(input)
-	if *pairProf {
-		machine.AttachPairProfile()
-	}
 	reg, err := cli.Start()
 	if err != nil {
 		return err
@@ -104,17 +100,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	fmt.Fprint(stdout, analyzer.Report(prog.Name))
-	if *pairProf {
-		machine.FlushPairProfile(reg)
-		pairs := machine.PairProfile()
-		if len(pairs) > 20 {
-			pairs = pairs[:20]
-		}
-		fmt.Fprintf(stdout, "\nhottest dynamic opcode pairs (superinstruction candidates):\n")
-		for _, pc := range pairs {
-			fmt.Fprintf(stdout, "  %-6s -> %-6s %12d\n", pc.First, pc.Second, pc.N)
-		}
-	}
 	if *track > 0 {
 		fmt.Fprintf(stdout, "\npropagation history of input byte #%d:\n", *track)
 		for _, ev := range analyzer.History(taint.Tag(*track)) {

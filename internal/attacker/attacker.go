@@ -231,29 +231,6 @@ func (p *PrimeProbe) Probe(ev []uint64) (evicted int) {
 	return evicted
 }
 
-// ProbeSets primes-then-probes each of the given global sets around a call
-// to victim (typically one single-stepped victim access) and returns the
-// set indices that saw evictions.
-func (p *PrimeProbe) ProbeSets(sets []int, ways int, victim func()) ([]int, error) {
-	evs := make([][]uint64, len(sets))
-	for i, s := range sets {
-		ev, err := p.EvictionSet(s, ways)
-		if err != nil {
-			return nil, err
-		}
-		evs[i] = ev
-		p.Prime(ev)
-	}
-	victim()
-	var hot []int
-	for i, ev := range evs {
-		if p.Probe(ev) > 0 {
-			hot = append(hot, sets[i])
-		}
-	}
-	return hot, nil
-}
-
 // FlushReload drives the flush/reload cycle against lines the attacker
 // shares with the victim (a shared library's code pages, §VI).
 type FlushReload struct {

@@ -130,31 +130,6 @@ func TestPrimeProbeDetectsVictimAccess(t *testing.T) {
 	}
 }
 
-func TestProbeSetsPinpointsHotSet(t *testing.T) {
-	c := newCache()
-	p := NewPrimeProbe(c, attackerActor, 1<<30, 1<<22)
-	p.Calibrate(100)
-
-	victimAddr := uint64(0xabc000)
-	target := c.GlobalSet(victimAddr)
-	// Monitor a spread of sets including the target.
-	sets := []int{target}
-	for gs := 0; len(sets) < 8; gs += 13 {
-		if gs != target {
-			sets = append(sets, gs)
-		}
-	}
-	hot, err := p.ProbeSets(sets, 4, func() {
-		c.Access(victimActor, victimAddr)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hot) != 1 || hot[0] != target {
-		t.Errorf("hot sets = %v, want [%d]", hot, target)
-	}
-}
-
 func TestPrimeProbeWithCATSingleWay(t *testing.T) {
 	// The paper's configuration: CAT reduces the monitored region to a
 	// single way, so a 1-line eviction set suffices.

@@ -41,9 +41,6 @@ func (w *BitWriter) Bytes() []byte {
 	return w.buf
 }
 
-// BitLen returns the number of bits written so far.
-func (w *BitWriter) BitLen() int { return len(w.buf)*8 + int(w.nCur) }
-
 // BitReader consumes bits LSB-first from a byte slice.
 type BitReader struct {
 	buf  []byte

@@ -163,9 +163,6 @@ func (e *Encoder) Encode(w *BitWriter, sym int) error {
 	return nil
 }
 
-// CodeLen returns sym's code length in bits (0 = unused symbol).
-func (e *Encoder) CodeLen(sym int) int { return int(e.lengths[sym]) }
-
 // Decoder reads canonical Huffman codes bit by bit using per-length
 // first-code/offset tables (the zlib decode structure).
 type Decoder struct {

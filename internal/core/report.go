@@ -226,23 +226,3 @@ func DiffTraces(a, b []ReducedEvent) []int {
 	sort.Ints(diverging)
 	return diverging
 }
-
-// FindingAt returns the finding for a given kind and pc, if present.
-func (r *Report) FindingAt(kind GadgetKind, pc int) (*Finding, bool) {
-	for _, f := range r.Findings {
-		if f.Kind == kind && f.PC == pc {
-			return f, true
-		}
-	}
-	return nil, false
-}
-
-// GadgetInstrs lists, per finding, the disassembled instruction; useful
-// for compact summaries (§IV survey table).
-func (r *Report) GadgetInstrs() []string {
-	out := make([]string, 0, len(r.Findings))
-	for _, f := range r.Findings {
-		out = append(out, fmt.Sprintf("[%s] pc %d: %s (x%d)", f.Kind, f.PC, f.Instr.String(), f.Count))
-	}
-	return out
-}

@@ -39,13 +39,6 @@ func (m *Manifest) MarshalIndent() ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
-// Execute runs one experiment under a fresh (or caller-provided)
-// registry and returns the result together with its manifest. A nil reg
-// creates a private registry, so the manifest always carries a snapshot.
-func Execute(r Runner, quick bool, reg *obs.Registry) (*Result, *Manifest, error) {
-	return ExecuteCtx(r, &Ctx{Quick: quick, Obs: reg})
-}
-
 // ExecuteCtx runs one experiment under a fully specified context (the
 // scheduler's entry point: it carries the task seed and the trial
 // parallelism budget). A nil c.Obs gets a private registry, so the

@@ -14,7 +14,7 @@ func TestExperimentsSmoke(t *testing.T) {
 	if !ok {
 		t.Fatal("sgx experiment not registered")
 	}
-	res, m, err := Execute(r, true, nil)
+	res, m, err := ExecuteCtx(r, &Ctx{Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -109,16 +109,6 @@ func BuildTimeline(data []byte, opts bwt.Options) (*Timeline, error) {
 	return tl, nil
 }
 
-// ActiveAt reports which function is executing at the given cycle.
-func (tl *Timeline) ActiveAt(cycle uint64) Func {
-	for _, iv := range tl.Intervals {
-		if cycle >= iv.Start && cycle < iv.End {
-			return iv.Fn
-		}
-	}
-	return FuncNone
-}
-
 // activeIn reports whether fn executed at any point in (lo, hi].
 func (tl *Timeline) activeIn(fn Func, lo, hi uint64) bool {
 	for _, iv := range tl.Intervals {

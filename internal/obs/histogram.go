@@ -122,15 +122,6 @@ func (h *Histogram) Sum() int64 {
 	return h.sum.Load()
 }
 
-// Mean returns the average observation (0 when empty or nil).
-func (h *Histogram) Mean() float64 {
-	n := h.Count()
-	if n == 0 {
-		return 0
-	}
-	return float64(h.Sum()) / float64(n)
-}
-
 // storeMin lowers a to v unless it is already at most v.
 func storeMin(a *atomic.Int64, v int64) {
 	for {

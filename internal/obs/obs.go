@@ -30,7 +30,6 @@ package obs
 
 import (
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -248,21 +247,6 @@ func (r *Registry) DeclareHistograms(names ...string) {
 	for _, n := range names {
 		r.Histogram(n)
 	}
-}
-
-// CounterNames returns the sorted names of all registered counters.
-func (r *Registry) CounterNames() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	names := make([]string, 0, len(r.counters))
-	for k := range r.counters {
-		names = append(names, k)
-	}
-	r.mu.Unlock()
-	sort.Strings(names)
-	return names
 }
 
 // numCounterShards is the size of a counter's padded shard array. Owners

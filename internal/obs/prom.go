@@ -143,7 +143,7 @@ func writePromHistogram(b *strings.Builder, name string, h *Histogram) {
 		}
 		fmt.Fprintf(b, "%s_bucket{le=%q} %d", name, le, cum)
 		if e, ok := exemplars[i]; ok {
-			fmt.Fprintf(b, " # {trace_id=%q} %d", EscapeLabelValue(e.TraceID), e.Value)
+			fmt.Fprintf(b, " # {trace_id=\"%s\"} %d", EscapeLabelValue(e.TraceID), e.Value)
 		}
 		b.WriteByte('\n')
 	}

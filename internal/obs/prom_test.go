@@ -1,8 +1,10 @@
 package obs
 
 import (
+	"bytes"
 	"math"
-	"strings"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -27,68 +29,39 @@ func TestEscapeLabelValue(t *testing.T) {
 	}
 }
 
-// TestWritePrometheusValid renders a populated registry (with an
-// exemplar) and runs the repo's own exposition parser over it.
-func TestWritePrometheusValid(t *testing.T) {
+// TestPromGolden pins WritePrometheus byte for byte on one registry that
+// reaches every branch of prom.go: a counter, a fractional gauge, a name
+// that needs sanitizing, skipped empty buckets, the non-positive bucket,
+// an observation >= 2^62 folded into +Inf, and an exemplar whose trace ID
+// needs escaping.
+func TestPromGolden(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("server.requests").Add(7)
-	reg.Counter("server.cache.hits").Add(3)
+	reg.Counter("9lives.total").Add(3)
 	reg.Gauge("server.cache.bytes").Set(1234.5)
 	h := reg.Histogram("server.request_latency_us")
+	h.Observe(0)
 	h.Observe(3)
 	h.Observe(900)
-	h.ObserveExemplar(5000, "4bf92f3577b34da6a3ce929d0e0e4736")
+	h.ObserveExemplar(5000, `4bf9"quoted\slash`)
+	h.Observe(1 << 62)
 
-	var b strings.Builder
+	var b bytes.Buffer
 	if err := reg.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
-	out := b.String()
-	samples, err := ParseExposition(strings.NewReader(out))
+	golden := filepath.Join("testdata", "prom.golden")
+	if *updateGolden {
+		if err := os.WriteFile(golden, b.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
 	if err != nil {
-		t.Fatalf("own exposition fails own parser: %v\n%s", err, out)
+		t.Fatalf("read golden (run with -update to create): %v", err)
 	}
-	byName := map[string]float64{}
-	var infBucket float64
-	for _, s := range samples {
-		if s.Name == "server_request_latency_us_bucket" && s.Labels["le"] == "+Inf" {
-			infBucket = s.Value
-		}
-		byName[s.Name] = s.Value
-	}
-	if byName["server_requests"] != 7 || byName["server_cache_hits"] != 3 {
-		t.Fatalf("counter samples wrong: %v", byName)
-	}
-	if byName["server_cache_bytes"] != 1234.5 {
-		t.Fatalf("gauge sample = %v", byName["server_cache_bytes"])
-	}
-	if infBucket != 3 || byName["server_request_latency_us_count"] != 3 {
-		t.Fatalf("histogram totals: +Inf=%v count=%v", infBucket, byName["server_request_latency_us_count"])
-	}
-	if !strings.Contains(out, `# {trace_id="4bf92f3577b34da6a3ce929d0e0e4736"} 5000`) {
-		t.Fatalf("exemplar missing from exposition:\n%s", out)
-	}
-}
-
-func TestParseExpositionRejects(t *testing.T) {
-	bad := []string{
-		"9bad_name 1",
-		"name{le=\"x} 1",
-		"name{bad-label=\"x\"} 1",
-		"name{l=\"a\\q\"} 1",
-		"name notafloat",
-		"# TYPE name wat\nname 1",
-		"# TYPE h histogram\nh_bucket{le=\"1\"} 5\nh_bucket{le=\"+Inf\"} 3\nh_sum 1\nh_count 3",
-		"# TYPE h histogram\nh_sum 1\nh_count 0",
-	}
-	for _, in := range bad {
-		if err := ValidateExposition(strings.NewReader(in)); err == nil {
-			t.Errorf("accepted invalid exposition %q", in)
-		}
-	}
-	good := "# HELP x something\n# TYPE x counter\nx 5 1700000000\n\nplain_untyped 1.5e3\n"
-	if err := ValidateExposition(strings.NewReader(good)); err != nil {
-		t.Errorf("rejected valid exposition: %v", err)
+	if !bytes.Equal(b.Bytes(), want) {
+		t.Errorf("exposition diverges from golden:\ngot:\n%s\nwant:\n%s", b.Bytes(), want)
 	}
 }
 

@@ -49,16 +49,6 @@ func (s *TraceSink) Emit(event string, sim uint64, fields map[string]any) {
 	}
 }
 
-// Events returns how many events have been emitted.
-func (s *TraceSink) Events() uint64 {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.seq
-}
-
 // Err returns the first write/marshal error, if any.
 func (s *TraceSink) Err() error {
 	if s == nil {

@@ -90,9 +90,8 @@ func ZlibLeakFraction(rec []ZlibKnownBits, truth []byte) float64 {
 }
 
 // SimulateZlibTrace computes the gadget's observable trace for a given
-// input: the ground-truth generator used by tests and the survey
-// experiment (the lz77 package produces the same values through its
-// instrumented compressor).
+// input: the ground-truth generator the recovery tests use (the lz77
+// package produces the same values through its instrumented compressor).
 func SimulateZlibTrace(input []byte) []uint16 {
 	if len(input) < 3 {
 		return nil

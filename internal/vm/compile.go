@@ -11,8 +11,8 @@ import (
 // code — one Go closure per instruction with its operands, width masks,
 // and effective-address mode burned in, chained by direct next-pc returns —
 // plus superinstructions that fuse adjacent straight-line pairs (the
-// add/cmp/jcc and load/op/store sequences that the opcode-pair profile
-// shows dominate every victim gadget; see AttachPairProfile) into a single
+// add/cmp/jcc and load/op/store sequences that a dynamic opcode-pair
+// count showed dominate every victim gadget; DESIGN.md §12) into a single
 // closure, halving dispatch on hot loops.
 //
 // Execution is block-at-a-time (block.go): the run loop enters a basic

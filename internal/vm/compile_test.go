@@ -69,7 +69,9 @@ loop:
 	}
 }
 
-func TestPairProfileForcesInterp(t *testing.T) {
+// Run takes the compiled engine on flat memory unless VM.Interp forces
+// the interpreter; both retire the same instructions to the same state.
+func TestEngineSelection(t *testing.T) {
 	p := mustAssemble(t, `
 main:
   mov r1, 3
@@ -79,36 +81,25 @@ loop:
   jg loop
   halt
 `)
-	v, err := NewFlat(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v.AttachPairProfile()
-	if v.useCompiled() {
-		t.Fatal("pair profiling must force the interpreter")
-	}
-	if err := v.Run(); err != nil {
-		t.Fatal(err)
-	}
-	pairs := v.PairProfile()
-	if len(pairs) == 0 {
-		t.Fatal("no pairs recorded")
-	}
-	var total uint64
-	for i, pc := range pairs {
-		total += pc.N
-		if i > 0 && pairs[i-1].N < pc.N {
-			t.Fatal("pairs not sorted most-frequent first")
+	var steps [2]uint64
+	for i, interp := range []bool{false, true} {
+		v, err := NewFlat(p)
+		if err != nil {
+			t.Fatal(err)
 		}
+		v.Interp = interp
+		if v.useCompiled() == interp {
+			t.Fatalf("Interp=%v: useCompiled = %v", interp, v.useCompiled())
+		}
+		if err := v.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if v.Regs[1] != 0 || !v.Halted {
+			t.Fatalf("Interp=%v: r1 = %d, halted %v", interp, v.Regs[1], v.Halted)
+		}
+		steps[i] = v.Steps
 	}
-	if total != v.Steps-1 {
-		t.Fatalf("pair count total %d, want steps-1 = %d", total, v.Steps-1)
-	}
-	// The loop's hot pair must dominate: sub->cmp or cmp->jg.
-	hot := pairs[0]
-	if !(hot.First == isa.OpSub && hot.Second == isa.OpCmp) &&
-		!(hot.First == isa.OpCmp && hot.Second == isa.OpJg) &&
-		!(hot.First == isa.OpJg && hot.Second == isa.OpSub) {
-		t.Errorf("unexpected hottest pair %v->%v", hot.First, hot.Second)
+	if steps[0] != steps[1] {
+		t.Errorf("compiled retired %d instructions, interpreter %d", steps[0], steps[1])
 	}
 }

@@ -1,8 +1,6 @@
 package vm
 
 import (
-	"sort"
-
 	"github.com/zipchannel/zipchannel/internal/isa"
 	"github.com/zipchannel/zipchannel/internal/obs"
 )
@@ -34,79 +32,5 @@ func (v *VM) AttachObs(reg *obs.Registry) {
 	v.obs.sysExit = reg.Counter("vm.sys.exit")
 	for op := 0; op < isa.NumOps; op++ {
 		v.obs.ops[op] = reg.Counter("vm.op." + isa.Op(op).String()).Shard()
-	}
-}
-
-// pairProfile counts retired dynamic opcode pairs (the opcode of each
-// instruction and of the one retired immediately before it, across
-// control flow). It is the measurement behind the compiled engine's
-// superinstruction selection: the hottest pairs become fused closures
-// (compile.go). Counts accumulate in a flat array during the run — a
-// per-pair counter lookup in Step would perturb the very dispatch cost
-// being measured — and flush to vm.pair.<a>.<b> counters on demand.
-type pairProfile struct {
-	counts  [isa.NumOps][isa.NumOps]uint64
-	prev    isa.Op
-	hasPrev bool
-}
-
-func (p *pairProfile) record(op isa.Op) {
-	if p.hasPrev {
-		p.counts[p.prev][op]++
-	}
-	p.prev, p.hasPrev = op, true
-}
-
-// AttachPairProfile starts opcode-pair profiling on the VM. Profiling is
-// interpreter-only: attaching it forces Run onto the interpreter (the
-// compiled engine's fused pairs would erase the boundary being counted).
-// Call FlushPairProfile or PairProfile after the run for the counts.
-func (v *VM) AttachPairProfile() {
-	v.pair = &pairProfile{}
-}
-
-// PairCount is one dynamic opcode pair and how often it retired.
-type PairCount struct {
-	First, Second isa.Op
-	N             uint64
-}
-
-// PairProfile returns the recorded opcode pairs, most frequent first
-// (ties broken by opcode order for determinism). Nil if no profile was
-// attached.
-func (v *VM) PairProfile() []PairCount {
-	if v.pair == nil {
-		return nil
-	}
-	var out []PairCount
-	for a := 0; a < isa.NumOps; a++ {
-		for b := 0; b < isa.NumOps; b++ {
-			if n := v.pair.counts[a][b]; n > 0 {
-				out = append(out, PairCount{First: isa.Op(a), Second: isa.Op(b), N: n})
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].N != out[j].N {
-			return out[i].N > out[j].N
-		}
-		if out[i].First != out[j].First {
-			return out[i].First < out[j].First
-		}
-		return out[i].Second < out[j].Second
-	})
-	return out
-}
-
-// FlushPairProfile publishes the recorded pair counts as
-// vm.pair.<first>.<second> counters on reg. Separate from recording so
-// the profiled run pays one array increment per instruction, not a
-// registry lookup.
-func (v *VM) FlushPairProfile(reg *obs.Registry) {
-	if v.pair == nil || reg == nil {
-		return
-	}
-	for _, pc := range v.PairProfile() {
-		reg.Counter("vm.pair." + pc.First.String() + "." + pc.Second.String()).Add(pc.N)
 	}
 }

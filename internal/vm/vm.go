@@ -79,8 +79,7 @@ type VM struct {
 	dec  []dec
 	flat *FlatMemory
 
-	obs  vmObs
-	pair *pairProfile
+	obs vmObs
 }
 
 // DefaultMaxSteps bounds Run against non-terminating programs.
@@ -135,9 +134,9 @@ func (v *VM) Output() []byte { return v.output }
 // re-execute on the next Run or Step.
 //
 // Run dispatches to the compiled (threaded-code) engine when the machine
-// is eligible — flat memory, engine not forced to interp, no pair
-// profiler attached — and to the interpreter loop otherwise. Both
-// produce bit-identical machine state, output, errors, and obs totals.
+// is eligible — flat memory, engine not forced to interp — and to the
+// interpreter loop otherwise. Both produce bit-identical machine state,
+// output, errors, and obs totals.
 func (v *VM) Run() error {
 	if v.useCompiled() {
 		return v.runCompiled(engineFor(v.Prog))
@@ -152,9 +151,9 @@ func (v *VM) Run() error {
 
 // useCompiled reports whether Run should take the compiled engine. Paged
 // (SGX) memory always interprets: the fast path has no fault/resume
-// story. The opcode-pair profiler is interpreter-only by design.
+// story.
 func (v *VM) useCompiled() bool {
-	return v.flat != nil && v.pair == nil && !v.Interp
+	return v.flat != nil && !v.Interp
 }
 
 // Step executes a single instruction. On *Fault the PC is unchanged.
@@ -270,9 +269,6 @@ func (v *VM) Step() error {
 	v.Steps++
 	v.obs.instructions.Inc()
 	v.obs.ops[d.op].Inc()
-	if v.pair != nil {
-		v.pair.record(d.op)
-	}
 	return nil
 }
 
