@@ -92,13 +92,16 @@ func TestRunLoadCountsServerErrors(t *testing.T) {
 // make test-chaos: a fault-armed server (injected codec errors and
 // panics) driven by verifying clients with backoff retries. Every
 // round trip must still come back byte-correct with zero unrecovered
-// errors, and the retry path must actually have fired.
+// errors, and the retry path must actually have fired. The server runs
+// its shipped policy, retrying each transient failure twice, so the
+// fault rates are high enough (about 0.4 per attempt, ~6% of requests
+// failing all three attempts) that some failures reach the client.
 func TestRunLoadRetriesRecoverInjectedFaults(t *testing.T) {
 	faults := fault.NewRegistry(7)
-	if err := faults.ArmAll("server.codec.compress=error:0.06,server.codec.compress=panic:0.03,server.codec.decompress=error:0.06"); err != nil {
+	if err := faults.ArmAll("server.codec.compress=error:0.35,server.codec.compress=panic:0.05,server.codec.decompress=error:0.4"); err != nil {
 		t.Fatal(err)
 	}
-	s := server.New(server.Config{Workers: 4, Faults: faults, CodecRetries: -1})
+	s := server.New(server.Config{Workers: 4, Faults: faults})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
@@ -120,8 +123,15 @@ func TestRunLoadRetriesRecoverInjectedFaults(t *testing.T) {
 		t.Fatalf("%d unrecovered errors under injected faults (first: %s)", res.Errors, res.FirstError)
 	}
 	retries := res.Registry.Snapshot().Counters["zipload.retries"]
+	srv := s.Registry()
+	serverRetries := srv.Counter("server.codec.retries").Value()
+	t.Logf("zipload.retries = %d, server.codec.retries = %d, server.breaker.trips = %d",
+		retries, serverRetries, srv.Counter("server.breaker.trips").Value())
 	if retries == 0 {
 		t.Fatal("no retries recorded — the fault profile never fired")
+	}
+	if serverRetries == 0 {
+		t.Fatal("no server-side retries recorded — the shipped retry policy never ran")
 	}
 	var sb strings.Builder
 	res.report(&sb, loadConfig{Codecs: []string{"lz77"}})

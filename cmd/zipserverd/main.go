@@ -211,7 +211,7 @@ func start(args []string, stderr io.Writer) (_ *daemon, err error) {
 		addr     = fs.String("addr", "127.0.0.1:8321", "listen address (port 0 picks a free port)")
 		addrFile = fs.String("addr-file", "", "write the bound address to this file once listening")
 		workers  = fs.Int("workers", 0, "max concurrent codec executions and page operations (0 = GOMAXPROCS)")
-		queueLim = fs.Int("queue-limit", 0, "max codec and page requests waiting beyond -workers before shedding 503+Retry-After (0 = 8x workers, negative disables shedding)")
+		queueLim = fs.Int("queue-limit", 0, "max codec and page requests waiting beyond -workers before shedding 503+Retry-After (0 = 8x workers)")
 		maxBody  = fs.Int64("max-body", server.DefaultMaxBodyBytes, "per-request body cap in bytes")
 
 		cacheMB     = fs.Int64("cache-mb", 64, "in-memory (hot) LRU tier budget in MiB (0 or negative: no hot tier)")
@@ -247,6 +247,9 @@ func start(args []string, stderr io.Writer) (_ *daemon, err error) {
 	}
 	if fs.NArg() > 0 {
 		return nil, fmt.Errorf("unexpected arguments: %v", fs.Args())
+	}
+	if *queueLim < 0 {
+		return nil, fmt.Errorf("-queue-limit %d: must be >= 0 (0 = 8x workers)", *queueLim)
 	}
 
 	if *cacheScrub {

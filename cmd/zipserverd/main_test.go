@@ -38,6 +38,15 @@ func TestParsePlant(t *testing.T) {
 	}
 }
 
+// TestRunRejectsNegativeQueueLimit: a negative -queue-limit is a usage
+// error, not a way to turn shedding off; run fails before it listens.
+func TestRunRejectsNegativeQueueLimit(t *testing.T) {
+	err := run(context.Background(), []string{"-addr", "127.0.0.1:0", "-queue-limit", "-1"}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "-queue-limit -1") {
+		t.Fatalf("run with -queue-limit -1: err = %v, want a -queue-limit usage error", err)
+	}
+}
+
 // chaosFaults arms roughly one injected fault per ten requests across
 // the codecs, the cache (response bit-flips, disk tier I/O errors) and
 // the worker gate.

@@ -120,9 +120,9 @@ type instanceStats struct {
 	Breakers map[string]string `json:"breakers,omitempty"` // codec/op -> state
 	Faults   map[string]uint64 `json:"faults,omitempty"`   // fault.* counters
 
-	// Overload mirrors the healthz admission section (absent when the
-	// instance runs with shedding disabled); PeerState is the peer tier's
-	// probation breaker ("closed", "open", "trial"; absent without one).
+	// Overload mirrors the healthz admission section; PeerState is the
+	// peer tier's probation breaker ("closed", "open", "trial"; absent
+	// without one).
 	OverloadState string `json:"overload_state,omitempty"`
 	ShedTotal     uint64 `json:"shed_total"`
 	QueueDepth    int    `json:"queue_depth"`
@@ -139,7 +139,7 @@ type health struct {
 	UptimeSimSteps uint64            `json:"uptime_sim_steps"`
 	UptimeSeconds  float64           `json:"uptime_seconds"`
 	Breakers       map[string]string `json:"breakers"`
-	Overload       *struct {
+	Overload       struct {
 		State      string `json:"state"`
 		QueueDepth int    `json:"queue_depth"`
 		Shed       uint64 `json:"shed_total"`
@@ -204,11 +204,9 @@ func collect(httpc *http.Client, target string) instanceStats {
 	if len(h.Breakers) > 0 {
 		st.Breakers = h.Breakers
 	}
-	if h.Overload != nil {
-		st.OverloadState = h.Overload.State
-		st.QueueDepth = h.Overload.QueueDepth
-		st.ShedTotal = h.Overload.Shed
-	}
+	st.OverloadState = h.Overload.State
+	st.QueueDepth = h.Overload.QueueDepth
+	st.ShedTotal = h.Overload.Shed
 	st.PeerState = h.Cache.PeerState
 
 	st.Requests = snap.Counters["server.requests"]
@@ -302,8 +300,9 @@ func renderTable(w io.Writer, stats []instanceStats) {
 	}
 }
 
-// breakerSummary compresses the breaker map: "-" before any traffic,
-// "all closed (n)" when nothing is tripped, else the non-closed pairs.
+// breakerSummary compresses the breaker map: "-" when the target lists
+// none, "all closed (n)" when nothing is tripped, else the non-closed
+// pairs.
 func breakerSummary(breakers map[string]string) string {
 	if len(breakers) == 0 {
 		return "-"

@@ -152,7 +152,8 @@ func TestUnreachableTargets(t *testing.T) {
 
 // TestCollectOverloadAndPeerState: the healthz overload section and peer
 // probation state surface in the row (and its degraded detail line) so
-// dashboards see shedding without scraping raw metrics.
+// dashboards see shedding without scraping raw metrics. An idle server
+// already lists all six codec/op breakers, closed.
 func TestCollectOverloadAndPeerState(t *testing.T) {
 	srv := server.New(server.Config{Workers: 1, QueueLimit: 1})
 	ts := httptest.NewServer(srv)
@@ -179,6 +180,9 @@ func TestCollectOverloadAndPeerState(t *testing.T) {
 	}
 	if strings.Contains(out, ts.URL+" degraded:") {
 		t.Fatalf("healthy instance got a degraded line:\n%s", out)
+	}
+	if !strings.Contains(out, "all closed (6)") {
+		t.Fatalf("idle server row does not print all closed (6):\n%s", out)
 	}
 
 	b, err := json.Marshal(st)

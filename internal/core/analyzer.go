@@ -37,26 +37,23 @@ type Config struct {
 	// retained per gadget site (default 4).
 	MaxSamplesPerGadget int
 	// TrackTags selects input-byte tags whose full propagation history is
-	// recorded (Fig 3). Nil tracks none.
+	// recorded (Fig 3), at most maxHistoryPerTag events each. Nil tracks
+	// none.
 	TrackTags map[taint.Tag]bool
-	// MaxHistoryPerTag bounds each tracked tag's history (default 64).
-	MaxHistoryPerTag int
 	// ReducedTrace records the sequence of taint-touching instructions,
-	// the input to cross-input control-flow diffing (§VI). Default off.
+	// the input to cross-input control-flow diffing (§VI), at most
+	// maxReducedTrace of them. Default off.
 	ReducedTrace bool
-	// MaxReducedTrace bounds the reduced trace length (default 1<<20).
-	MaxReducedTrace int
 }
+
+const (
+	maxHistoryPerTag = 64      // bounds each tracked tag's history
+	maxReducedTrace  = 1 << 20 // bounds the reduced trace length
+)
 
 func (c Config) withDefaults() Config {
 	if c.MaxSamplesPerGadget == 0 {
 		c.MaxSamplesPerGadget = 4
-	}
-	if c.MaxHistoryPerTag == 0 {
-		c.MaxHistoryPerTag = 64
-	}
-	if c.MaxReducedTrace == 0 {
-		c.MaxReducedTrace = 1 << 20
 	}
 	return c
 }
@@ -302,7 +299,7 @@ func (a *Analyzer) step(v *vm.VM, in *isa.Instr) {
 
 	if touched {
 		a.taintOps++
-		if a.cfg.ReducedTrace && len(a.reduced) < a.cfg.MaxReducedTrace {
+		if a.cfg.ReducedTrace && len(a.reduced) < maxReducedTrace {
 			ev := ReducedEvent{PC: v.PC, Op: in.Op}
 			if in.Op.IsCondJump() {
 				ev.Taken = v.ZF // approximation only used for display
@@ -655,7 +652,7 @@ func (a *Analyzer) trackWord(v *vm.VM, in *isa.Instr, word *taint.Word, note str
 
 func (a *Analyzer) recordHistory(t taint.Tag, step uint64, pc int, instr, note string) {
 	h := a.history[t]
-	if len(h) >= a.cfg.MaxHistoryPerTag {
+	if len(h) >= maxHistoryPerTag {
 		return
 	}
 	a.history[t] = append(h, HistEvent{Step: step, PC: pc, Instr: instr, Note: note})

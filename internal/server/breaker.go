@@ -14,8 +14,9 @@ import "sync"
 // wall-clock keeps the breaker's behavior a pure function of the request
 // sequence — chaos runs with a fixed fault seed replay exactly.
 //
-// A nil *breaker (breaker disabled) always allows and records nothing, so
-// call sites need no conditionals.
+// Each codec/op pair gets its breaker when the server is built, with the
+// fixed breakerThreshold and breakerCooldown; a peer cache tier guards
+// its peer with one of its own (peer.go).
 type breaker struct {
 	mu        sync.Mutex
 	threshold int
@@ -35,12 +36,6 @@ const (
 )
 
 func newBreaker(threshold, cooldown int) *breaker {
-	if threshold <= 0 {
-		return nil
-	}
-	if cooldown <= 0 {
-		cooldown = DefaultBreakerCooldown
-	}
 	return &breaker{threshold: threshold, cooldown: cooldown}
 }
 
@@ -49,9 +44,6 @@ func newBreaker(threshold, cooldown int) *breaker {
 // rejected request itself is not retried here — the client's backoff
 // spans the cooldown window).
 func (b *breaker) allow() bool {
-	if b == nil {
-		return true
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
@@ -67,12 +59,8 @@ func (b *breaker) allow() bool {
 }
 
 // stateName reports the breaker's current state for health endpoints
-// and dashboards: "closed", "open", "trial", or "disabled" for a nil
-// breaker.
+// and dashboards: "closed", "open", or "trial".
 func (b *breaker) stateName() string {
-	if b == nil {
-		return "disabled"
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
@@ -85,12 +73,8 @@ func (b *breaker) stateName() string {
 	}
 }
 
-// stateCode is stateName as a gauge value: 0 closed, 1 open, 2 trial
-// (and 0 for disabled — a disabled breaker never impedes traffic).
+// stateCode is stateName as a gauge value: 0 closed, 1 open, 2 trial.
 func (b *breaker) stateCode() int {
-	if b == nil {
-		return 0
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return int(b.state)
@@ -101,9 +85,6 @@ func (b *breaker) stateCode() int {
 // ok=false means a transient/injected failure. Returns true when this
 // record tripped the breaker open.
 func (b *breaker) record(ok bool) (tripped bool) {
-	if b == nil {
-		return false
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if ok {

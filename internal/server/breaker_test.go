@@ -57,18 +57,3 @@ func TestBreakerTripAndRecover(t *testing.T) {
 		}
 	}
 }
-
-func TestBreakerDisabled(t *testing.T) {
-	var b *breaker // nil = disabled
-	for i := 0; i < 20; i++ {
-		if !b.allow() {
-			t.Fatal("nil breaker must always allow")
-		}
-		if b.record(false) {
-			t.Fatal("nil breaker must never trip")
-		}
-	}
-	if newBreaker(0, 8) != nil {
-		t.Fatal("threshold <= 0 should disable the breaker")
-	}
-}

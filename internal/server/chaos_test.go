@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -54,12 +55,12 @@ func TestChaosConcurrentFaultedLoad(t *testing.T) {
 		CacheBytes: 16 << 10, // tiny: forces evictions under load
 		Registry:   reg,
 		Faults:     chaosFaults(t, 7),
-		// No server-side retries: every injected failure surfaces as a
-		// 5xx, so this test proves the *client* retry loop carries the
-		// recovery (the server-retry path is covered by cmd/zipload's
-		// chaos test, which leaves them on).
-		CodecRetries: -1,
 	})
+	// No server-side retries (white box): every injected failure
+	// surfaces as a 5xx, so this test proves the *client* retry loop
+	// carries the recovery (the server-retry path is covered by
+	// cmd/zipload's chaos test, which runs the shipped policy).
+	s.retries = 0
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
@@ -183,8 +184,9 @@ func postRetry(cl *http.Client, url string, body []byte, sl *chaosSlot) ([]byte,
 	return nil, false
 }
 
-// TestChaosBreakerServesCachedWhileOpen pins the degraded mode: with the
-// compress worker hard-down (error on every attempt, no retries), cached
+// TestChaosBreakerServesCachedWhileOpen pins the degraded mode under the
+// shipped policy: with the compress worker hard-down (error on every
+// attempt, so each request fails all 1+codecRetries of them), cached
 // responses keep flowing while uncached requests see 500s until the
 // breaker opens, then fast 503s, then a trial 500 after the cooldown.
 func TestChaosBreakerServesCachedWhileOpen(t *testing.T) {
@@ -193,14 +195,7 @@ func TestChaosBreakerServesCachedWhileOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	s := New(Config{
-		Workers:          2,
-		Registry:         reg,
-		Faults:           faults,
-		CodecRetries:     -1, // every attempt fails; retries would only consume hits
-		BreakerThreshold: 3,
-		BreakerCooldown:  4,
-	})
+	s := New(Config{Workers: 2, Registry: reg, Faults: faults})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
@@ -221,14 +216,14 @@ func TestChaosBreakerServesCachedWhileOpen(t *testing.T) {
 	}
 
 	uncached := []byte("a body with no cache entry")
-	// Three consecutive transient failures open the breaker...
-	for i := 0; i < 3; i++ {
+	// breakerThreshold consecutive failed requests open the breaker...
+	for i := 0; i < breakerThreshold; i++ {
 		if code, _, _ := postStatus(uncached); code != http.StatusInternalServerError {
 			t.Fatalf("failure %d: status %d, want 500", i+1, code)
 		}
 	}
 	// ...after which uncached requests fast-fail for the cooldown window.
-	for i := 0; i < 4; i++ {
+	for i := 0; i < breakerCooldown; i++ {
 		if code, _, _ := postStatus(uncached); code != http.StatusServiceUnavailable {
 			t.Fatalf("cooldown request %d: status %d, want 503", i+1, code)
 		}
@@ -247,14 +242,56 @@ func TestChaosBreakerServesCachedWhileOpen(t *testing.T) {
 	if got := snap.Counters["server.breaker.trips"]; got < 2 {
 		t.Errorf("breaker.trips = %d, want >= 2 (initial trip + failed trial)", got)
 	}
-	if got := snap.Counters["server.breaker.rejected"]; got != 4 {
-		t.Errorf("breaker.rejected = %d, want exactly 4 (the cooldown window)", got)
+	if got := snap.Counters["server.breaker.rejected"]; got != breakerCooldown {
+		t.Errorf("breaker.rejected = %d, want exactly %d (the cooldown window)", got, breakerCooldown)
+	}
+	// Every failed request spent all its attempts: the breaker counts
+	// requests, not attempts.
+	if got, want := snap.Counters["server.codec.executions"], uint64((breakerThreshold+1)*(1+codecRetries)); got != want {
+		t.Errorf("codec.executions = %d, want %d (%d failed requests × %d attempts)",
+			got, want, breakerThreshold+1, 1+codecRetries)
+	}
+}
+
+// TestChaosRetryRecoversTransientFault: a codec fault that fires on every
+// second execution is absorbed by the shipped retry policy. The request
+// whose first attempt fails succeeds on its retry with the right bytes,
+// and the success keeps the breaker closed.
+func TestChaosRetryRecoversTransientFault(t *testing.T) {
+	faults := fault.NewRegistry(1)
+	if err := faults.ArmAll("server.codec.compress=error@2"); err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	s, ts := newTestServer(t, Config{CacheBytes: -1, Registry: reg, Faults: faults})
+	cd, _ := codec.Lookup("lz77")
+
+	for i, body := range [][]byte{[]byte("first body: clean attempt"), []byte("second body: retried attempt")} {
+		resp, out := post(t, ts.URL+"/v1/lz77/compress", body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d: status %d, want 200", i+1, resp.StatusCode)
+		}
+		if back, err := cd.Decompress(out); err != nil || !bytes.Equal(back, body) {
+			t.Fatalf("request %d: response does not round-trip: %v", i+1, err)
+		}
+	}
+	snap := reg.Snapshot()
+	// Hit 1 runs clean; hit 2 fails and hit 3, its retry, succeeds.
+	if got := snap.Counters["server.codec.executions"]; got != 3 {
+		t.Errorf("codec.executions = %d, want 3", got)
+	}
+	if got := snap.Counters["server.codec.retries"]; got != 1 {
+		t.Errorf("codec.retries = %d, want 1", got)
+	}
+	if st := s.ops[opKey{"lz77", "compress"}].breaker.stateName(); st != "closed" {
+		t.Errorf("lz77/compress breaker %q after a recovered request, want closed", st)
 	}
 }
 
 // TestChaosDeadlineOnSaturatedPool: with one worker held by a slow
 // (latency-faulted) request, a second request whose deadline expires while
-// queued gets a clean 504, not an unbounded wait.
+// queued gets a clean 504, not an unbounded wait. The deadline is lowered
+// white box so the test need not outwait the shipped requestTimeout.
 func TestChaosDeadlineOnSaturatedPool(t *testing.T) {
 	faults := fault.NewRegistry(2)
 	// 300 ms of injected latency on every codec execution.
@@ -263,12 +300,12 @@ func TestChaosDeadlineOnSaturatedPool(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	s := New(Config{
-		Workers:        1,
-		Registry:       reg,
-		Faults:         faults,
-		CacheBytes:     -1, // no cache: every request must take a slot
-		RequestTimeout: 120 * time.Millisecond,
+		Workers:    1,
+		Registry:   reg,
+		Faults:     faults,
+		CacheBytes: -1, // no cache: every request must take a slot
 	})
+	s.gate.timeout = 120 * time.Millisecond
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
@@ -284,7 +321,15 @@ func TestChaosDeadlineOnSaturatedPool(t *testing.T) {
 		resp.Body.Close()
 		first <- resp.StatusCode
 	}()
-	time.Sleep(30 * time.Millisecond) // let the first request take the slot
+	// Queue the second request only once the first holds the only slot.
+	for len(s.gate.slots) != 1 {
+		select {
+		case code := <-first:
+			t.Fatalf("slot-holding request ended (status %d) before it held the slot", code)
+		default:
+			runtime.Gosched()
+		}
+	}
 
 	resp, err := http.Post(ts.URL+"/v1/lz77/compress", "application/octet-stream",
 		bytes.NewReader([]byte("queued request that must time out")))

@@ -172,7 +172,7 @@ func TestFlightLeaderPanicReleasesKey(t *testing.T) {
 	reg := obs.NewRegistry()
 	// In process, not over a listener: a wedged request must fail this
 	// test, not hang the server's shutdown.
-	s := New(Config{Registry: reg, Faults: faults, CodecRetries: -1})
+	s := New(Config{Registry: reg, Faults: faults})
 	body := []byte("a body whose leader panics")
 	for i := 0; i < 2; i++ {
 		done := make(chan int, 1)

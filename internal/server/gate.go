@@ -14,17 +14,18 @@ package server
 //     promise the server already knows it cannot keep. Without it,
 //     overload queues requests until each burns a full deadline and comes
 //     back as a 504, the slowest possible way to say no;
-//   - the request deadline, started when work enters the gate, so a cache
-//     hit (which never enters) pays for no timer;
+//   - the request deadline (requestTimeout), started when work enters the
+//     gate, so a cache hit (which never enters) pays for no timer;
 //   - the server.gate.acquire fault point, hit once per slot acquisition;
 //   - the gate-wait measurement and the server.gate.wait span.
 //
 // A request enters once (enter, then leave) for its whole gate
 // interaction and takes a fresh slot per attempt (do), so retries hold
-// one admission. Shedding is accounting plus two comparisons; it never
-// alters response bytes, so runs that stay under the limit (every
-// baseline and bench in this repo at defaults) are byte-identical to a
-// gate without it.
+// one admission. The deadline and shedding are always on; only the
+// queue limit is a deployment setting. Shedding is accounting plus two
+// comparisons and never alters response bytes; runs that stay under
+// the limit (every baseline and bench in this repo at defaults) never
+// shed.
 
 import (
 	"context"
@@ -58,8 +59,8 @@ var errShed = errors.New("admission: overloaded, request shed")
 
 type gate struct {
 	slots   chan struct{}
-	limit   int           // max requests waiting beyond capacity; negative disables shedding
-	timeout time.Duration // request deadline, from enter; <= 0 disables
+	limit   int           // max requests waiting beyond capacity
+	timeout time.Duration // request deadline, from enter: requestTimeout
 	fp      *fault.Point  // server.gate.acquire; nil when injection is off
 	tracer  *obs.Tracer
 	reg     *obs.Registry
@@ -71,34 +72,31 @@ type gate struct {
 	// the unit the queue-wait estimate is denominated in.
 	execUS atomic.Uint64
 
-	// Admission series; nil (so no-ops, and absent from /metrics) when
-	// shedding is disabled.
+	// Admission series.
 	admitted *obs.Counter
 	shed     *obs.Counter
 	queueG   *obs.Gauge
 	burnG    *obs.Gauge
 }
 
-// newGate builds the gate: workers <= 0 means GOMAXPROCS; queueLimit 0
-// means DefaultQueueLimitFactor × workers, negative disables shedding.
-func newGate(workers, queueLimit int, timeout time.Duration, reg *obs.Registry,
-	faults *fault.Registry, tracer *obs.Tracer) *gate {
+// newGate builds the gate: workers <= 0 means GOMAXPROCS; queueLimit
+// <= 0 means DefaultQueueLimitFactor × workers.
+func newGate(workers, queueLimit int, reg *obs.Registry, faults *fault.Registry,
+	tracer *obs.Tracer) *gate {
 	g := &gate{
-		slots:   make(chan struct{}, par.Parallelism(workers)),
-		limit:   queueLimit,
-		timeout: timeout,
-		fp:      faults.Point("server.gate.acquire"),
-		tracer:  tracer,
-		reg:     reg,
+		slots:    make(chan struct{}, par.Parallelism(workers)),
+		limit:    queueLimit,
+		timeout:  requestTimeout,
+		fp:       faults.Point("server.gate.acquire"),
+		tracer:   tracer,
+		reg:      reg,
+		admitted: reg.Counter("server.admission.admitted"),
+		shed:     reg.Counter("server.admission.shed"),
+		queueG:   reg.Gauge("server.admission.queue_depth"),
+		burnG:    reg.Gauge("server.admission.burn_rate"),
 	}
-	if g.limit == 0 {
+	if g.limit <= 0 {
 		g.limit = DefaultQueueLimitFactor * cap(g.slots)
-	}
-	if g.limit >= 0 {
-		g.admitted = reg.Counter("server.admission.admitted")
-		g.shed = reg.Counter("server.admission.shed")
-		g.queueG = reg.Gauge("server.admission.queue_depth")
-		g.burnG = reg.Gauge("server.admission.burn_rate")
 	}
 	return g
 }
@@ -108,12 +106,9 @@ func newGate(workers, queueLimit int, timeout time.Duration, reg *obs.Registry,
 // starts here, and must call leave with the returned cancel once its
 // work — queue waits, executions and retries — is over.
 func (g *gate) enter(ctx context.Context) (context.Context, context.CancelFunc, error) {
-	cancel := context.CancelFunc(func() {})
-	if g.timeout > 0 {
-		ctx, cancel = context.WithTimeout(ctx, g.timeout)
-	}
+	ctx, cancel := context.WithTimeout(ctx, g.timeout)
 	queued := int(g.inSystem.Add(1)) - cap(g.slots)
-	if g.limit >= 0 && (queued > g.limit || queued > 0 && g.overdue(ctx, queued)) {
+	if queued > g.limit || queued > 0 && g.overdue(ctx, queued) {
 		g.inSystem.Add(-1)
 		cancel()
 		g.shed.Inc()
@@ -131,10 +126,7 @@ func (g *gate) enter(ctx context.Context) (context.Context, context.CancelFunc, 
 // admitting it only converts a fast 503 into a slow 504 while it blocks
 // the queue for others.
 func (g *gate) overdue(ctx context.Context, queued int) bool {
-	deadline, ok := ctx.Deadline()
-	if !ok {
-		return false
-	}
+	deadline, _ := ctx.Deadline()
 	est := g.estimatedWait(queued)
 	return est > 0 && est > time.Until(deadline)
 }
@@ -287,13 +279,9 @@ type healthOverload struct {
 	MeanExecUS uint64 `json:"mean_exec_us"`
 }
 
-// health renders the admission state for /healthz (nil when shedding is
-// disabled, keeping the section absent).
-func (g *gate) health() *healthOverload {
-	if g.limit < 0 {
-		return nil
-	}
-	h := &healthOverload{
+// health renders the admission state for /healthz.
+func (g *gate) health() healthOverload {
+	h := healthOverload{
 		State:      "ok",
 		QueueDepth: g.queueDepth(),
 		QueueLimit: g.limit,

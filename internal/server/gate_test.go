@@ -3,12 +3,11 @@ package server
 // Tests for the work gate (DESIGN.md §13). Under sustained traffic at
 // several times gate capacity the server must shed with 503 +
 // Retry-After instead of queuing unboundedly, every admitted request must
-// still answer correctly with bounded latency, and with shedding disabled
-// or idle defaults nothing may change. Below the server, the gate bounds
+// still answer correctly with bounded latency, and at idle defaults
+// nothing may be shed. Below the server, the gate bounds
 // concurrent work, releases its slot on every path, and measures waits.
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -27,17 +26,6 @@ import (
 	"github.com/zipchannel/zipchannel/internal/pagestore"
 	"github.com/zipchannel/zipchannel/internal/par"
 )
-
-// slowCompressFaults arms a deterministic 20ms latency on every compress
-// execution so a tiny worker pool saturates under concurrent load.
-func slowCompressFaults(t *testing.T) *fault.Registry {
-	t.Helper()
-	reg := fault.NewRegistry(1)
-	if err := reg.ArmAll("server.codec.compress=latency:1:20000"); err != nil {
-		t.Fatal(err)
-	}
-	return reg
-}
 
 // TestAdmissionShedsOverload drives 8× gate capacity of concurrent
 // traffic at a 2-worker server with a 2-deep admission queue, once as
@@ -208,48 +196,6 @@ func checkSheds(t *testing.T, url string, reg *obs.Registry, request func(string
 	}
 }
 
-// TestAdmissionDisabled: QueueLimit -1 turns the controller off — no
-// shedding no matter the load, and no overload section in healthz.
-func TestAdmissionDisabled(t *testing.T) {
-	reg := obs.NewRegistry()
-	_, ts := newTestServer(t, Config{
-		Workers:    1,
-		QueueLimit: -1,
-		CacheBytes: -1,
-		Registry:   reg,
-		Faults:     slowCompressFaults(t),
-	})
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			body := []byte(fmt.Sprintf("disabled body %d", i))
-			resp, err := http.Post(ts.URL+"/v1/lz77/compress",
-				"application/octet-stream", bytes.NewReader(body))
-			if err != nil {
-				t.Errorf("request %d: %v", i, err)
-				return
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Errorf("request %d: status %d with shedding disabled", i, resp.StatusCode)
-			}
-		}(i)
-	}
-	wg.Wait()
-	resp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	raw, _ := io.ReadAll(resp.Body)
-	if bytes.Contains(raw, []byte(`"overload"`)) {
-		t.Fatalf("healthz advertises overload section with shedding disabled: %s", raw)
-	}
-}
-
 // TestAdmissionDefaultQuiet: at defaults (8× capacity queue) a serial
 // workload never sheds and the overload section reports "ok".
 func TestAdmissionDefaultQuiet(t *testing.T) {
@@ -285,7 +231,7 @@ func TestAdmissionDefaultQuiet(t *testing.T) {
 // first observation seeds the mean, later ones move it by 1/8 per step,
 // and the queue-wait estimate scales with queue depth over capacity.
 func TestAdmissionEWMA(t *testing.T) {
-	a := newGate(2, 4, 0, obs.NewRegistry(), nil, nil)
+	a := newGate(2, 4, obs.NewRegistry(), nil, nil)
 	if est := a.estimatedWait(3); est != 0 {
 		t.Fatalf("estimate before any observation = %v, want 0", est)
 	}
@@ -311,7 +257,7 @@ func TestAdmissionEWMA(t *testing.T) {
 // slots and checks the observed high-water mark never exceeds capacity.
 func TestGateBoundsConcurrency(t *testing.T) {
 	const capacity, callers = 4, 64
-	g := newGate(capacity, 0, 0, obs.NewRegistry(), nil, nil)
+	g := newGate(capacity, 0, obs.NewRegistry(), nil, nil)
 	var inside, high atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < callers; i++ {
@@ -344,7 +290,7 @@ func TestGateBoundsConcurrency(t *testing.T) {
 // TestGateDefaultCapacity: workers <= 0 means GOMAXPROCS slots, and
 // queue limit 0 means DefaultQueueLimitFactor of them.
 func TestGateDefaultCapacity(t *testing.T) {
-	g := newGate(0, 0, 0, obs.NewRegistry(), nil, nil)
+	g := newGate(0, 0, obs.NewRegistry(), nil, nil)
 	if got, want := cap(g.slots), par.Parallelism(0); got != want {
 		t.Fatalf("capacity = %d, want %d", got, want)
 	}
@@ -358,7 +304,7 @@ func TestGateDefaultCapacity(t *testing.T) {
 // leak its slot.
 func TestGatePanicReleasesSlot(t *testing.T) {
 	reg := obs.NewRegistry()
-	g := newGate(1, 0, 0, reg, nil, nil)
+	g := newGate(1, 0, reg, nil, nil)
 	for i := 0; i < 3; i++ {
 		err := g.do(context.Background(), "test.run", func(*obs.TraceSpan) error { panic("worker crash") })
 		if !errors.Is(err, errTransient) {
@@ -378,7 +324,7 @@ func TestGatePanicReleasesSlot(t *testing.T) {
 // waits for a slot gets the context's error without running, and the
 // gate admits normally once the slot frees.
 func TestGateDeadlineWhileQueued(t *testing.T) {
-	g := newGate(1, 0, 0, obs.NewRegistry(), nil, nil)
+	g := newGate(1, 0, obs.NewRegistry(), nil, nil)
 	hold := make(chan struct{})
 	started := make(chan struct{})
 	go g.do(context.Background(), "test.run", func(*obs.TraceSpan) error {
@@ -404,31 +350,21 @@ func TestGateDeadlineWhileQueued(t *testing.T) {
 	}
 }
 
-// TestGateRequestDeadline: the request deadline starts when a request
-// enters the gate, and a negative timeout disables it.
+// TestGateRequestDeadline: the requestTimeout deadline starts when a
+// request enters the gate and ends when it leaves.
 func TestGateRequestDeadline(t *testing.T) {
-	g := newGate(1, 0, time.Minute, obs.NewRegistry(), nil, nil)
+	g := newGate(1, 0, obs.NewRegistry(), nil, nil)
 	ctx, cancel, err := g.enter(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	deadline, ok := ctx.Deadline()
-	if !ok || time.Until(deadline) <= 59*time.Second {
-		t.Fatalf("entered ctx deadline = %v (set %v), want ~1m from now", deadline, ok)
+	if !ok || time.Until(deadline) <= requestTimeout-time.Second {
+		t.Fatalf("entered ctx deadline = %v (set %v), want ~%v from now", deadline, ok, requestTimeout)
 	}
 	g.leave(cancel)
 	if ctx.Err() == nil {
 		t.Fatal("leave did not cancel the request deadline")
-	}
-
-	g = newGate(1, 0, -1, obs.NewRegistry(), nil, nil)
-	ctx, cancel, err = g.enter(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.leave(cancel)
-	if _, ok := ctx.Deadline(); ok {
-		t.Fatal("negative timeout still set a deadline")
 	}
 }
 
@@ -443,7 +379,7 @@ func TestGateFaultReleasesSlot(t *testing.T) {
 			if err := faults.ArmAll("server.gate.acquire=" + kind + "@2"); err != nil {
 				t.Fatal(err)
 			}
-			g := newGate(1, 0, 0, obs.NewRegistry(), faults, nil)
+			g := newGate(1, 0, obs.NewRegistry(), faults, nil)
 			runs := 0
 			attempt := func() (err error) {
 				defer func() {
@@ -478,7 +414,7 @@ func TestGateFaultReleasesSlot(t *testing.T) {
 // request; one queued behind a held slot adds roughly the time it
 // blocked.
 func TestGateWaitMeasured(t *testing.T) {
-	g := newGate(1, 0, 0, obs.NewRegistry(), nil, nil)
+	g := newGate(1, 0, obs.NewRegistry(), nil, nil)
 	ri := &reqInfo{}
 	ctx := context.WithValue(context.Background(), reqInfoKey{}, ri)
 	noop := func(*obs.TraceSpan) error { return nil }

@@ -32,7 +32,9 @@ type goldenStep struct {
 // level, 413, unknown codec and op, corrupt decompress, no-store, an
 // injected transient failure that trips the breaker, a breaker
 // rejection, page PUT/GET/unknown GET — and compares the /metrics
-// snapshot against testdata/metrics.golden.json. The wall-clock latency
+// snapshot against testdata/metrics.golden.json. So that one injected
+// failure trips a breaker, the built server is lowered white box to no
+// retries and a one-failure breaker threshold. The wall-clock latency
 // histogram is the only series dropped; SLOLatency -1 keeps wall time
 // out of the SLO counters, so the document is a pure function of the
 // request sequence.
@@ -45,7 +47,13 @@ func TestMetricsGolden(t *testing.T) {
 	freg := fault.NewRegistry(1)
 	freg.Arm("server.codec.decompress", fault.Spec{Kind: fault.KindError, Every: 2})
 	s := New(Config{Registry: reg, PageStore: ps, SLOLatency: -1, MaxBodyBytes: 4096, Workers: 2,
-		Faults: freg, CodecRetries: -1, BreakerThreshold: 1})
+		Faults: freg})
+	s.retries = 0
+	for _, m := range s.ops {
+		if m.breaker != nil {
+			m.breaker.threshold = 1
+		}
+	}
 
 	payload := []byte(strings.Repeat("metrics golden payload ", 40))
 	steps := []goldenStep{

@@ -51,7 +51,6 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -69,19 +68,25 @@ const Version = "0.9.0"
 const (
 	DefaultMaxBodyBytes = 8 << 20  // 8 MiB per request body
 	DefaultCacheBytes   = 64 << 20 // 64 MiB of cached responses
-	// DefaultRequestTimeout bounds one request's gate work: queue wait,
+)
+
+// The codec failure policy: one fixed policy for every server, not a
+// deployment setting.
+const (
+	// requestTimeout bounds one request's gate work: queue wait,
 	// execution, and transient retries.
-	DefaultRequestTimeout = 30 * time.Second
-	// DefaultBreakerThreshold is how many consecutive transient codec
-	// failures open the circuit breaker for that codec/op.
-	DefaultBreakerThreshold = 5
-	// DefaultBreakerCooldown is how many uncached requests an open
-	// breaker rejects before admitting a trial request.
-	DefaultBreakerCooldown = 16
-	// DefaultCodecRetries is how many times a transient codec failure
-	// (injected fault, codec panic, failed self-check) is retried within
-	// one request before it becomes a 500.
-	DefaultCodecRetries = 2
+	requestTimeout = 30 * time.Second
+	// codecRetries is how many times a transient codec failure (injected
+	// fault, codec panic, failed self-check) is retried within one
+	// request before it becomes a 500.
+	codecRetries = 2
+	// breakerThreshold is how many consecutive requests ending in a
+	// transient codec failure (all attempts spent) open the circuit
+	// breaker for that codec/op.
+	breakerThreshold = 5
+	// breakerCooldown is how many uncached requests an open breaker
+	// rejects before admitting a trial request.
+	breakerCooldown = 16
 )
 
 // errTransient classifies failures that say nothing about the input —
@@ -118,18 +123,11 @@ type Config struct {
 	// QueueLimit caps how many requests (codec executions and page
 	// operations) may wait for a worker beyond the ones executing; past
 	// it the gate sheds with 503 + Retry-After instead of queueing
-	// (DESIGN.md §13).
-	// 0 means DefaultQueueLimitFactor × Workers; negative disables
-	// shedding entirely (the pre-0.9 unbounded-queue behavior).
+	// (DESIGN.md §13). <= 0 means DefaultQueueLimitFactor × Workers.
 	QueueLimit int
 	// Registry receives every request's metrics and serves /metrics.
 	// Created if nil.
 	Registry *obs.Registry
-	// RequestTimeout bounds each request's gate work (queue wait +
-	// execution + retries), starting when the request enters the gate —
-	// a cache hit never does; 0 means DefaultRequestTimeout, negative
-	// disables.
-	RequestTimeout time.Duration
 	// Faults arms deterministic fault injection at the server's named
 	// points (server.codec.{compress,decompress}, server.cache.{get,put},
 	// server.gate.acquire). Nil disables injection entirely and leaves
@@ -138,16 +136,6 @@ type Config struct {
 	// it before it leaves the process, so corruption can only reach
 	// clients as a 500, never as wrong bytes.
 	Faults *fault.Registry
-	// BreakerThreshold is the consecutive-transient-failure count that
-	// opens a codec/op breaker; 0 means DefaultBreakerThreshold, negative
-	// disables the breaker.
-	BreakerThreshold int
-	// BreakerCooldown is how many requests an open breaker rejects before
-	// trialing; 0 means DefaultBreakerCooldown.
-	BreakerCooldown int
-	// CodecRetries caps transient-failure retries per request; 0 means
-	// DefaultCodecRetries, negative disables retries.
-	CodecRetries int
 	// Tracer records a span tree per /v1 request (server.request plus
 	// gate/breaker/codec/cache children), honoring incoming traceparent
 	// headers and echoing the request's traceparent on responses. Nil
@@ -185,7 +173,7 @@ type Server struct {
 	flight     flightGroup
 	maxAge     int
 	mux        *http.ServeMux
-	retries    int
+	retries    int // transient-failure retries per request: codecRetries
 	selfCheck  bool
 	tracer     *obs.Tracer
 	accessSink *obs.TraceSink
@@ -204,13 +192,9 @@ type Server struct {
 	fpCacheGet   *fault.Point
 	fpCachePut   *fault.Point
 
-	// ops holds each (codec, op) pair's instruments, resolved once in New.
+	// ops holds each (codec, op) pair's instruments and, for codecs, its
+	// circuit breaker, resolved once in New.
 	ops map[opKey]*opMetrics
-
-	breakerThreshold int
-	breakerCooldown  int
-	bkMu             sync.Mutex
-	breakers         map[string]*breaker
 }
 
 // New builds a Server from cfg.
@@ -223,20 +207,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.Registry == nil {
 		cfg.Registry = obs.NewRegistry()
-	}
-	if cfg.RequestTimeout == 0 {
-		cfg.RequestTimeout = DefaultRequestTimeout
-	}
-	if cfg.BreakerThreshold == 0 {
-		cfg.BreakerThreshold = DefaultBreakerThreshold
-	}
-	if cfg.BreakerCooldown == 0 {
-		cfg.BreakerCooldown = DefaultBreakerCooldown
-	}
-	if cfg.CodecRetries == 0 {
-		cfg.CodecRetries = DefaultCodecRetries
-	} else if cfg.CodecRetries < 0 {
-		cfg.CodecRetries = 0
 	}
 	if cfg.SLOLatency == 0 {
 		cfg.SLOLatency = DefaultSLOLatency
@@ -251,20 +221,17 @@ func New(cfg Config) *Server {
 		cache = NewLRUBackend(cfg.CacheBytes, cfg.Registry, "server.cache")
 	}
 	s := &Server{
-		maxBody:          cfg.MaxBodyBytes,
-		reg:              cfg.Registry,
-		cache:            cache,
-		maxAge:           cfg.CacheMaxAge,
-		mux:              http.NewServeMux(),
-		retries:          cfg.CodecRetries,
-		selfCheck:        cfg.Faults != nil,
-		tracer:           cfg.Tracer,
-		sloLatency:       cfg.SLOLatency,
-		pages:            cfg.PageStore,
-		started:          time.Now(),
-		breakerThreshold: cfg.BreakerThreshold,
-		breakerCooldown:  cfg.BreakerCooldown,
-		breakers:         map[string]*breaker{},
+		maxBody:    cfg.MaxBodyBytes,
+		reg:        cfg.Registry,
+		cache:      cache,
+		maxAge:     cfg.CacheMaxAge,
+		mux:        http.NewServeMux(),
+		retries:    codecRetries,
+		selfCheck:  cfg.Faults != nil,
+		tracer:     cfg.Tracer,
+		sloLatency: cfg.SLOLatency,
+		pages:      cfg.PageStore,
+		started:    time.Now(),
 	}
 	s.peer, s.local = peerTier(cache)
 	s.reg.SetSimClock(s.simSteps.Load)
@@ -278,10 +245,11 @@ func New(cfg Config) *Server {
 		s.fpCacheGet = cfg.Faults.Point("server.cache.get")
 		s.fpCachePut = cfg.Faults.Point("server.cache.put")
 	}
-	s.gate = newGate(cfg.Workers, cfg.QueueLimit, cfg.RequestTimeout, cfg.Registry, cfg.Faults, cfg.Tracer)
+	s.gate = newGate(cfg.Workers, cfg.QueueLimit, cfg.Registry, cfg.Faults, cfg.Tracer)
 	// Every operational series (cache, breaker, SLO, per-codec request
-	// counters) is declared up front so scrapers see zeros from the
-	// first scrape; armed fault points are declared by AttachObs above.
+	// counters) and every codec/op breaker is declared up front so
+	// scrapers and probes see them from the first look; armed fault
+	// points are declared by AttachObs above.
 	s.declareMetrics()
 	s.mux.HandleFunc("POST /v1/{codec}/{op}", s.handleCodec)
 	if s.pages != nil {
@@ -373,22 +341,6 @@ func (s *Server) serveTraced(w http.ResponseWriter, r *http.Request) {
 		s.mux.ServeHTTP(rec, r.WithContext(ctx))
 	}()
 	s.finishRequest(ri, rec, time.Since(start))
-}
-
-// breakerFor returns (creating if needed) the circuit breaker guarding one
-// codec/op pair; nil when breakers are disabled.
-func (s *Server) breakerFor(key string) *breaker {
-	if s.breakerThreshold < 0 {
-		return nil
-	}
-	s.bkMu.Lock()
-	defer s.bkMu.Unlock()
-	b, ok := s.breakers[key]
-	if !ok {
-		b = newBreaker(s.breakerThreshold, s.breakerCooldown)
-		s.breakers[key] = b
-	}
-	return b
 }
 
 // handleCodec serves POST /v1/{codec}/{compress|decompress}: stream in the
@@ -562,7 +514,7 @@ func (s *Server) setCacheHeaders(hdr http.Header, name, etag string) {
 func (s *Server) missOnce(r *http.Request, ri *reqInfo, cd codec.Codec, fp *fault.Point,
 	run func([]byte) ([]byte, error), body []byte, key Key, store bool) ([]byte, error) {
 	m := ri.ops
-	bk := s.breakerFor(m.breakerKey)
+	bk := m.breaker
 	_, bsp := s.tracer.StartSpan(r.Context(), "server.breaker.check")
 	allowed := bk.allow()
 	ri.breaker = bk.stateName()
@@ -743,7 +695,7 @@ type healthResponse struct {
 	UptimeSimSteps uint64            `json:"uptime_sim_steps"`
 	UptimeSeconds  float64           `json:"uptime_seconds"`
 	Breakers       map[string]string `json:"breakers"`
-	Overload       *healthOverload   `json:"overload,omitempty"`
+	Overload       healthOverload    `json:"overload"`
 	Cache          healthCache       `json:"cache"`
 	Pages          *healthPages      `json:"pages,omitempty"`
 }
@@ -769,15 +721,15 @@ type healthPages struct {
 }
 
 // handleHealthz is the liveness probe: a structured JSON health report.
-// Breakers appear once their codec/op pair has seen traffic; states are
-// "closed", "open", or "trial".
+// Every codec/op breaker is listed from the first probe, keyed
+// "<codec>/<op>"; states are "closed", "open", or "trial".
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	breakers := map[string]string{}
-	s.bkMu.Lock()
-	for key, b := range s.breakers {
-		breakers[key] = b.stateName()
+	for _, m := range s.ops {
+		if m.breaker != nil {
+			breakers[m.codec+"/"+m.op] = m.breaker.stateName()
+		}
 	}
-	s.bkMu.Unlock()
 	cacheHealth := healthCache{}
 	if s.cache != nil {
 		entries, storedBytes := s.cache.Stats()

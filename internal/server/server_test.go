@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -258,8 +259,14 @@ func TestHealthz(t *testing.T) {
 	if h.UptimeSimSteps != 0 {
 		t.Fatalf("healthz before traffic: uptime_sim_steps = %d, want 0 (probes advance no sim step)", h.UptimeSimSteps)
 	}
-	if len(h.Breakers) != 0 {
-		t.Fatalf("healthz before traffic: breakers = %v, want empty", h.Breakers)
+	// Every codec/op breaker is listed from the first probe, closed.
+	want := map[string]string{}
+	for _, name := range codec.Names() {
+		want[name+"/compress"] = "closed"
+		want[name+"/decompress"] = "closed"
+	}
+	if len(want) != 6 || !reflect.DeepEqual(h.Breakers, want) {
+		t.Fatalf("healthz before traffic: breakers = %v, want %v", h.Breakers, want)
 	}
 }
 

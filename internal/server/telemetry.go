@@ -54,7 +54,7 @@ type opMetrics struct {
 	requests     *obs.Counter // server.codec.<c>.<op>
 	good, breach *obs.Counter // server.slo.<c>.<op>.{good,breach}
 	burnRate     *obs.Gauge   // server.slo.<c>.<op>.burn_rate
-	breakerKey   string       // "<c>/<op>", the breaker's /healthz key
+	breaker      *breaker     // guards the codec; nil for pages
 	breakerState *obs.Gauge   // server.breaker.<c>.<op>.state; nil for pages
 }
 
@@ -137,7 +137,8 @@ func (s *Server) declareMetrics() {
 
 // resolveOp registers one (codec, op) pair's request, SLO and (for
 // codecs, which run behind a breaker) breaker-state series, and files
-// their handles under s.ops. It is the only place these names are built.
+// their handles — with the codec's breaker — under s.ops. It is the only
+// place these names are built.
 func (s *Server) resolveOp(name, op string, withBreaker bool) {
 	key := name + "." + op
 	m := &opMetrics{
@@ -149,7 +150,7 @@ func (s *Server) resolveOp(name, op string, withBreaker bool) {
 		burnRate: s.reg.Gauge("server.slo." + key + ".burn_rate"),
 	}
 	if withBreaker {
-		m.breakerKey = name + "/" + op
+		m.breaker = newBreaker(breakerThreshold, breakerCooldown)
 		m.breakerState = s.reg.Gauge("server.breaker." + key + ".state")
 	}
 	s.ops[opKey{name, op}] = m

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/zipchannel/zipchannel/internal/compress/codec"
 	"github.com/zipchannel/zipchannel/internal/fault"
 	"github.com/zipchannel/zipchannel/internal/obs"
 )
@@ -284,19 +285,15 @@ func TestPprofOptIn(t *testing.T) {
 }
 
 // TestHealthzBreakerTransitions arms an always-failing codec fault and
-// watches the breaker's state transitions appear in /healthz: closed while
-// failures accumulate, open once tripped, trial after the cooldown.
+// watches the shipped breaker's state transitions appear in /healthz:
+// closed while failed requests accumulate, open once tripped, trial after
+// the cooldown.
 func TestHealthzBreakerTransitions(t *testing.T) {
 	freg := fault.NewRegistry(1)
 	if err := freg.ArmAll("server.codec.compress=error:1"); err != nil {
 		t.Fatal(err)
 	}
-	_, ts := newTestServer(t, Config{
-		Faults:           freg,
-		BreakerThreshold: 2,
-		BreakerCooldown:  1,
-		CodecRetries:     -1,
-	})
+	_, ts := newTestServer(t, Config{Faults: freg})
 
 	breakerState := func() string {
 		t.Helper()
@@ -311,24 +308,77 @@ func TestHealthzBreakerTransitions(t *testing.T) {
 	}
 
 	payload := []byte("breaker transition payload")
-	if resp, _ := post(t, ts.URL+"/v1/lz77/compress", payload); resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("first injected failure: status %d, want 500", resp.StatusCode)
-	}
-	if st := breakerState(); st != "closed" {
-		t.Fatalf("after 1 failure: breaker %q, want closed", st)
-	}
-	if resp, _ := post(t, ts.URL+"/v1/lz77/compress", payload); resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("second injected failure: status %d, want 500", resp.StatusCode)
+	for i := 1; i <= breakerThreshold; i++ {
+		if st := breakerState(); st != "closed" {
+			t.Fatalf("after %d failures: breaker %q, want closed", i-1, st)
+		}
+		if resp, _ := post(t, ts.URL+"/v1/lz77/compress", payload); resp.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("injected failure %d: status %d, want 500", i, resp.StatusCode)
+		}
 	}
 	if st := breakerState(); st != "open" {
-		t.Fatalf("after %d failures: breaker %q, want open", 2, st)
+		t.Fatalf("after %d failures: breaker %q, want open", breakerThreshold, st)
 	}
-	// The open breaker rejects one request (the cooldown), then trials.
-	if resp, _ := post(t, ts.URL+"/v1/lz77/compress", payload); resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("open breaker: status %d, want 503", resp.StatusCode)
+	// The open breaker rejects breakerCooldown requests, then trials.
+	for i := 0; i < breakerCooldown; i++ {
+		if resp, _ := post(t, ts.URL+"/v1/lz77/compress", payload); resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("open breaker, rejection %d: status %d, want 503", i+1, resp.StatusCode)
+		}
 	}
 	if st := breakerState(); st != "trial" {
 		t.Fatalf("after cooldown: breaker %q, want trial", st)
+	}
+}
+
+// TestHealthzBreakersPerCodecOp: each codec/op pair owns its breaker.
+// Tripping lz77/compress leaves the other five listed closed, and another
+// codec's compress still reaches its (equally faulted) worker: a 500 from
+// the codec, not a 503 from lz77's open breaker.
+func TestHealthzBreakersPerCodecOp(t *testing.T) {
+	freg := fault.NewRegistry(1)
+	if err := freg.ArmAll("server.codec.compress=error:1"); err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{Faults: freg})
+
+	breakers := func() map[string]string {
+		t.Helper()
+		_, body := get(t, ts.URL+"/healthz")
+		var h struct {
+			Breakers map[string]string `json:"breakers"`
+		}
+		if err := json.Unmarshal(body, &h); err != nil {
+			t.Fatalf("healthz: %v\n%s", err, body)
+		}
+		return h.Breakers
+	}
+
+	payload := []byte("per-pair breaker payload")
+	for i := 0; i < breakerThreshold; i++ {
+		post(t, ts.URL+"/v1/lz77/compress", payload)
+	}
+	var other string
+	for _, name := range codec.Names() {
+		if name != "lz77" {
+			other = name
+			break
+		}
+	}
+	if resp, _ := post(t, ts.URL+"/v1/"+other+"/compress", payload); resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("%s/compress with lz77/compress open: status %d, want 500", other, resp.StatusCode)
+	}
+	got := breakers()
+	if len(got) != 2*len(codec.Names()) {
+		t.Fatalf("healthz lists %d breakers, want %d: %v", len(got), 2*len(codec.Names()), got)
+	}
+	for pair, st := range got {
+		want := "closed"
+		if pair == "lz77/compress" {
+			want = "open"
+		}
+		if st != want {
+			t.Errorf("breaker %s = %q, want %q (all: %v)", pair, st, want, got)
+		}
 	}
 }
 
