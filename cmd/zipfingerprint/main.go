@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"github.com/zipchannel/zipchannel/internal/corpus"
@@ -22,24 +23,40 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "zipfingerprint:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run is the command with its arguments and output streams as
+// parameters, so tests can drive it in-process.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("zipfingerprint", flag.ExitOnError)
+	fs.SetOutput(stderr)
 	var (
-		exp      = flag.String("experiment", "fig7", "fig7 (21-file corpus) or fig8 (repetitiveness series)")
-		traces   = flag.Int("traces", 40, "traces recorded per file")
-		noise    = flag.Float64("noise", 0.05, "unrelated shared-library accesses per sample")
-		epochs   = flag.Int("epochs", 30, "training epochs")
-		seed     = flag.Int64("seed", 7, "seed for corpus, traces, and training")
-		parallel = flag.Int("parallel", 0, "worker count for trace simulation (<=0: GOMAXPROCS); output is identical at any level")
+		exp      = fs.String("experiment", "fig7", "fig7 (21-file corpus) or fig8 (repetitiveness series)")
+		traces   = fs.Int("traces", 40, "traces recorded per file")
+		noise    = fs.Float64("noise", 0.05, "unrelated shared-library accesses per sample")
+		epochs   = fs.Int("epochs", 30, "training epochs")
+		seed     = fs.Int64("seed", 7, "seed for corpus, traces, and training")
+		parallel = fs.Int("parallel", 0, "worker count for trace simulation (<=0: GOMAXPROCS); output is identical at any level")
 	)
 	var cli obs.CLI
-	cli.Bind(flag.CommandLine)
-	flag.Parse()
+	cli.Bind(fs)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	// BuildDataset and nn.Train read 0 as "use the default", and
+	// nn.Train reads a negative epoch count as no training at all.
+	if *traces < 1 {
+		fs.Usage()
+		return fmt.Errorf("-traces must be at least 1, got %d", *traces)
+	}
+	if *epochs < 1 {
+		fs.Usage()
+		return fmt.Errorf("-epochs must be at least 1, got %d", *epochs)
+	}
 
 	var files []corpus.File
 	switch *exp {
@@ -57,7 +74,7 @@ func run() error {
 	}
 	defer cli.Finish()
 
-	fmt.Fprintf(os.Stderr, "recording %d Flush+Reload traces for each of %d files...\n", *traces, len(files))
+	fmt.Fprintf(stderr, "recording %d Flush+Reload traces for each of %d files...\n", *traces, len(files))
 	ds, err := fingerprint.BuildDataset(files, fingerprint.DatasetConfig{
 		TracesPerFile: *traces,
 		NoiseRate:     *noise,
@@ -69,7 +86,7 @@ func run() error {
 		return err
 	}
 	train, _, test := nn.Split(ds, 0.8, 0.1, *seed+1)
-	fmt.Fprintf(os.Stderr, "training on %d traces, testing on %d...\n", len(train), len(test))
+	fmt.Fprintf(stderr, "training on %d traces, testing on %d...\n", len(train), len(test))
 
 	m, err := nn.New(*seed+2, 2*fingerprint.PoolWidth, 64, len(files))
 	if err != nil {
@@ -83,7 +100,7 @@ func run() error {
 			epochCtr.Inc()
 			lossGauge.Set(loss)
 			if epoch%10 == 9 {
-				fmt.Fprintf(os.Stderr, "  epoch %2d: loss %.4f\n", epoch+1, loss)
+				fmt.Fprintf(stderr, "  epoch %2d: loss %.4f\n", epoch+1, loss)
 			}
 		},
 	}); err != nil {
@@ -99,25 +116,25 @@ func run() error {
 		return err
 	}
 	reg.Gauge("nn.test_acc").Set(acc)
-	fmt.Printf("\nconfusion matrix (rows = actual file, columns = prediction):\n")
-	printConfusion(files, cm)
-	fmt.Printf("\ntest accuracy: %.2f (chance: %.3f)\n", acc, 1/float64(len(files)))
+	fmt.Fprintf(stdout, "\nconfusion matrix (rows = actual file, columns = prediction):\n")
+	printConfusion(stdout, files, cm)
+	fmt.Fprintf(stdout, "\ntest accuracy: %.2f (chance: %.3f)\n", acc, 1/float64(len(files)))
 	return cli.Finish()
 }
 
-func printConfusion(files []corpus.File, cm [][]float64) {
+func printConfusion(out io.Writer, files []corpus.File, cm [][]float64) {
 	const w = 9
-	fmt.Printf("%*s", w+2, "")
+	fmt.Fprintf(out, "%*s", w+2, "")
 	for _, f := range files {
-		fmt.Printf("%*s ", w, trunc(f.Name, w))
+		fmt.Fprintf(out, "%*s ", w, trunc(f.Name, w))
 	}
-	fmt.Println()
+	fmt.Fprintln(out)
 	for i, row := range cm {
-		fmt.Printf("%*s  ", w, trunc(files[i].Name, w))
+		fmt.Fprintf(out, "%*s  ", w, trunc(files[i].Name, w))
 		for _, v := range row {
-			fmt.Printf("%*.2f ", w, v)
+			fmt.Fprintf(out, "%*.2f ", w, v)
 		}
-		fmt.Println()
+		fmt.Fprintln(out)
 	}
 }
 

@@ -154,9 +154,6 @@ func (p *PrimeProbe) Calibrate(samples int) int {
 	return p.threshold
 }
 
-// Threshold returns the calibrated hit/miss boundary.
-func (p *PrimeProbe) Threshold() int { return p.threshold }
-
 // EvictionSet returns `ways` attacker line addresses mapping to the given
 // global set: the pool's lowest such lines, in ascending order.
 func (p *PrimeProbe) EvictionSet(globalSet, ways int) ([]uint64, error) {
@@ -274,9 +271,6 @@ func (f *FlushReload) Calibrate(scratch uint64, samples int) int {
 	return f.threshold
 }
 
-// Threshold returns the calibrated boundary.
-func (f *FlushReload) Threshold() int { return f.threshold }
-
 // Flush evicts the monitored lines (step 1).
 func (f *FlushReload) Flush(addrs ...uint64) {
 	for _, a := range addrs {
@@ -300,14 +294,4 @@ func (f *FlushReload) Reload(addr uint64) bool {
 		return true
 	}
 	return false
-}
-
-// Sample reloads every monitored address once, returning per-address hit
-// flags for this sampling interval.
-func (f *FlushReload) Sample(addrs []uint64) []bool {
-	out := make([]bool, len(addrs))
-	for i, a := range addrs {
-		out[i] = f.Reload(a)
-	}
-	return out
 }

@@ -174,19 +174,6 @@ func TestFlushReloadDetectsSharedAccess(t *testing.T) {
 	}
 }
 
-func TestFlushReloadSample(t *testing.T) {
-	c := newCache()
-	f := NewFlushReload(c, attackerActor)
-	f.Calibrate(0x99000, 100)
-	addrs := []uint64{0x40000, 0x41000}
-	f.Flush(addrs...)
-	c.Access(victimActor, addrs[1])
-	got := f.Sample(addrs)
-	if got[0] || !got[1] {
-		t.Errorf("sample = %v, want [false true]", got)
-	}
-}
-
 // The pp.* round counts and the latency histogram reach the registry at
 // Publish, each event once however often Publish runs.
 func TestPrimeProbePublish(t *testing.T) {

@@ -252,9 +252,6 @@ func (c *Cache) Evictions() uint64 { return c.evictions.n }
 // Flushes returns this cache's cumulative flush count.
 func (c *Cache) Flushes() uint64 { return c.flushes.n }
 
-// Accesses returns hits+misses.
-func (c *Cache) Accesses() uint64 { return c.Hits() + c.Misses() }
-
 // view resolves an actor's way mask and per-CoS hit/miss counters
 // (<prefix>.cos<N>.hits / .misses, registered on first use).
 func (c *Cache) view(actor int) *actorView {
@@ -328,9 +325,6 @@ func (c *Cache) AssignActor(actor, cos int) {
 
 // LineOf returns the line address of a physical address.
 func (c *Cache) LineOf(paddr uint64) uint64 { return paddr >> uint(c.lineBits) }
-
-// AddrOfLine returns the first byte address of a line address.
-func (c *Cache) AddrOfLine(line uint64) uint64 { return line << uint(c.lineBits) }
 
 // SetOf returns (slice, set) for a physical address. The set index uses
 // the address bits above the line offset; the slice uses the complex

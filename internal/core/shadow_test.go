@@ -129,8 +129,9 @@ func mixedWord() taint.Word {
 func TestMixedSlabStaysBounded(t *testing.T) {
 	var m shadowMem
 	m.bound(0x1000, 0x2000)
-	mixed, uniform := mixedWord(), taint.ByteWord(3)
-	var clean, got taint.Word
+	mixed := mixedWord()
+	var clean, got, uniform taint.Word
+	uniform.SetByte(3)
 	for _, addr := range []uint64{0x1800, 0x9000} {
 		for i := 0; i < 10000; i++ {
 			for _, w := range []*taint.Word{&mixed, &clean, &uniform, &mixed} {

@@ -109,16 +109,6 @@ func BuildTimeline(data []byte, opts bwt.Options) (*Timeline, error) {
 	return tl, nil
 }
 
-// activeIn reports whether fn executed at any point in (lo, hi].
-func (tl *Timeline) activeIn(fn Func, lo, hi uint64) bool {
-	for _, iv := range tl.Intervals {
-		if iv.Fn == fn && iv.Start < hi && iv.End > lo {
-			return true
-		}
-	}
-	return false
-}
-
 // NumSamples is the trace length the paper's attacker records ("an
 // additional 10,000 iterations", §VI).
 const NumSamples = 10000
@@ -278,6 +268,9 @@ type DatasetConfig struct {
 // from the dataset RNG. The resulting dataset is therefore
 // byte-identical to a sequential run.
 func BuildDataset(files []corpus.File, cfg DatasetConfig) ([]nn.Sample, error) {
+	if cfg.TracesPerFile < 0 {
+		return nil, fmt.Errorf("fingerprint: TracesPerFile must be >= 0, got %d", cfg.TracesPerFile)
+	}
 	if cfg.TracesPerFile == 0 {
 		cfg.TracesPerFile = 40
 	}

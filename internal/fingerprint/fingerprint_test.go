@@ -138,6 +138,10 @@ func TestBuildDatasetAndLabels(t *testing.T) {
 	if counts[0] != 3 || counts[1] != 3 {
 		t.Errorf("label counts = %v", counts)
 	}
+	// A negative trace count is an error, not a makeslice panic.
+	if _, err := BuildDataset(files, DatasetConfig{TracesPerFile: -2}); err == nil {
+		t.Error("TracesPerFile -2: want an error")
+	}
 }
 
 // End-to-end mini-Fig-8: two files of very different repetitiveness must

@@ -231,18 +231,6 @@ main:
 	}
 }
 
-func TestSymbolAt(t *testing.T) {
-	p := MustAssemble("symat", ".data a 16\n.data b 16\nmain:\n halt\n")
-	a := p.MustSymbol("a")
-	s, ok := p.SymbolAt(a.Addr + 5)
-	if !ok || s.Name != "a" {
-		t.Errorf("SymbolAt(a+5) = %v, %v", s, ok)
-	}
-	if _, ok := p.SymbolAt(0x1); ok {
-		t.Error("SymbolAt(0x1) should miss")
-	}
-}
-
 func TestLabelOnSameLine(t *testing.T) {
 	p, err := Assemble("inline", "main: mov r1, 1\n halt\n")
 	if err != nil {

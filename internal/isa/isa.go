@@ -200,16 +200,6 @@ type DataInit struct {
 	Bytes []byte
 }
 
-// SymbolAt returns the data symbol containing the given address, if any.
-func (p *Program) SymbolAt(addr uint64) (Symbol, bool) {
-	for _, s := range p.Symbols {
-		if addr >= s.Addr && addr < s.Addr+s.Size {
-			return s, true
-		}
-	}
-	return Symbol{}, false
-}
-
 // MustSymbol returns the named symbol or panics; intended for tests and
 // victim-program setup where the symbol is known to exist.
 func (p *Program) MustSymbol(name string) Symbol {

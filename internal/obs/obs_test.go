@@ -34,9 +34,8 @@ func TestGaugeSemantics(t *testing.T) {
 	r := NewRegistry()
 	g := r.Gauge("loss")
 	g.Set(1.5)
-	g.Add(-0.25)
-	if got := g.Value(); got != 1.25 {
-		t.Errorf("gauge = %f, want 1.25", got)
+	if got := g.Value(); got != 1.5 {
+		t.Errorf("gauge = %f, want 1.5", got)
 	}
 }
 

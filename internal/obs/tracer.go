@@ -167,15 +167,6 @@ func NewTracer(reg *Registry, seed int64) *Tracer {
 	return &Tracer{reg: reg, ids: NewIDSource(seed)}
 }
 
-// Registry returns the registry the tracer records into (nil for a nil
-// tracer).
-func (t *Tracer) Registry() *Registry {
-	if t == nil {
-		return nil
-	}
-	return t.reg
-}
-
 // ctxKey types for context propagation.
 type spanCtxKey struct{}
 type remoteCtxKey struct{}

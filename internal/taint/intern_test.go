@@ -44,9 +44,10 @@ func TestInternConcurrentIDs(t *testing.T) {
 				record(Union(one, NewSet(base+k+2)))
 				record(ByID(unionID(pair.ID(), NewSet(base+k+3).ID())))
 				record(NewSet(singletonMax + k)) // the locked singleton path
-				w := ByteWord(base + k)
+				var w Word
+				w.SetByte(base + k)
 				if ids, mask := w.ByteIDs(0); mask != 0xff || ids[7] != one.ID() {
-					t.Errorf("goroutine %d: ByteWord(%d) byte 0 = %v/%#x, want ID %d", g, base+k, ids, mask, one.ID())
+					t.Errorf("goroutine %d: SetByte(%d) byte 0 = %v/%#x, want ID %d", g, base+k, ids, mask, one.ID())
 				}
 			}
 			results[g] = got

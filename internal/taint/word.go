@@ -22,9 +22,7 @@ const WordBits = 64
 // implicitly.
 //
 // The pointer-receiver Set* operations below compute in place and may
-// alias their destination with a source; the value-based helpers at the
-// bottom of the file are thin wrappers kept for tests and report
-// rendering.
+// alias their destination with a source.
 type Word struct {
 	mask uint64
 	bits [WordBits]uint32
@@ -337,75 +335,6 @@ func (w *Word) SetShr(a *Word, n uint) {
 	w.mask = newMask
 }
 
-// --- Value-based API (wrappers over the in-place forms) ---
-
-// ByteWord returns a word whose low 8 bits all carry the single tag t, the
-// shadow of a freshly read input byte.
-func ByteWord(t Tag) Word {
-	var w Word
-	w.SetByte(t)
-	return w
-}
-
-// Truncate zeroes the taint of all bits at or above width*8, modelling a
-// narrow (1/2/4-byte) write that discards high bits.
-func (w Word) Truncate(widthBytes int) Word {
-	w.TruncateIn(widthBytes)
-	return w
-}
-
-// MergePerBit unions the taint of two operands bit by bit.
-func MergePerBit(a, b Word) Word {
-	var out Word
-	out.SetMergePerBit(&a, &b)
-	return out
-}
-
-// MergeAll gives every bit of the result the union of all tags of both
-// operands.
-func MergeAll(a, b Word) Word {
-	var out Word
-	out.SetMergeAll(&a, &b)
-	return out
-}
-
-// AddCarryAware is the sound mode for addition/subtraction.
-func AddCarryAware(a, b Word) Word {
-	var out Word
-	out.SetAddCarryAware(&a, &b)
-	return out
-}
-
-// AndMask keeps taint only at bit positions where the untainted mask has a
-// 1 bit.
-func AndMask(a Word, mask uint64) Word {
-	var out Word
-	out.SetAndMask(&a, mask)
-	return out
-}
-
-// OrMask keeps taint only at positions where the untainted mask has a 0
-// bit.
-func OrMask(a Word, mask uint64) Word {
-	var out Word
-	out.SetOrMask(&a, mask)
-	return out
-}
-
-// Shl shifts taint left by n bits; shifted-in bits are untainted.
-func Shl(a Word, n uint) Word {
-	var out Word
-	out.SetShl(&a, n)
-	return out
-}
-
-// Shr shifts taint right by n bits (logical); shifted-in bits are untainted.
-func Shr(a Word, n uint) Word {
-	var out Word
-	out.SetShr(&a, n)
-	return out
-}
-
 // SetSar stores a's taint shifted right arithmetically by n bits for the
 // given operand width into w: the sign bit's taint is replicated into the
 // shifted-in positions.
@@ -431,14 +360,6 @@ func (w *Word) SetSar(a *Word, n uint, widthBytes int) {
 	w.CopyFrom(&scratch)
 }
 
-// Sar shifts taint right by n bits arithmetically for the given operand
-// width: the sign bit's taint is replicated into the shifted-in positions.
-func Sar(a Word, n uint, widthBytes int) Word {
-	var out Word
-	out.SetSar(&a, n, widthBytes)
-	return out
-}
-
 // SetRol stores a's taint rotated left by n bits within the given operand
 // width into w.
 func (w *Word) SetRol(a *Word, n uint, widthBytes int) {
@@ -453,13 +374,6 @@ func (w *Word) SetRol(a *Word, n uint, widthBytes int) {
 	w.CopyFrom(&scratch)
 }
 
-// Rol rotates taint left by n bits within the given operand width.
-func Rol(a Word, n uint, widthBytes int) Word {
-	var out Word
-	out.SetRol(&a, n, widthBytes)
-	return out
-}
-
 // Bytes splits the word into 8 per-byte shadows, little-endian.
 func (w Word) Bytes() [8][8]*Set {
 	var out [8][8]*Set
@@ -470,19 +384,4 @@ func (w Word) Bytes() [8][8]*Set {
 		out[i/8][i%8] = ByID(w.bits[i])
 	}
 	return out
-}
-
-// FromBytes assembles a word from up to 8 per-byte shadows, little-endian.
-// Missing bytes are untainted.
-func FromBytes(bs [][8]*Set) Word {
-	var w Word
-	for bi, b := range bs {
-		if bi >= 8 {
-			break
-		}
-		for j := 0; j < 8; j++ {
-			w.SetBit(bi*8+j, b[j])
-		}
-	}
-	return w
 }

@@ -6,8 +6,9 @@ import (
 	"testing/quick"
 )
 
-func TestByteWord(t *testing.T) {
-	w := ByteWord(42)
+func TestSetByte(t *testing.T) {
+	var w Word
+	w.SetByte(42)
 	for i := 0; i < 8; i++ {
 		if !w.Bit(i).Contains(42) {
 			t.Errorf("bit %d should carry tag 42", i)
@@ -19,14 +20,15 @@ func TestByteWord(t *testing.T) {
 		}
 	}
 	if w.IsClean() {
-		t.Error("ByteWord should not be clean")
+		t.Error("SetByte should leave the word tainted")
 	}
 }
 
-func TestTruncate(t *testing.T) {
-	w := ByteWord(1)
-	w = Shl(w, 12) // taint in bits 12..19
-	got := w.Truncate(2)
+func TestTruncateIn(t *testing.T) {
+	var got Word
+	got.SetByte(1)
+	got.SetShl(&got, 12) // taint in bits 12..19
+	got.TruncateIn(2)
 	for i := 12; i < 16; i++ {
 		if !got.Bit(i).Contains(1) {
 			t.Errorf("bit %d lost taint after 2-byte truncate", i)
@@ -40,16 +42,19 @@ func TestTruncate(t *testing.T) {
 }
 
 func TestShlShrInverse(t *testing.T) {
-	w := ByteWord(7)
-	round := Shr(Shl(w, 20), 20)
+	var w, round Word
+	w.SetByte(7)
+	round.SetShl(&w, 20)
+	round.SetShr(&round, 20)
 	if !round.Equal(&w) {
-		t.Error("Shr(Shl(w,20),20) should restore w for low-byte taint")
+		t.Error("shifting low-byte taint left then right by 20 should restore it")
 	}
 }
 
 func TestShlDropsHighBits(t *testing.T) {
-	w := ByteWord(3)
-	shifted := Shl(w, 60)
+	var w, shifted Word
+	w.SetByte(3)
+	shifted.SetShl(&w, 60)
 	// Bits 60..63 tainted, the rest clean.
 	for i := 0; i < 60; i++ {
 		if !shifted.Bit(i).IsEmpty() {
@@ -61,18 +66,19 @@ func TestShlDropsHighBits(t *testing.T) {
 			t.Errorf("bit %d should carry tag 3", i)
 		}
 	}
-	if out := Shl(w, 64); !out.IsClean() {
+	var out Word
+	if out.SetShl(&w, 64); !out.IsClean() {
 		t.Error("Shl by 64 should clear all taint")
 	}
-	if out := Shr(w, 64); !out.IsClean() {
+	if out.SetShr(&w, 64); !out.IsClean() {
 		t.Error("Shr by 64 should clear all taint")
 	}
 }
 
 func TestSarReplicatesSignTaint(t *testing.T) {
-	var w Word
+	var w, out Word
 	w.SetBit(31, NewSet(9)) // sign bit of a 4-byte operand
-	out := Sar(w, 4, 4)
+	out.SetSar(&w, 4, 4)
 	for i := 27; i <= 31; i++ {
 		if !out.Bit(i).Contains(9) {
 			t.Errorf("bit %d should carry the sign taint", i)
@@ -84,9 +90,10 @@ func TestSarReplicatesSignTaint(t *testing.T) {
 }
 
 func TestAndMask(t *testing.T) {
-	w := ByteWord(5)
+	var w, out Word
+	w.SetByte(5)
 	// Mask 0b1010: keeps bits 1 and 3 only.
-	out := AndMask(w, 0xA)
+	out.SetAndMask(&w, 0xA)
 	if !out.Bit(1).Contains(5) || !out.Bit(3).Contains(5) {
 		t.Error("bits 1 and 3 should keep taint")
 	}
@@ -96,8 +103,9 @@ func TestAndMask(t *testing.T) {
 }
 
 func TestOrMask(t *testing.T) {
-	w := ByteWord(5)
-	out := OrMask(w, 0x3) // bits 0,1 forced to 1, lose taint
+	var w, out Word
+	w.SetByte(5)
+	out.SetOrMask(&w, 0x3) // bits 0,1 forced to 1, lose taint
 	if !out.Bit(0).IsEmpty() || !out.Bit(1).IsEmpty() {
 		t.Error("or with constant 1 should destroy taint")
 	}
@@ -107,9 +115,11 @@ func TestOrMask(t *testing.T) {
 }
 
 func TestMergePerBit(t *testing.T) {
-	a := ByteWord(1)
-	b := Shl(ByteWord(2), 4)
-	m := MergePerBit(a, b)
+	var a, b, m Word
+	a.SetByte(1)
+	b.SetByte(2)
+	b.SetShl(&b, 4)
+	m.SetMergePerBit(&a, &b)
 	if !m.Bit(0).Contains(1) || m.Bit(0).Contains(2) {
 		t.Error("bit 0 should carry only tag 1")
 	}
@@ -124,25 +134,25 @@ func TestMergePerBit(t *testing.T) {
 }
 
 func TestMergeAll(t *testing.T) {
-	a := ByteWord(1)
-	var b Word
-	m := MergeAll(a, b)
+	var a, b, m Word
+	a.SetByte(1)
+	m.SetMergeAll(&a, &b)
 	for i := 0; i < WordBits; i++ {
 		if !m.Bit(i).Contains(1) {
 			t.Errorf("bit %d should carry tag 1 after MergeAll", i)
 		}
 	}
-	var c, d Word
-	if out := MergeAll(c, d); !out.IsClean() {
+	var c, d, out Word
+	if out.SetMergeAll(&c, &d); !out.IsClean() {
 		t.Error("MergeAll of clean words should be clean")
 	}
 }
 
 func TestAddCarryAwareUpwardOnly(t *testing.T) {
-	var a, b Word
+	var a, b, out Word
 	a.SetBit(3, NewSet(1))
 	b.SetBit(5, NewSet(2))
-	out := AddCarryAware(a, b)
+	out.SetAddCarryAware(&a, &b)
 	if !out.Bit(2).IsEmpty() {
 		t.Error("bits below lowest tainted bit must stay clean")
 	}
@@ -158,8 +168,9 @@ func TestAddCarryAwareUpwardOnly(t *testing.T) {
 }
 
 func TestRol(t *testing.T) {
-	w := ByteWord(4) // bits 0..7
-	out := Rol(w, 3, 1)
+	var w, out Word
+	w.SetByte(4) // bits 0..7
+	out.SetRol(&w, 3, 1)
 	// 1-byte rotate left 3: bits 3..7 and 0..2 tainted (all 8 still).
 	for i := 0; i < 8; i++ {
 		if !out.Bit(i).Contains(4) {
@@ -168,7 +179,7 @@ func TestRol(t *testing.T) {
 	}
 	var one Word
 	one.SetBit(7, NewSet(1))
-	out = Rol(one, 1, 1)
+	out.SetRol(&one, 1, 1)
 	if !out.Bit(0).Contains(1) {
 		t.Error("bit 7 should wrap to bit 0 in 1-byte rotate")
 	}
@@ -184,10 +195,16 @@ func TestBytesRoundTrip(t *testing.T) {
 			}
 		}
 		bs := w.Bytes()
-		back := FromBytes(bs[:])
+		var back Word
+		for bi, b := range bs {
+			for j, s := range b {
+				back.SetBit(bi*8+j, s)
+			}
+		}
 		// The ID-level byte copy the analyzer's memory shadow uses, in
 		// reverse byte order over a stale word so dead slots differ.
-		byID := ByteWord(Tag(r.Intn(100)))
+		var byID Word
+		byID.SetByte(Tag(r.Intn(100)))
 		for i := 7; i >= 0; i-- {
 			ids, mask := w.ByteIDs(i)
 			byID.SetByteIDs(i, ids, mask)
@@ -195,7 +212,7 @@ func TestBytesRoundTrip(t *testing.T) {
 		return back.Equal(&w) && byID.Equal(&w)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Errorf("Bytes/FromBytes or ByteIDs/SetByteIDs not inverse: %v", err)
+		t.Errorf("Bytes/SetBit or ByteIDs/SetByteIDs not inverse: %v", err)
 	}
 }
 
@@ -204,7 +221,8 @@ func TestBytesRoundTrip(t *testing.T) {
 // uniform and a mixed byte.
 func TestByteUniform(t *testing.T) {
 	s := NewSet(4, 9)
-	w := ByteWord(7)
+	var w Word
+	w.SetByte(7)
 	w.SetBit(20, NewSet(3))
 	w.SetByteUniform(2, s.ID(), 0b1010_0110)
 	w.SetByteUniform(0, s.ID(), 0)
@@ -272,8 +290,12 @@ func TestShiftMergeCommute(t *testing.T) {
 				b.SetBit(i, NewSet(Tag(8+r.Intn(8))))
 			}
 		}
-		lhs := Shl(MergePerBit(a, b), n)
-		rhs := MergePerBit(Shl(a, n), Shl(b, n))
+		var lhs, rhs, bs Word
+		lhs.SetMergePerBit(&a, &b)
+		lhs.SetShl(&lhs, n)
+		rhs.SetShl(&a, n)
+		bs.SetShl(&b, n)
+		rhs.SetMergePerBit(&rhs, &bs)
 		return lhs.Equal(&rhs)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {

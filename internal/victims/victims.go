@@ -21,9 +21,6 @@ import (
 	"github.com/zipchannel/zipchannel/internal/isa"
 )
 
-// MaxInput is the input-buffer capacity of every victim program.
-const MaxInput = 65536
-
 // zlibSrc is the INSERT_STRING loop of the zlib/DEFLATE compressor
 // (Listing 1). head is an array of 2-byte entries indexed by the rolling
 // 15-bit hash ins_h of the 3 latest input bytes:

@@ -477,33 +477,13 @@ func (v *VM) EffectiveAddr(m isa.MemRef) uint64 {
 	return addr
 }
 
-func (v *VM) operandValue(o isa.Operand) uint64 {
-	switch o.Kind {
-	case isa.KindReg:
-		return v.Regs[o.Reg]
-	case isa.KindImm:
-		return uint64(o.Imm)
-	default:
-		panic("vm: operandValue on memory operand")
-	}
-}
-
-func (v *VM) setReg(r isa.Reg, val uint64) { v.Regs[r] = val }
-
-func (v *VM) setFlags(res uint64, w int) {
-	res = truncate(res, w)
-	v.ZF = res == 0
-	v.SF = res&(1<<uint(w*8-1)) != 0
-}
-
-// setFlagsW is setFlags with the width mask and sign bit pre-computed.
+// setFlagsW sets ZF and SF from res, truncated to the decoded operand
+// width: ZF when the truncated result is zero, SF from its sign bit.
 func (v *VM) setFlagsW(res uint64, d *dec) {
 	res &= d.wmask
 	v.ZF = res == 0
 	v.SF = res&d.sbit != 0
 }
-
-func truncate(v uint64, w int) uint64 { return v & mask(w) }
 
 func mask(w int) uint64 {
 	if w >= 8 {
