@@ -14,6 +14,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"github.com/zipchannel/zipchannel/internal/corpus"
@@ -56,6 +57,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *epochs < 1 {
 		fs.Usage()
 		return fmt.Errorf("-epochs must be at least 1, got %d", *epochs)
+	}
+	// The noise model draws no accesses for a negative or NaN rate, so
+	// those ran silently without noise; an infinite rate never ends.
+	if *noise < 0 || math.IsNaN(*noise) || math.IsInf(*noise, 0) {
+		fs.Usage()
+		return fmt.Errorf("-noise must be a finite rate >= 0, got %v", *noise)
 	}
 
 	var files []corpus.File

@@ -31,6 +31,25 @@ func TestCountsMustBePositive(t *testing.T) {
 	}
 }
 
+// TestNoiseMustBeFiniteNonNegative checks that a negative or non-finite
+// -noise rate is a usage error reported before any trace is recorded: a
+// negative or NaN rate used to run silently with no noise at all.
+func TestNoiseMustBeFiniteNonNegative(t *testing.T) {
+	for _, rate := range []string{"-1", "NaN", "+Inf"} {
+		var stdout, stderr bytes.Buffer
+		err := run([]string{"-experiment", "fig8", "-noise", rate}, &stdout, &stderr)
+		if err == nil || !strings.Contains(err.Error(), "-noise must be a finite rate >= 0") {
+			t.Errorf("-noise %s: err = %v, want a -noise usage error", rate, err)
+		}
+		if stdout.Len() != 0 || strings.Contains(stderr.String(), "recording") {
+			t.Errorf("-noise %s: the experiment ran (stdout %q)", rate, stdout.String())
+		}
+		if !strings.Contains(stderr.String(), "Usage of zipfingerprint") {
+			t.Errorf("-noise %s: no usage text on stderr: %q", rate, stderr.String())
+		}
+	}
+}
+
 // TestTinyRun runs fig8 with one epoch over two traces per file and
 // checks the result reaches stdout and the status lines stderr.
 func TestTinyRun(t *testing.T) {

@@ -22,10 +22,14 @@
 //
 // The cache topology follows from the tier budgets: a hot in-memory LRU
 // when -cache-mb > 0 (default 64), a disk cold tier under it when
-// -cache-cold-mb > 0 (default 0), and a peer instance's cache as the
-// outermost tier when -cache-peer is set (DESIGN.md §10):
+// -cache-cold-mb > 0 (default 0), and a peer instance's cache as a
+// read-only outermost tier when -cache-peer is set (DESIGN.md §10):
 //
 //	zipserverd -cache-mb 4 -cache-cold-mb 64 -cache-dir /var/cache/zip -cache-peer http://10.0.0.2:8321
+//
+// Every instance serves its local tiers read-only on GET /internal/cache:
+// a peered instance reads entries the peer computed itself and never
+// writes to the peer.
 //
 // For scripting, -addr supports port 0 and -addr-file writes the
 // actually-bound address once listening.
@@ -217,7 +221,7 @@ func start(args []string, stderr io.Writer) (_ *daemon, err error) {
 		cacheMB     = fs.Int64("cache-mb", 64, "in-memory (hot) LRU tier budget in MiB (0 or negative: no hot tier)")
 		cacheColdMB = fs.Int64("cache-cold-mb", 0, "disk (cold) tier budget in MiB (0: no disk tier)")
 		cacheDir    = fs.String("cache-dir", "", "directory for the disk tier (empty = private temp dir, removed on exit)")
-		cachePeer   = fs.String("cache-peer", "", "base URL of a peer zipserverd whose cache becomes this instance's outermost cold tier")
+		cachePeer   = fs.String("cache-peer", "", "base URL of a peer zipserverd whose cache becomes this instance's outermost cold tier (read-only: no writes go to the peer)")
 		peerTimeout = fs.Duration("cache-peer-timeout", server.DefaultPeerTimeout, "per-exchange deadline for the peer tier")
 		cacheMaxAge = fs.Int("cache-max-age", 0, "max-age seconds advertised in Cache-Control on /v1 responses (0 = default, negative disables)")
 		cacheScrub  = fs.Bool("cache-scrub", false, "scrub -cache-dir (verify entries, quarantine torn ones, remove temps), print the report, and exit")

@@ -1,10 +1,10 @@
 package server
 
 // This file defines the pluggable cache-backend contract (DESIGN.md §10).
-// The server composes backends into a hot/cold hierarchy; every
-// implementation — in-memory LRU, disk, remote peer, tiered composite —
-// obeys the same observable semantics, pinned by the
-// internal/server/cachetest conformance suite:
+// The server composes backends into a hot/cold hierarchy; every writable
+// implementation — in-memory LRU, disk, tiered composite — obeys the same
+// observable semantics, pinned by the internal/server/cachetest
+// conformance suite:
 //
 //   - content-addressed Get/Put under a byte budget with LRU-order
 //     eviction and hit/miss/eviction counters,
@@ -13,6 +13,10 @@ package server
 //     degrade to a miss but never to wrong bytes,
 //   - safety under concurrent use (the conformance suite runs every
 //     backend under -race).
+//
+// The remote peer backend is the exception: it is read-only, its Put and
+// CorruptStored are no-ops, and it keeps only the Get-side contract
+// (verified bytes or a miss, counters, safety under concurrent Gets).
 //
 // Backends register their fault points (server.cache.disk.*,
 // server.cache.peer.*) with the same internal/fault registry the rest of

@@ -1,11 +1,11 @@
-// Package cachetest is the conformance suite every server.CacheBackend
-// implementation must pass — the executable contract of the interface.
-// A backend author registers a Factory (one literal in the suite's
-// factory table, or a direct cachetest.Run call in their own tests) and
-// gets the full battery: get/put/overwrite accounting, byte-budget
-// eviction, hit/miss counters, integrity ("degrade to a miss, never to
-// wrong bytes"), concurrent access (meaningful under -race), and close
-// semantics.
+// Package cachetest is the conformance suite every writable
+// server.CacheBackend implementation must pass — the executable contract
+// of the interface. A backend author registers a Factory (one literal in
+// the suite's factory table, or a direct cachetest.Run call in their own
+// tests) and gets the full battery: get/put/overwrite accounting,
+// byte-budget eviction, hit/miss counters, integrity ("degrade to a miss,
+// never to wrong bytes"), concurrent access (meaningful under -race), and
+// close semantics.
 package cachetest
 
 import (

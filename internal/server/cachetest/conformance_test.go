@@ -1,15 +1,15 @@
 package cachetest_test
 
-// The backend roster: every CacheBackend implementation the server
-// ships, plus the two-tier composite, run through the full conformance
-// battery. Adding a future backend to the suite is one Factory literal
-// in this table.
+// The backend roster: every writable CacheBackend implementation the
+// server ships, plus the two-tier composite, run through the full
+// conformance battery. The read-only peer tier has no store to conform;
+// its read path is tested in internal/server (TestPeerTierReadPath).
+// Adding a future backend to the suite is one Factory literal in this
+// table.
 
 import (
-	"net/http/httptest"
 	"testing"
 
-	"github.com/zipchannel/zipchannel/internal/fault"
 	"github.com/zipchannel/zipchannel/internal/obs"
 	"github.com/zipchannel/zipchannel/internal/server"
 	"github.com/zipchannel/zipchannel/internal/server/cachetest"
@@ -19,7 +19,6 @@ func TestBackendConformance(t *testing.T) {
 	factories := []cachetest.Factory{
 		{Name: "lru", Prefix: "server.cache", New: newLRU},
 		{Name: "disk", Prefix: "server.cache", New: newDisk},
-		{Name: "peer", Prefix: "server.cache", New: newPeer},
 		{Name: "tiered", Prefix: "server.cache", New: newTiered},
 	}
 	for _, f := range factories {
@@ -71,22 +70,6 @@ func newDisk(t *testing.T, reg *obs.Registry, budget int64) server.CacheBackend 
 		t.Fatal(err)
 	}
 	return d
-}
-
-// newPeer boots a real zipserverd core whose cache surface the
-// PeerBackend fronts — the remote store is an LRU on the shared
-// registry (under its own prefix), and the peer process runs with a
-// fault registry so its chaos corrupt hook is mounted.
-func newPeer(t *testing.T, reg *obs.Registry, budget int64) server.CacheBackend {
-	remote := server.NewLRUBackend(budget, reg, "remote.cache")
-	srv := server.New(server.Config{
-		Registry: reg,
-		Cache:    remote,
-		Faults:   fault.NewRegistry(99),
-	})
-	ts := httptest.NewServer(srv)
-	t.Cleanup(ts.Close)
-	return server.NewPeerBackend(ts.URL, 0, reg, "server.cache", nil)
 }
 
 // newTiered composes the default hierarchy: in-memory hot quarter over a

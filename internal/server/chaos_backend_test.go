@@ -191,3 +191,29 @@ func TestChaosTieredServerEndToEnd(t *testing.T) {
 		t.Fatal("chaos profile never fired — the test proved nothing")
 	}
 }
+
+// TestChaosCorruptLandsOnLocalTiers: on a peered chain the cold tier is
+// the read-only peer, so a server.cache.get bit-flip must land on the
+// local tiers instead. The damage is detected and the request recomputes
+// the same bytes.
+func TestChaosCorruptLandsOnLocalTiers(t *testing.T) {
+	_, a := newTestServer(t, Config{})
+	faults := fault.NewRegistry(1)
+	if err := faults.ArmAll("server.cache.get=corrupt@2"); err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	local := NewLRUBackend(1<<20, reg, "server.cache.local")
+	_, ts := newTestServer(t, Config{Registry: reg, Faults: faults,
+		Cache: NewTiered(local, NewPeerBackend(a.URL, 0, reg, "server.cache.peer", nil), reg, "server.cache")})
+
+	body := bytes.Repeat([]byte("peered chaos "), 40)
+	_, want := post(t, ts.URL+"/v1/lz77/compress", body)
+	resp, got := post(t, ts.URL+"/v1/lz77/compress", body)
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(got, want) {
+		t.Fatalf("after the bit-flip: status %d, %d bytes; want 200 and the first response's %d bytes", resp.StatusCode, len(got), len(want))
+	}
+	if got := reg.Snapshot().Counters["server.cache.local.corruptions_detected"]; got != 1 {
+		t.Fatalf("server.cache.local.corruptions_detected = %d, want 1: the bit-flip missed the local tier", got)
+	}
+}

@@ -1,11 +1,9 @@
 package server
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"time"
@@ -40,22 +38,24 @@ const (
 )
 
 // PeerBackend fronts another zipserverd instance's cache over HTTP (the
-// /internal/cache surface served by every Server), making a fleet
-// member's cache a cold tier of this one — the cross-instance sharing
-// that turns N processes into one logical cache, and (deliberately,
-// for this repo's research goal) extends the shared-compression-state
-// attack surface across tenants on different machines: a content-
-// addressed hit is observable fleet-wide.
+// read-only /internal/cache surface served by every Server), making a
+// fleet member's cache a cold tier of this one — the cross-instance
+// sharing that turns N processes into one logical cache, and
+// (deliberately, for this repo's research goal) extends the
+// shared-compression-state attack surface across tenants on different
+// machines: a content-addressed hit is observable fleet-wide. The tier is
+// read-only: Put and CorruptStored are no-ops, so the peer serves only
+// entries it computed itself.
 //
 // Every value read from a peer is integrity-checked against the
-// X-Content-SHA256 trailer the peer computed at store time; a mismatch
-// (peer corruption, transport damage) is a detected corruption + miss.
+// X-Content-SHA256 header the peer computed over the bytes it serves; a
+// mismatch (transport damage) is a detected corruption + miss.
 // Network failures and timeouts degrade to misses and a counter.
 // A dead peer is handled with failure-count probation: the same
 // deterministic count-based breaker that guards the codecs. After
 // DefaultPeerFailureThreshold consecutive transport failures the breaker
-// opens and every peer operation (Get, Put, Stats) short-circuits
-// to a local miss/no-op — ~zero cost instead of a timeout per lookup —
+// opens and every peer exchange (Get, Stats) short-circuits
+// to a local miss/zeros — ~zero cost instead of a timeout per lookup —
 // until DefaultPeerProbeAfter skipped operations admit one probe; a
 // successful probe closes the breaker. Checksum mismatches and 404s do
 // NOT count against probation (the peer answered; the entry is just bad
@@ -106,7 +106,7 @@ func NewPeerBackend(baseURL string, timeout time.Duration, reg *obs.Registry, pr
 
 // admit consults the probation breaker before a network exchange. A
 // false return means the peer is on probation and the caller must
-// degrade locally (miss / skipped store) without touching the network.
+// degrade locally (miss / zero stats) without touching the network.
 func (p *PeerBackend) admit() bool {
 	if p.bk.allow() {
 		return true
@@ -198,51 +198,15 @@ func (p *PeerBackend) Get(key Key) ([]byte, bool) {
 	return val, true
 }
 
-// Put implements CacheBackend: one PUT against the peer. Store failures
-// degrade to "uncached on the peer" plus a counter; a peer on probation
-// is skipped without touching the network.
-func (p *PeerBackend) Put(key Key, val []byte) {
-	if !p.admit() {
-		return
-	}
-	req, err := http.NewRequest(http.MethodPut, p.url(key), bytes.NewReader(val))
-	if err != nil {
-		p.errors.Inc()
-		return
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := p.client.Do(req)
-	if err != nil {
-		p.errors.Inc()
-		p.recordFailure()
-		return
-	}
-	p.recordSuccess()
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusOK {
-		p.errors.Inc()
-	}
-}
+// Put implements CacheBackend as a no-op: the peer tier is read-only.
+// A peer serves only what it computed itself, so there is no network
+// call and nothing for probation to count.
+func (p *PeerBackend) Put(key Key, val []byte) {}
 
-// CorruptStored implements CacheBackend by asking the peer to damage its
-// stored entry (the peer's chaos surface; enabled there only when the
-// peer runs with a fault registry). Chaos-only, like every
-// CorruptStored.
-func (p *PeerBackend) CorruptStored(key Key, in fault.Injection) {
-	if in.Kind != fault.KindCorrupt {
-		return
-	}
-	req, err := http.NewRequest(http.MethodPost,
-		p.url(key)+"/corrupt?rand="+fmt.Sprint(in.Rand), nil)
-	if err != nil {
-		return
-	}
-	if resp, err := p.client.Do(req); err == nil {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}
-}
+// CorruptStored implements CacheBackend as a no-op: nothing on the peer
+// can be written from here, the chaos hook included. Damage in transit is
+// still caught by Get's X-Content-SHA256 check.
+func (p *PeerBackend) CorruptStored(key Key, in fault.Injection) {}
 
 // peerIndex is the GET /internal/cache body: the served view's name and
 // occupancy — constant-size, whatever the peer holds.

@@ -62,7 +62,7 @@ import (
 
 // Version identifies the server build in /healthz; bumped when the HTTP
 // surface changes shape.
-const Version = "0.9.0"
+const Version = "0.10.0"
 
 // Default limits; all overridable via Config.
 const (
@@ -258,18 +258,11 @@ func New(cfg Config) *Server {
 	}
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	// The peer cache surface: other zipserverd instances mount this
-	// server's cache as their cold tier (PeerBackend). Stays outside the
-	// traced /v1 path — peer exchanges advance no sim step.
+	// The peer cache surface, read-only: other zipserverd instances mount
+	// this server's cache as their cold tier (PeerBackend). Stays outside
+	// the traced /v1 path — peer exchanges advance no sim step.
 	s.mux.HandleFunc("GET /internal/cache", s.handleCacheIndex)
 	s.mux.HandleFunc("GET /internal/cache/{key}", s.handleCacheFetch)
-	s.mux.HandleFunc("PUT /internal/cache/{key}", s.handleCacheStore)
-	if cfg.Faults != nil {
-		// The chaos surface: lets a chaos driver (or a PeerBackend's
-		// CorruptStored) flip a byte in this instance's stored entry.
-		// Mounted only when the process opted into fault injection.
-		s.mux.HandleFunc("POST /internal/cache/{key}/corrupt", s.handleCacheCorrupt)
-	}
 	if cfg.EnablePprof {
 		s.mux.HandleFunc("/debug/pprof/", pprof.Index)
 		s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -408,10 +401,12 @@ func (s *Server) handleCodec(w http.ResponseWriter, r *http.Request) {
 	if in := s.fpCacheGet.Hit(); in.Fired() {
 		switch in.Kind {
 		case fault.KindCorrupt:
-			// A storage bit-flip lands on this key's entry; the integrity
-			// check below turns it into a detected corruption + miss.
-			if s.cache != nil {
-				s.cache.CorruptStored(key, in)
+			// A storage bit-flip lands on this key's entry in the local
+			// tiers (the read-only peer tier takes no writes); the
+			// integrity check below turns it into a detected corruption
+			// + miss.
+			if s.local != nil {
+				s.local.CorruptStored(key, in)
 			}
 		default:
 			// Cache backend unavailable: degrade to a full bypass for
