@@ -83,10 +83,10 @@ bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
 
 # One-iteration hot-path smoke (CI runs this so compile or gross perf
-# regressions on the taint/LZ77/BWT paths and the in-process /v1 request
-# path surface in PRs).
+# regressions on the taint/LZ77/BWT paths, the LLC model and Attack 1's
+# Prime+Probe loop, and the in-process /v1 request path surface in PRs).
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkTaintAnalysis|BenchmarkLZ77Compress|BenchmarkBWTCompress' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkTaintAnalysis|BenchmarkLZ77Compress|BenchmarkBWTCompress|BenchmarkCacheAccess|BenchmarkSGXAttackPerByte' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkServeHit|BenchmarkServeMiss' -benchtime 1x ./internal/server/
 
 # Quick cross-layer check: SGX attack telemetry end to end.

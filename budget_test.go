@@ -63,7 +63,7 @@ type budget struct {
 var budgets = []budget{
 	{name: "taint/bzip2-2KiB", runs: 10, setup: taintRun, allocs: 16, bytes: 561637},
 	{name: "taint/lzw-16KiB-random", runs: 10, setup: taintLZWRandom, allocs: 549, bytes: 5523502},
-	{name: "sgx/attack-10KiB", runs: 3, setup: sgxAttack, allocs: 703, bytes: 3095672},
+	{name: "sgx/attack-10KiB", runs: 3, setup: sgxAttack, allocs: 698, bytes: 2825880},
 	{name: "serve/v1-hit", runs: 200, setup: serveHit, allocs: 44, bytes: 10165},
 	{name: "serve/v1-miss", runs: 100, setup: serveMiss, allocs: 84, bytes: 153438},
 	{name: "serve/page-put-get", runs: 100, setup: pagePutGet, allocs: 122, bytes: 158038},

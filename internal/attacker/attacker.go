@@ -34,10 +34,13 @@ type PrimeProbe struct {
 
 	threshold int
 	// evsets memoizes, per global set, the pool's lowest lines mapping
-	// to it, as many as the largest eviction set requested so far. The
-	// sets are carved from arena, so memoizing one rarely allocates.
-	evsets [][]uint64
-	arena  []uint64
+	// to it, resolved, as many as the largest eviction set requested so
+	// far. The sets are carved from arena, so memoizing one rarely
+	// allocates.
+	evsets [][]cache.Line
+	arena  []cache.Line
+	// lat is Probe's scratch: the latencies of one eviction set's lines.
+	lat []int
 
 	// TimerFault, when armed (chaos runs), jitters individual timer
 	// readings of probe latencies; TimerSamples readings are taken per
@@ -104,9 +107,8 @@ func (p *PrimeProbe) Publish() {
 // misread only when a majority of its readings jitter past the threshold
 // (~C(k,⌈k/2⌉)·q^⌈k/2⌉), the repeated-measurement amplification of
 // Schwarzl et al.'s remote timing attacks. With no timer fault this is
-// exactly one clean probe.
-func (p *PrimeProbe) measure(addr uint64) int {
-	lat := p.c.Probe(p.actor, addr)
+// the probe's latency lat.
+func (p *PrimeProbe) measure(lat int) int {
 	val, noisy := FilteredReading(lat, p.TimerSamples, p.TimerFault)
 	if noisy > 0 && p.reg != nil {
 		if p.noisyReads == nil {
@@ -127,7 +129,7 @@ func NewPrimeProbe(c *cache.Cache, actor int, poolBase, poolBytes uint64) *Prime
 		actor:     actor,
 		poolBase:  poolBase,
 		poolLines: int(poolBytes / uint64(cfg.LineSize)),
-		evsets:    make([][]uint64, cfg.Slices*cfg.Sets),
+		evsets:    make([][]cache.Line, cfg.Slices*cfg.Sets),
 	}
 }
 
@@ -154,10 +156,10 @@ func (p *PrimeProbe) Calibrate(samples int) int {
 	return p.threshold
 }
 
-// EvictionSet returns `ways` attacker line addresses mapping to the given
-// global set: the pool's lowest such lines, in ascending order.
-func (p *PrimeProbe) EvictionSet(globalSet, ways int) ([]uint64, error) {
-	var lines []uint64
+// EvictionSet returns `ways` attacker lines mapping to the given global
+// set, resolved: the pool's lowest such lines, in ascending order.
+func (p *PrimeProbe) EvictionSet(globalSet, ways int) ([]cache.Line, error) {
+	var lines []cache.Line
 	if globalSet >= 0 && globalSet < len(p.evsets) {
 		if lines = p.evsets[globalSet]; len(lines) < ways {
 			lines = p.scanSet(globalSet, ways)
@@ -176,48 +178,46 @@ func (p *PrimeProbe) EvictionSet(globalSet, ways int) ([]uint64, error) {
 // Only every Sets-th pool line shares the set's index within a slice,
 // so the scan strides over those and keeps the ones the slice hash
 // sends to the set's slice.
-func (p *PrimeProbe) scanSet(globalSet, limit int) []uint64 {
+func (p *PrimeProbe) scanSet(globalSet, limit int) []cache.Line {
 	cfg := p.c.Config()
 	slice, set := globalSet/cfg.Sets, globalSet%cfg.Sets
 	// Pool line i has line address LineOf(poolBase)+i.
 	first := (set - int(p.c.LineOf(p.poolBase)%uint64(cfg.Sets)) + cfg.Sets) % cfg.Sets
 	if len(p.arena) < limit {
-		p.arena = make([]uint64, max(limit, 1024))
+		p.arena = make([]cache.Line, max(limit, 1024))
 	}
 	lines := p.arena[:0:limit]
 	p.arena = p.arena[limit:]
 	for i := first; i < p.poolLines && len(lines) < limit; i += cfg.Sets {
 		addr := p.poolBase + uint64(i*cfg.LineSize)
 		if p.c.SliceOf(addr) == slice {
-			lines = append(lines, addr)
+			lines = append(lines, p.c.Resolve(addr))
 		}
 	}
 	return lines
 }
 
-// Prime loads the eviction set into the cache (attack step 1).
-func (p *PrimeProbe) Prime(ev []uint64) {
+// Prime loads the eviction set into the cache (attack step 1), forward
+// and then in reverse (see cache.Cache.Prime).
+func (p *PrimeProbe) Prime(ev []cache.Line) {
 	p.n.primes++
-	for _, a := range ev {
-		p.c.Access(p.actor, a)
-	}
-	// Second pass in reverse defeats self-eviction under LRU-like
-	// policies, a standard prime refinement.
-	for i := len(ev) - 1; i >= 0; i-- {
-		p.c.Access(p.actor, ev[i])
-	}
+	p.c.Prime(p.actor, ev)
 }
 
 // Probe measures the eviction set and returns the number of lines whose
 // latency exceeded the threshold, i.e. were evicted by the victim (attack
 // step 3). The latencies themselves go to the pp.probe_latency histogram.
-func (p *PrimeProbe) Probe(ev []uint64) (evicted int) {
+func (p *PrimeProbe) Probe(ev []cache.Line) (evicted int) {
 	if p.threshold == 0 {
 		p.Calibrate(0)
 	}
 	p.n.probes++
-	for _, a := range ev {
-		lat := p.measure(a)
+	if len(p.lat) < len(ev) {
+		p.lat = make([]int, len(ev))
+	}
+	p.c.ProbeLines(p.actor, ev, p.lat)
+	for _, raw := range p.lat[:len(ev)] {
+		lat := p.measure(raw)
 		p.latency.Observe(int64(lat))
 		if lat > p.threshold {
 			evicted++
@@ -235,17 +235,32 @@ type FlushReload struct {
 	actor     int
 	threshold int
 
-	flushes  *obs.Counter
-	reloads  *obs.Counter
-	hitsSeen *obs.Counter
+	// The counts are kept in plain fields (one goroutine drives a
+	// FlushReload) until Publish adds them to the instruments below,
+	// which are nil until AttachObs.
+	n                          reloadCounts
+	flushes, reloads, hitsSeen *obs.Counter
 }
 
+// reloadCounts are the Flush+Reload counts not yet published.
+type reloadCounts struct{ flushes, reloads, hits uint64 }
+
 // AttachObs registers Flush+Reload telemetry on reg: fr.flushes,
-// fr.reloads, and fr.hits (reloads that saw the victim's access).
+// fr.reloads, and fr.hits (reloads that saw the victim's access). They
+// fill when the owner calls Publish.
 func (f *FlushReload) AttachObs(reg *obs.Registry) {
 	f.flushes = reg.Counter("fr.flushes")
 	f.reloads = reg.Counter("fr.reloads")
 	f.hitsSeen = reg.Counter("fr.hits")
+}
+
+// Publish adds the flushes, reloads and hits since the last Publish to
+// the registry.
+func (f *FlushReload) Publish() {
+	f.flushes.Add(f.n.flushes)
+	f.reloads.Add(f.n.reloads)
+	f.hitsSeen.Add(f.n.hits)
+	f.n = reloadCounts{}
 }
 
 // NewFlushReload creates the attacker.
@@ -275,7 +290,7 @@ func (f *FlushReload) Calibrate(scratch uint64, samples int) int {
 func (f *FlushReload) Flush(addrs ...uint64) {
 	for _, a := range addrs {
 		f.c.Flush(a)
-		f.flushes.Inc()
+		f.n.flushes++
 	}
 }
 
@@ -288,9 +303,9 @@ func (f *FlushReload) Reload(addr uint64) bool {
 	}
 	lat := f.c.Probe(f.actor, addr)
 	f.c.Flush(addr)
-	f.reloads.Inc()
+	f.n.reloads++
 	if lat < f.threshold {
-		f.hitsSeen.Inc()
+		f.n.hits++
 		return true
 	}
 	return false

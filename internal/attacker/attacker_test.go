@@ -30,7 +30,8 @@ func TestCalibrateSeparatesHitsAndMisses(t *testing.T) {
 
 func TestEvictionSetMapsToTargetSet(t *testing.T) {
 	c := newCache()
-	p := NewPrimeProbe(c, attackerActor, 1<<30, 1<<22)
+	const base, size = 1 << 30, 1 << 22
+	p := NewPrimeProbe(c, attackerActor, base, size)
 	target := c.GlobalSet(0x12345000)
 	ev, err := p.EvictionSet(target, 4)
 	if err != nil {
@@ -39,9 +40,15 @@ func TestEvictionSetMapsToTargetSet(t *testing.T) {
 	if len(ev) != 4 {
 		t.Fatalf("got %d lines, want 4", len(ev))
 	}
-	for _, a := range ev {
-		if c.GlobalSet(a) != target {
-			t.Errorf("line %#x maps to set %d, want %d", a, c.GlobalSet(a), target)
+	inTarget := map[cache.Line]bool{}
+	for a := uint64(base); a < base+size; a += 64 {
+		if c.GlobalSet(a) == target {
+			inTarget[c.Resolve(a)] = true
+		}
+	}
+	for _, l := range ev {
+		if !inTarget[l] {
+			t.Errorf("line %+v is not a pool line of set %d", l, target)
 		}
 	}
 }
@@ -50,10 +57,10 @@ func TestEvictionSetsAreLowestPoolLines(t *testing.T) {
 	c := newCache()
 	const base, lines = 1<<30 + 5*64, 1 << 12 // base is not set-aligned
 	p := NewPrimeProbe(c, attackerActor, base, lines*64)
-	bySet := map[int][]uint64{}
+	bySet := map[int][]cache.Line{}
 	for i := uint64(0); i < lines; i++ {
 		gs := c.GlobalSet(base + i*64)
-		bySet[gs] = append(bySet[gs], base+i*64)
+		bySet[gs] = append(bySet[gs], c.Resolve(base+i*64))
 	}
 	for gs := 0; gs < 128; gs++ {
 		for _, ways := range []int{1, 4, 2} { // growing, then a memoized prefix
@@ -62,7 +69,7 @@ func TestEvictionSetsAreLowestPoolLines(t *testing.T) {
 				t.Fatalf("EvictionSet(%d, %d): %v", gs, ways, err)
 			}
 			if want := bySet[gs][:ways]; !reflect.DeepEqual(ev, want) {
-				t.Fatalf("EvictionSet(%d, %d) = %#x, want the pool's lowest lines %#x", gs, ways, ev, want)
+				t.Fatalf("EvictionSet(%d, %d) = %+v, want the pool's lowest lines %+v", gs, ways, ev, want)
 			}
 		}
 	}
@@ -155,7 +162,9 @@ func TestPrimeProbeWithCATSingleWay(t *testing.T) {
 
 func TestFlushReloadDetectsSharedAccess(t *testing.T) {
 	c := newCache()
+	reg := obs.NewRegistry()
 	f := NewFlushReload(c, attackerActor)
+	f.AttachObs(reg)
 	shared := uint64(0x40000) // shared library line
 	f.Calibrate(0x99000, 100)
 
@@ -171,6 +180,16 @@ func TestFlushReloadDetectsSharedAccess(t *testing.T) {
 	// Reload auto-flushes: with no further victim activity, miss again.
 	if f.Reload(shared) {
 		t.Error("second reload should miss (auto-flush)")
+	}
+	// The fr.* counts reach the registry at Publish, each event once.
+	if n := reg.Snapshot().Counters["fr.reloads"]; n != 0 {
+		t.Errorf("fr.reloads = %d before Publish, want 0", n)
+	}
+	f.Publish()
+	f.Publish()
+	want := map[string]uint64{"fr.flushes": 1, "fr.reloads": 3, "fr.hits": 1}
+	if got := reg.Snapshot().Counters; !reflect.DeepEqual(got, want) {
+		t.Errorf("counters %v, want %v", got, want)
 	}
 }
 

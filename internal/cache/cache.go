@@ -109,6 +109,14 @@ type Result struct {
 	Victim  int    // owner of the evicted line, -1 if none
 }
 
+// Line is a line address resolved, by Resolve, to its tag and global set,
+// so that accesses to a fixed line skip the slice hash. It carries no CAT
+// state, so it stays valid across SetCoSMask and AssignActor.
+type Line struct {
+	tag uint64 // line address + 1
+	gs  int    // global set: slice*Sets + set
+}
+
 // actorView is an actor's resolved CAT state: the ways it may allocate
 // into, and its hits and misses since the view was resolved, for its
 // class of service's counters.
@@ -135,15 +143,18 @@ func (t *tally) publish() {
 // reach the registry only through Publish, so a goroutine reading the
 // registry sees them as of the owner's last Publish.
 //
-// The sets are stored flat, as parallel arrays indexed by way: the ways
-// of global set g (slice*Sets + set) are [g*Ways, (g+1)*Ways). A tag is
-// the line address plus one, so 0 marks an invalid way; line ^0, which
-// Result.Evicted already reserves for "none", cannot be cached.
+// The sets are stored flat. Global set g (slice*Sets + set) is the block
+// sets[g*stride : (g+1)*stride]: its Ways tags and, under LRU, their Ways
+// stamps (the logical time of each way's last touch) right after them, so
+// an access reads one contiguous block. A tag is the line address plus
+// one, so 0 marks an invalid way; line ^0, which Result.Evicted already
+// reserves for "none", cannot be cached. The owners of set g's ways are
+// owners[g*Ways : (g+1)*Ways].
 type Cache struct {
 	cfg    Config
-	tags   []uint64       // line address + 1, or 0
-	owners []int          // actor that brought the line in
-	stamps []uint64       // logical time of the last touch, kept under LRU only
+	sets   []uint64
+	stride int            // words per set: Ways, or 2*Ways under LRU
+	owners []int32        // actor that brought the line in
 	plru   []uint64       // tree-PLRU state bits per global set, kept under TreePLRU only
 	cos    map[int]uint64 // class of service -> allowed-way bitmask
 	actor  map[int]int    // actor -> class of service
@@ -194,11 +205,16 @@ func New(cfg Config) *Cache {
 		prefix = "cache"
 	}
 	sets := cfg.Slices * cfg.Sets
+	stride := cfg.Ways
+	if cfg.Replacement == LRU {
+		stride *= 2
+	}
 	src := rand.NewSource(cfg.Seed)
 	c := &Cache{
 		cfg:       cfg,
-		tags:      make([]uint64, sets*cfg.Ways),
-		owners:    make([]int, sets*cfg.Ways),
+		sets:      make([]uint64, sets*stride),
+		stride:    stride,
+		owners:    make([]int32, sets*cfg.Ways),
 		cos:       map[int]uint64{DefaultCoS: waymask(cfg.Ways)},
 		actor:     map[int]int{},
 		src:       src,
@@ -213,10 +229,7 @@ func New(cfg Config) *Cache {
 		setBits:   bits.TrailingZeros(uint(cfg.Sets)),
 		lineBits:  bits.TrailingZeros(uint(cfg.LineSize)),
 	}
-	switch cfg.Replacement {
-	case LRU:
-		c.stamps = make([]uint64, sets*cfg.Ways)
-	case TreePLRU:
+	if cfg.Replacement == TreePLRU {
 		c.plru = make([]uint64, sets)
 	}
 	if n := 2*cfg.Jitter + 1; cfg.Jitter > 0 && n <= math.MaxInt32 {
@@ -253,13 +266,17 @@ func (c *Cache) Evictions() uint64 { return c.evictions.n }
 func (c *Cache) Flushes() uint64 { return c.flushes.n }
 
 // view resolves an actor's way mask and per-CoS hit/miss counters
-// (<prefix>.cos<N>.hits / .misses, registered on first use).
+// (<prefix>.cos<N>.hits / .misses, registered on first use). Owners are
+// stored as 32-bit ids, so an actor outside that range panics here.
 func (c *Cache) view(actor int) *actorView {
 	if c.last != nil && c.lastActor == actor {
 		return c.last
 	}
 	v, ok := c.views[actor]
 	if !ok {
+		if int(int32(actor)) != actor {
+			panic(fmt.Sprintf("cache: actor %d does not fit a 32-bit owner id", actor))
+		}
 		cos, ok := c.actor[actor]
 		if !ok {
 			cos = DefaultCoS
@@ -326,14 +343,6 @@ func (c *Cache) AssignActor(actor, cos int) {
 // LineOf returns the line address of a physical address.
 func (c *Cache) LineOf(paddr uint64) uint64 { return paddr >> uint(c.lineBits) }
 
-// SetOf returns (slice, set) for a physical address. The set index uses
-// the address bits above the line offset; the slice uses the complex
-// hash.
-func (c *Cache) SetOf(paddr uint64) (slice, set int) {
-	line := c.LineOf(paddr)
-	return c.sliceOfLine(line), int(line & uint64(c.cfg.Sets-1))
-}
-
 // SliceOf computes the slice via an xor-folding hash over the line
 // address, in the spirit of the reverse-engineered Intel complex
 // addressing function (Liu et al., §V-C1).
@@ -349,60 +358,99 @@ func (c *Cache) sliceOfLine(line uint64) int {
 	return out
 }
 
-// GlobalSet returns a single index identifying (slice, set).
-func (c *Cache) GlobalSet(paddr uint64) int {
-	sl, st := c.SetOf(paddr)
-	return sl*c.cfg.Sets + st
+// GlobalSet returns a single index identifying a physical address's
+// (slice, set): slice*Sets + set.
+func (c *Cache) GlobalSet(paddr uint64) int { return c.Resolve(paddr).gs }
+
+// Resolve returns the line of a physical address, resolved. The set index
+// uses the address bits above the line offset; the slice uses the complex
+// hash.
+func (c *Cache) Resolve(paddr uint64) Line {
+	line := c.LineOf(paddr)
+	return Line{tag: line + 1, gs: c.sliceOfLine(line)*c.cfg.Sets + int(line&uint64(c.cfg.Sets-1))}
 }
 
-// ways returns the line's global set and its ways' tags.
-func (c *Cache) ways(line uint64) (gs int, tags []uint64) {
-	gs = c.sliceOfLine(line)*c.cfg.Sets + int(line&uint64(c.cfg.Sets-1))
-	base := gs * c.cfg.Ways
-	return gs, c.tags[base : base+c.cfg.Ways]
+// set returns global set gs's block: its tags, then its stamps under LRU.
+func (c *Cache) set(gs int) []uint64 {
+	base := gs * c.stride
+	return c.sets[base : base+c.stride : base+c.stride]
 }
 
 // Access simulates one access by actor to physical address paddr and
 // returns the hit/miss outcome with a noisy latency.
 func (c *Cache) Access(actor int, paddr uint64) Result {
-	c.clock++
-	v := c.view(actor)
-	line := c.LineOf(paddr)
-	gs, tags := c.ways(line)
-	slice := gs >> c.setBits
+	l := c.Resolve(paddr)
+	hit, lat, evicted, victim := c.access(c.view(actor), actor, l)
+	return Result{Hit: hit, Latency: lat, Set: l.gs, Slice: l.gs >> c.setBits, Evicted: evicted, Victim: victim}
+}
 
-	// Each path builds its Result in its return statement: filling a
-	// local field by field and copying it out stalls on store forwarding.
-	tag := line + 1
+// access is the one access path: every access, resolved or not, goes
+// through it with the actor's view v. It returns the parts of a Result
+// that l does not already give, as separate values: the loops over
+// resolved lines read only the latency, and a returned struct would be
+// spilled and reloaded.
+func (c *Cache) access(v *actorView, actor int, l Line) (hit bool, lat int, evicted uint64, victim int) {
+	c.clock++
+	set := c.set(l.gs)
+	tags := set[:c.cfg.Ways]
 	for i, t := range tags {
-		if t == tag {
-			c.touch(gs, i)
+		if t == l.tag {
+			c.touch(set, l.gs, i)
 			c.hits.n++
 			v.hits.n++
-			return Result{Hit: true, Latency: c.latency(c.cfg.HitLatency), Set: gs, Slice: slice,
-				Evicted: ^uint64(0), Victim: -1}
+			return true, c.latency(c.cfg.HitLatency), ^uint64(0), -1
 		}
 	}
 
 	// Miss: allocate within the actor's CAT mask.
 	c.misses.n++
 	v.misses.n++
-	lat := c.latency(c.cfg.MissLatency)
-	i := c.pickVictim(gs, tags, v.mask)
-	w := gs*c.cfg.Ways + i
-	evicted, victim := ^uint64(0), -1
+	lat = c.latency(c.cfg.MissLatency)
+	i := c.pickVictim(set, l.gs, v.mask)
+	w := l.gs*c.cfg.Ways + i
+	evicted, victim = ^uint64(0), -1
 	if tags[i] != 0 {
-		evicted, victim = tags[i]-1, c.owners[w]
+		evicted, victim = tags[i]-1, int(c.owners[w])
 		c.evictions.n++
 	}
-	tags[i] = tag
-	c.owners[w] = actor
-	c.touch(gs, i)
-	return Result{Latency: lat, Set: gs, Slice: slice, Evicted: evicted, Victim: victim}
+	tags[i] = l.tag
+	c.owners[w] = int32(actor)
+	c.touch(set, l.gs, i)
+	return false, lat, evicted, victim
+}
+
+// Prime accesses lines as actor in order and then in reverse order, as
+// that many Access calls would. The reverse pass defeats self-eviction
+// under LRU-like policies, a standard prime refinement.
+func (c *Cache) Prime(actor int, lines []Line) {
+	if len(lines) == 0 {
+		return // resolving the view would register counters no access made
+	}
+	v := c.view(actor)
+	for _, l := range lines {
+		c.access(v, actor, l)
+	}
+	for i := len(lines) - 1; i >= 0; i-- {
+		c.access(v, actor, lines[i])
+	}
+}
+
+// ProbeLines accesses lines as actor in order, as that many Probe calls
+// would, and stores each access's latency in lat, which must be at least
+// as long as lines.
+func (c *Cache) ProbeLines(actor int, lines []Line, lat []int) {
+	if len(lines) == 0 {
+		return
+	}
+	v := c.view(actor)
+	lat = lat[:len(lines)]
+	for i, l := range lines {
+		_, lat[i], _, _ = c.access(v, actor, l)
+	}
 }
 
 // Probe is like Access but reports only what a timing measurement would
-// reveal: the latency. Attackers use it for the probe phase.
+// reveal: the latency. ProbeLines is its loop over resolved lines.
 func (c *Cache) Probe(actor int, paddr uint64) int {
 	return c.Access(actor, paddr).Latency
 }
@@ -410,10 +458,10 @@ func (c *Cache) Probe(actor int, paddr uint64) int {
 // Flush removes the line containing paddr from the cache (clflush). It
 // affects all ways regardless of CoS, like the real instruction.
 func (c *Cache) Flush(paddr uint64) {
-	line := c.LineOf(paddr)
-	_, tags := c.ways(line)
+	l := c.Resolve(paddr)
+	tags := c.set(l.gs)[:c.cfg.Ways]
 	for i, t := range tags {
-		if t == line+1 {
+		if t == l.tag {
 			tags[i] = 0
 			c.flushes.n++
 			return
@@ -424,10 +472,9 @@ func (c *Cache) Flush(paddr uint64) {
 // Contains reports whether the line of paddr is cached (test/diagnostic
 // introspection; a real attacker infers this from Probe latency).
 func (c *Cache) Contains(paddr uint64) bool {
-	line := c.LineOf(paddr)
-	_, tags := c.ways(line)
-	for _, t := range tags {
-		if t == line+1 {
+	l := c.Resolve(paddr)
+	for _, t := range c.set(l.gs)[:c.cfg.Ways] {
+		if t == l.tag {
 			return true
 		}
 	}
@@ -442,9 +489,8 @@ func (c *Cache) Heatmap() [][]int {
 	for sl := range hm {
 		hm[sl] = make([]int, c.cfg.Sets)
 		for st := range hm[sl] {
-			base := (sl*c.cfg.Sets + st) * c.cfg.Ways
 			n := 0
-			for _, t := range c.tags[base : base+c.cfg.Ways] {
+			for _, t := range c.set(sl*c.cfg.Sets + st)[:c.cfg.Ways] {
 				if t != 0 {
 					n++
 				}
@@ -469,36 +515,39 @@ func (c *Cache) EmitHeatmap() {
 
 // OccupancyOf returns how many valid lines actor owns in the set of paddr.
 func (c *Cache) OccupancyOf(actor int, paddr uint64) int {
-	gs, tags := c.ways(c.LineOf(paddr))
-	owners := c.owners[gs*c.cfg.Ways:]
+	l := c.Resolve(paddr)
+	tags := c.set(l.gs)[:c.cfg.Ways]
+	owners := c.owners[l.gs*c.cfg.Ways:]
 	n := 0
 	for i, t := range tags {
-		if t != 0 && owners[i] == actor {
+		if t != 0 && int(owners[i]) == actor {
 			n++
 		}
 	}
 	return n
 }
 
-// touch records a hit on, or fill of, way i of global set gs in the
-// state its replacement policy reads.
-func (c *Cache) touch(gs, i int) {
+// touch records a hit on, or fill of, way i of global set gs, whose block
+// is set, in the state its replacement policy reads.
+func (c *Cache) touch(set []uint64, gs, i int) {
 	switch c.cfg.Replacement {
 	case LRU:
-		c.stamps[gs*c.cfg.Ways+i] = c.clock
+		set[c.cfg.Ways+i] = c.clock
 	case TreePLRU:
 		c.touchPLRU(gs, i)
 	}
 }
 
-// pickVictim chooses the way a miss fills: the lowest invalid way in
-// the mask, else the policy's choice among the mask's ways. The mask is
-// never empty (view substitutes all ways for an empty one).
-func (c *Cache) pickVictim(gs int, tags []uint64, mask uint64) int {
+// pickVictim chooses the way a miss of global set gs, whose block is set,
+// fills: the lowest invalid way in the mask, else the policy's choice
+// among the mask's ways. The mask is never empty (view substitutes all
+// ways for an empty one).
+func (c *Cache) pickVictim(set []uint64, gs int, mask uint64) int {
+	tags := set[:c.cfg.Ways]
 	if c.cfg.Replacement == LRU {
 		// One ascending pass: an invalid way ends it, else the oldest
 		// stamp wins (the lowest way among equals).
-		stamps := c.stamps[gs*c.cfg.Ways:]
+		stamps := set[c.cfg.Ways:]
 		best, oldest := 0, ^uint64(0)
 		for m := mask; m != 0; m &= m - 1 {
 			i := bits.TrailingZeros64(m)

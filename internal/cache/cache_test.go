@@ -227,6 +227,40 @@ func TestNoiseTick(t *testing.T) {
 	}
 }
 
+// A Line carries no CAT state: a FixedNoise resolved before a SetCoSMask
+// and an AssignActor ticks, after them, exactly as plain Access calls do.
+func TestFixedNoiseResolvedBeforeCATChange(t *testing.T) {
+	cfg := Config{Sets: 16, Ways: 4, Slices: 2, Seed: 9}
+	got, want := New(cfg), New(cfg)
+	n := NewFixedNoise(3, 200, 0, 1<<14, 5) // more lines than the cache holds
+	tick := func() {
+		n.Tick(got)
+		for _, a := range n.addrs {
+			want.Access(n.Actor, a)
+		}
+	}
+	tick() // resolves n's lines against got
+	for _, c := range []*Cache{got, want} {
+		c.SetCoSMask(1, 0b0001)
+		c.AssignActor(n.Actor, 1)
+	}
+	for i := 0; i < 3; i++ {
+		tick()
+	}
+	if got.Evictions() == 0 || got.Evictions() != want.Evictions() || got.Hits() != want.Hits() {
+		t.Errorf("hits/evictions %d/%d, plain Access %d/%d (want equal and some evictions)",
+			got.Hits(), got.Evictions(), want.Hits(), want.Evictions())
+	}
+	if !reflect.DeepEqual(got.Heatmap(), want.Heatmap()) {
+		t.Error("Heatmap differs from plain Access calls")
+	}
+	for _, a := range n.addrs {
+		if g, w := got.Access(n.Actor, a), want.Access(n.Actor, a); g != w {
+			t.Fatalf("Access(%#x) after the ticks = %+v, plain Access %+v", a, g, w)
+		}
+	}
+}
+
 func TestBadGeometryPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -45,7 +45,8 @@ func diffConfig(sel uint8, seed int64) Config {
 // runDifferential replays ops against the flat Cache and the reference
 // model. Each op takes four bytes: an opcode and three operands.
 // Accesses are drawn from a few sets' worth of lines so that sets fill
-// and evict.
+// and evict. Opcode 6 drives the resolved path (Prime, ProbeLines and
+// FixedNoise.Tick over Lines) against the reference's Access sequence.
 func runDifferential(t *testing.T, cfg Config, ops []byte) {
 	t.Helper()
 	regNew, regRef := obs.NewRegistry(), obs.NewRegistry()
@@ -58,11 +59,14 @@ func runDifferential(t *testing.T, cfg Config, ops []byte) {
 		return line*uint64(d.LineSize) + uint64(lo)%uint64(d.LineSize)
 	}
 	var addrs []uint64
+	// fixed is resolved on its first tick and keeps its Lines across
+	// later CAT changes.
+	var fixed *FixedNoise
 	for n := 0; len(ops) >= 4; n, ops = n+1, ops[4:] {
 		op, a, b, x := ops[0], ops[1], ops[2], ops[3]
 		actor := int(a % 6)
 		addr := addrOf(b, x)
-		switch op % 6 {
+		switch op % 7 {
 		case 0, 1:
 			if g, w := got.Access(actor, addr), want.Access(actor, addr); g != w {
 				t.Fatalf("op %d: Access(%d, %#x) = %+v, reference %+v", n, actor, addr, g, w)
@@ -83,6 +87,44 @@ func runDifferential(t *testing.T, cfg Config, ops []byte) {
 		case 5:
 			got.AssignActor(actor, int(b%4))
 			want.AssignActor(actor, int(b%4))
+		case 6:
+			// 1-6 lines sharing a set index; the slice hash spreads them.
+			q := int(op / 7)
+			var run []uint64
+			var lines []Line
+			for k := 0; k <= q/3%6; k++ {
+				run = append(run, addrOf(b+byte(k), x))
+				lines = append(lines, got.Resolve(run[k]))
+			}
+			switch q % 3 {
+			case 0:
+				got.Prime(actor, lines)
+				for _, a := range run {
+					want.Access(actor, a)
+				}
+				for k := len(run) - 1; k >= 0; k-- {
+					want.Access(actor, run[k])
+				}
+			case 1:
+				lat := make([]int, len(lines))
+				got.ProbeLines(actor, lines, lat)
+				for k, a := range run {
+					if w := want.Probe(actor, a); lat[k] != w {
+						t.Fatalf("op %d: ProbeLines(%d, %#x)[%d] = %d, reference %d", n, actor, run, k, lat[k], w)
+					}
+				}
+			case 2:
+				if fixed == nil {
+					fixed = &FixedNoise{Actor: actor, addrs: run}
+				}
+				if g := fixed.Tick(got); g != len(fixed.addrs) {
+					t.Fatalf("op %d: FixedNoise.Tick = %d, want %d", n, g, len(fixed.addrs))
+				}
+				for _, a := range fixed.addrs {
+					want.Access(fixed.Actor, a)
+				}
+			}
+			addrs = append(addrs, run...)
 		}
 		if g, w := got.Contains(addr), want.Contains(addr); g != w {
 			t.Fatalf("op %d: Contains(%#x) = %v, reference %v", n, addr, g, w)
@@ -132,6 +174,8 @@ func FuzzCacheDifferential(f *testing.F) {
 	f.Add(uint8(3|2<<3), int64(3), []byte{1, 0, 0, 0, 1, 0, 1, 0, 1, 0, 2, 0, 2, 0, 0, 0, 4, 0, 0, 0})
 	f.Add(uint8(2|0x80), int64(4), []byte{0, 3, 200, 7, 2, 3, 200, 7, 4, 3, 0, 1, 0, 3, 201, 7})
 	f.Add(uint8(1|2<<5), int64(5), []byte{0, 1, 2, 3, 2, 1, 2, 3, 0, 4, 2, 3, 2, 4, 2, 3})
+	// Prime, ProbeLines and FixedNoise ticks around a CAT change.
+	f.Add(uint8(2), int64(6), []byte{104, 1, 7, 3, 111, 1, 7, 3, 6, 1, 7, 3, 4, 0, 1, 0, 13, 2, 7, 3, 20, 1, 7, 3})
 	f.Fuzz(func(t *testing.T, sel uint8, seed int64, ops []byte) {
 		runDifferential(t, diffConfig(sel, seed), ops)
 	})

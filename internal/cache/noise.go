@@ -30,29 +30,40 @@ func NewNoise(actor int, rate float64, lo, hi uint64, seed int64) *Noise {
 // sets are quiet.
 type FixedNoise struct {
 	Actor int
-	Addrs []uint64
+	addrs []uint64 // line addresses, fixed at construction
+
+	// lines are addrs resolved against on, at the first Tick against it.
+	lines []Line
+	on    *Cache
 }
 
 // NewFixedNoise draws count fixed kernel line addresses in [lo, hi).
 func NewFixedNoise(actor, count int, lo, hi uint64, seed int64) *FixedNoise {
 	rng := rand.New(rand.NewSource(seed))
-	n := &FixedNoise{Actor: actor}
-	for i := 0; i < count; i++ {
+	n := &FixedNoise{Actor: actor, addrs: make([]uint64, max(count, 0))}
+	for i := range n.addrs {
 		a := lo + uint64(rng.Int63n(int64(hi-lo)))
-		n.Addrs = append(n.Addrs, a&^63) // line-aligned
+		n.addrs[i] = a &^ 63 // line-aligned
 	}
 	return n
 }
 
-// Tick replays the fixed access pattern.
+// Tick replays the fixed access pattern, as that many Access calls would.
 func (n *FixedNoise) Tick(c *Cache) int {
-	if n == nil {
+	if n == nil || len(n.addrs) == 0 {
 		return 0
 	}
-	for _, a := range n.Addrs {
-		c.Access(n.Actor, a)
+	if n.on != c {
+		n.lines, n.on = make([]Line, len(n.addrs)), c
+		for i, a := range n.addrs {
+			n.lines[i] = c.Resolve(a)
+		}
 	}
-	return len(n.Addrs)
+	v := c.view(n.Actor)
+	for _, l := range n.lines {
+		c.access(v, n.Actor, l)
+	}
+	return len(n.lines)
 }
 
 // Tick injects this tick's noise accesses into c and returns how many
@@ -66,9 +77,13 @@ func (n *Noise) Tick(c *Cache) int {
 	if n.rng.Float64() < n.Rate-float64(count) {
 		count++
 	}
+	if count == 0 {
+		return 0
+	}
+	v := c.view(n.Actor)
 	for i := 0; i < count; i++ {
 		addr := n.Lo + uint64(n.rng.Int63n(int64(n.Hi-n.Lo)))
-		c.Access(n.Actor, addr)
+		c.access(v, n.Actor, c.Resolve(addr))
 	}
 	return count
 }

@@ -191,6 +191,7 @@ func (tl *Timeline) Sample(cfg SampleConfig) *Trace {
 		prev = now
 	}
 	c.Publish()
+	fr.Publish()
 	return tr
 }
 

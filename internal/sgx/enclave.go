@@ -111,10 +111,24 @@ func (e *Enclave) SetObserver(o vm.AccessObserver) { e.Mem.SetObserver(o) }
 // Protect changes permissions on every page of the named data symbol: the
 // attack's mprotect primitive.
 func (e *Enclave) Protect(symbol string, perm vm.Perm) error {
-	sym, ok := e.Prog.Symbols[symbol]
-	if !ok {
-		return fmt.Errorf("sgx: no symbol %q in %q", symbol, e.Prog.Name)
+	sym, err := e.symbol(symbol)
+	if err != nil {
+		return err
 	}
+	return e.protect(sym, perm)
+}
+
+// symbol looks up a data symbol of the enclave's program.
+func (e *Enclave) symbol(name string) (isa.Symbol, error) {
+	sym, ok := e.Prog.Symbols[name]
+	if !ok {
+		return isa.Symbol{}, fmt.Errorf("sgx: no symbol %q in %q", name, e.Prog.Name)
+	}
+	return sym, nil
+}
+
+// protect is Protect on a resolved symbol.
+func (e *Enclave) protect(sym isa.Symbol, perm vm.Perm) error {
 	e.obs.mprotects.Inc()
 	return e.Mem.ProtectRange(sym.Addr, sym.Size, perm)
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"github.com/zipchannel/zipchannel/internal/fault"
+	"github.com/zipchannel/zipchannel/internal/isa"
 	"github.com/zipchannel/zipchannel/internal/obs"
 	"github.com/zipchannel/zipchannel/internal/vm"
 )
@@ -50,6 +51,9 @@ type Stepper struct {
 	e     *Enclave
 	ring  []Array
 	table int // index of the table in ring
+	// syms holds each ring array's data symbol, looked up once by
+	// NewStepper; a symbol the program lacks is the zero Symbol.
+	syms []isa.Symbol
 
 	// OnTransition, if set, runs at every permission flip + resume: the
 	// hook where the simulation injects the OS/SGX transition noise that
@@ -74,7 +78,11 @@ type Stepper struct {
 // NewStepper builds a stepper over ring, the gadget loop's arrays in loop
 // order, of which ring[table] is the table.
 func NewStepper(e *Enclave, ring []Array, table int) *Stepper {
-	return &Stepper{e: e, ring: ring, table: table}
+	syms := make([]isa.Symbol, len(ring))
+	for k, a := range ring {
+		syms[k], _ = e.symbol(a.Symbol) // a missing one fails at its first flip
+	}
+	return &Stepper{e: e, ring: ring, table: table, syms: syms}
 }
 
 func (s *Stepper) transition() {
@@ -96,11 +104,11 @@ func (s *Stepper) transition() {
 	}
 }
 
-// protect flips one array's permissions, absorbing injected failures: a
+// protect flips ring[k]'s permissions, absorbing injected failures: a
 // fault-injected Protect error is retried (the flip is idempotent), and
 // the failed syscall still costs a transition's worth of kernel cache
 // noise, so the injected failure measurably perturbs the attack window.
-func (s *Stepper) protect(symbol string, perm vm.Perm) error {
+func (s *Stepper) protect(k int, perm vm.Perm) error {
 	for attempt := 0; ; attempt++ {
 		if err := s.FaultProtect.Err(); err != nil {
 			if attempt < protectRetries {
@@ -110,9 +118,13 @@ func (s *Stepper) protect(symbol string, perm vm.Perm) error {
 				s.transition()
 				continue
 			}
-			return fmt.Errorf("sgx: protect %s: %w", symbol, err)
+			return fmt.Errorf("sgx: protect %s: %w", s.ring[k].Symbol, err)
 		}
-		return s.e.Protect(symbol, perm)
+		if s.syms[k].Name == "" {
+			_, err := s.e.symbol(s.ring[k].Symbol)
+			return err
+		}
+		return s.e.protect(s.syms[k], perm)
 	}
 }
 
@@ -130,7 +142,7 @@ func (s *Stepper) arrive(k int, f MaskedFault) error {
 // table clearing) up to the first ring[0] access. Returns false if the
 // enclave halted before reaching the loop (input too short).
 func (s *Stepper) Start() (bool, error) {
-	if err := s.protect(s.ring[0].Symbol, s.ring[0].revoked()); err != nil {
+	if err := s.protect(0, s.ring[0].revoked()); err != nil {
 		return false, err
 	}
 	s.transition()
@@ -164,15 +176,15 @@ func (s *Stepper) Step(prime func(tablePage uint64), probe func()) (done bool, e
 	if !s.started {
 		return false, fmt.Errorf("%w: Step before Start", ErrProtocol)
 	}
-	for i, a := range s.ring {
+	for i := range s.ring {
 		if i == s.table && prime != nil {
 			prime(s.page)
 		}
 		next := (i + 1) % len(s.ring)
-		if err := s.protect(a.Symbol, vm.PermRW); err != nil {
+		if err := s.protect(i, vm.PermRW); err != nil {
 			return false, err
 		}
-		if err := s.protect(s.ring[next].Symbol, s.ring[next].revoked()); err != nil {
+		if err := s.protect(next, s.ring[next].revoked()); err != nil {
 			return false, err
 		}
 		s.transition()

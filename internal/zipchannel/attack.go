@@ -164,9 +164,9 @@ func (r *Result) String() string {
 // pageState is the attacker's bookkeeping for one vetted ftab page.
 type pageState struct {
 	frame uint64
-	sets  []int      // global set per line index 0..63
-	evict [][]uint64 // eviction set per line index
-	skip  []bool     // per line index: its set is known-noisy, a false positive
+	sets  []int          // global set per line index 0..63
+	evict [][]cache.Line // eviction set per line index
+	skip  []bool         // per line index: its set is known-noisy, a false positive
 }
 
 // exclude marks the lines whose sets are in noisy as skipped.

@@ -247,7 +247,7 @@ func (r *rig) vetPage(pageVA uint64) (*pageState, error) {
 	lines := sgx.PageSize / r.c.Config().LineSize
 	ps := &pageState{
 		sets:  make([]int, 0, lines),
-		evict: make([][]uint64, 0, lines),
+		evict: make([][]cache.Line, 0, lines),
 		skip:  make([]bool, lines),
 	}
 	remaps := 0
