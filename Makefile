@@ -28,11 +28,13 @@ test:
 # The concurrency contracts: the telemetry layer, the worker pool, the
 # HTTP compression service and the fleet tests that boot it (zipserverd
 # from its flags; zipload clusters through a peer's death and revival),
-# the experiment scheduler (fake-runner + cheap real-runner tests), and
-# the attack stack, whose single-goroutine counters a -progress reader
-# snapshots mid-run.
+# the experiment scheduler (fake-runner + cheap real-runner tests), the
+# attack stack, whose single-goroutine counters a -progress reader
+# snapshots mid-run, and the lzw and lz77 codecs, whose pooled tables
+# the server's workers share.
 race:
 	$(GO) test -race ./internal/obs/... ./internal/par/... ./internal/server/... ./internal/pagestore/... ./internal/taint/ ./internal/core/
+	$(GO) test -race ./internal/compress/lzw/ ./internal/compress/lz77/
 	$(GO) test -race ./cmd/zipserverd/ ./cmd/zipload/
 	$(GO) test -race ./internal/cache/ ./internal/attacker/ ./internal/sgx/ ./internal/zipchannel/ ./cmd/zipchannel-sgx/
 	$(GO) test -race -run 'TestRunAll' ./internal/experiments/
@@ -83,10 +85,11 @@ bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
 
 # One-iteration hot-path smoke (CI runs this so compile or gross perf
-# regressions on the taint/LZ77/BWT paths, the LLC model and Attack 1's
-# Prime+Probe loop, and the in-process /v1 request path surface in PRs).
+# regressions on the taint/LZ77/LZW/BWT paths, each codec on the 4 KiB
+# bodies the server sees, the LLC model and Attack 1's Prime+Probe loop,
+# and the in-process /v1 request path surface in PRs).
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkTaintAnalysis|BenchmarkLZ77Compress|BenchmarkBWTCompress|BenchmarkCacheAccess|BenchmarkSGXAttackPerByte' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkTaintAnalysis|BenchmarkLZ77Compress|BenchmarkLZWCompress|BenchmarkBWTCompress|BenchmarkCodec4KiB|BenchmarkCacheAccess|BenchmarkSGXAttackPerByte' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkServeHit|BenchmarkServeMiss' -benchtime 1x ./internal/server/
 
 # Quick cross-layer check: SGX attack telemetry end to end.

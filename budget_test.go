@@ -14,6 +14,7 @@ import (
 
 	"github.com/zipchannel/zipchannel/internal/compress/codec"
 	"github.com/zipchannel/zipchannel/internal/corpus"
+	"github.com/zipchannel/zipchannel/internal/fault"
 	"github.com/zipchannel/zipchannel/internal/pagestore"
 	"github.com/zipchannel/zipchannel/internal/server"
 	"github.com/zipchannel/zipchannel/internal/victims"
@@ -56,18 +57,22 @@ type budget struct {
 	bytes  float64
 }
 
-// The attack averages 3 calls, each a whole 10 KiB attack. Its
+// The attack rows average 3 calls, each a whole 10 KiB attack. Their
 // allocations are set-up: the cache arrays, the enclave's frames and the
-// run's instruments; its enclave exits and cache accesses allocate
-// nothing.
+// run's instruments; enclave exits, cache accesses and clean timer
+// readings allocate nothing.
 var budgets = []budget{
 	{name: "taint/bzip2-2KiB", runs: 10, setup: taintRun, allocs: 16, bytes: 561637},
 	{name: "taint/lzw-16KiB-random", runs: 10, setup: taintLZWRandom, allocs: 549, bytes: 5523502},
 	{name: "sgx/attack-10KiB", runs: 3, setup: sgxAttack, allocs: 698, bytes: 2825880},
+	{name: "sgx/attack-10KiB-faults", runs: 3, setup: sgxAttackFaults, allocs: 708, bytes: 2842744},
 	{name: "serve/v1-hit", runs: 200, setup: serveHit, allocs: 44, bytes: 10165},
-	{name: "serve/v1-miss", runs: 100, setup: serveMiss, allocs: 84, bytes: 153438},
-	{name: "serve/page-put-get", runs: 100, setup: pagePutGet, allocs: 122, bytes: 158038},
-	{name: "codec/bwt-compress-4KiB", runs: 20, setup: bwtCompress, allocs: 190, bytes: 260014},
+	{name: "serve/v1-miss", runs: 100, setup: serveMiss, allocs: 79, bytes: 22034},
+	{name: "serve/page-put-get", runs: 100, setup: pagePutGet, allocs: 121, bytes: 26727},
+	{name: "codec/bwt-compress-4KiB", runs: 20, setup: bwtCompress, allocs: 76, bytes: 134154},
+	{name: "codec/lzw-compress-4KiB", runs: 20, setup: lzwCompress, allocs: 10, bytes: 5368},
+	{name: "codec/lzw-decompress-4KiB", runs: 20, setup: lzwDecompress, allocs: 3, bytes: 10240},
+	{name: "codec/lz77-compress-4KiB", runs: 20, setup: lz77Compress, allocs: 35, bytes: 106026},
 }
 
 // TestBudget fails when an operation allocates more than its budget, or
@@ -129,6 +134,22 @@ func sgxAttack(t testing.TB) func() {
 	}
 }
 
+// sgxAttackFaults is sgxAttack with a fault registry that arms nothing,
+// as a chaos run's attack sees it between armings: every probed line
+// reads the timer point, and a clean reading must not allocate.
+func sgxAttackFaults(t testing.TB) func() {
+	secret := make([]byte, 10240)
+	rand.New(rand.NewSource(5)).Read(secret)
+	cfg := zipchannel.DefaultConfig()
+	cfg.Seed = 5
+	return func() {
+		cfg.Faults = fault.NewRegistry(5)
+		if _, err := zipchannel.Attack(secret, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // taintLZWRandom is one TaintChannel run of the ncompress hash probe
 // over 16 KiB of seeded random bytes. Its tainted bytes scatter over the
 // hash table, so it holds the most shadow pages of any perfbench taint
@@ -139,14 +160,35 @@ func taintLZWRandom(t testing.TB) func() {
 	return analyzeOp(t, victims.LZWHashProbe(), input)
 }
 
-// bwtCompress is one bwt Compress of a 4 KiB English body, the largest
-// body perfbench's serve-cold sends: an untraced aperiodic block, so
-// rotationOrder and the multi-table Huffman stage do the work.
-func bwtCompress(t testing.TB) func() {
-	body := corpus.BrotliLike(1)[0].Data[:4<<10]
-	bwt, _ := codec.Lookup("bwt")
+// codecBody is a 4 KiB English body, the largest body perfbench's
+// serve-cold sends.
+func codecBody() []byte { return corpus.BrotliLike(1)[0].Data[:4<<10] }
+
+// bwtCompress is one bwt Compress of codecBody: an untraced aperiodic
+// block, so rotationOrder and the multi-table Huffman stage do the work.
+func bwtCompress(t testing.TB) func() { return codecOp(t, "bwt", false) }
+
+// The lzw and lz77 rows pin per-call state to what a 4 KiB body needs:
+// a table sized for the codec's whole code or hash space, allocated on
+// every call, is far over their ceilings.
+func lzwCompress(t testing.TB) func()   { return codecOp(t, "lzw", false) }
+func lzwDecompress(t testing.TB) func() { return codecOp(t, "lzw", true) }
+func lz77Compress(t testing.TB) func()  { return codecOp(t, "lz77", false) }
+
+// codecOp is one call of the named codec on codecBody: Compress, or
+// Decompress of its compressed form.
+func codecOp(t testing.TB, name string, decompress bool) func() {
+	c, _ := codec.Lookup(name)
+	in, op := codecBody(), c.Compress
+	if decompress {
+		comp, err := c.Compress(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in, op = comp, c.Decompress
+	}
 	return func() {
-		if _, err := bwt.Compress(body); err != nil {
+		if _, err := op(in); err != nil {
 			t.Fatal(err)
 		}
 	}

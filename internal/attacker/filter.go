@@ -33,7 +33,8 @@ func SampleMedian(reads []int) int {
 //
 // A nil point returns (clean, 0) without consuming anything, and so
 // does a k-sample pass in which no reading jittered — both paths leave
-// the caller byte-identical to a fault-free build.
+// the caller byte-identical to a fault-free build. The readings are
+// stored only once one has jittered, so a clean pass allocates nothing.
 func FilteredReading(clean, k int, point *fault.Point) (val, noisy int) {
 	if point == nil {
 		return clean, 0
@@ -41,10 +42,15 @@ func FilteredReading(clean, k int, point *fault.Point) (val, noisy int) {
 	if k <= 0 {
 		k = DefaultTimerSamples
 	}
-	reads := make([]int, k)
-	for i := range reads {
-		reads[i] = clean
+	var reads []int
+	for i := 0; i < k; i++ {
 		if in := point.Hit(); in.Kind == fault.KindLatency {
+			if reads == nil {
+				reads = make([]int, k)
+				for j := range reads {
+					reads[j] = clean
+				}
+			}
 			reads[i] += int(in.Jitter())
 			noisy++
 		}

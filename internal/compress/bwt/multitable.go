@@ -88,26 +88,40 @@ func buildTables(syms []uint16) (lengths [][]uint8, selectors []uint8, err error
 	for t := range tableFreq {
 		tableFreq[t] = make([]int64, numMTFSym)
 	}
+	// lenPack[s] holds every table's cost for symbol s in 16-bit lanes,
+	// tables 0-3 in the first word and 4-5 in the second (bzip2's
+	// len_pack), so a group's costs under all tables take two adds per
+	// symbol. A group's cost is at most groupSize*20, so no lane carries.
+	lenPack := make([][2]uint64, numMTFSym)
+	var hb huffcoding.Builder
 	for iter := 0; iter < 4; iter++ {
-		// Assign each group to its cheapest table.
+		for sym := range lenPack {
+			var p [2]uint64
+			for t := 0; t < nTables; t++ {
+				cl := uint64(lengths[t][sym])
+				if cl == 0 {
+					cl = 20 // unusable symbol: strongly discourage
+				}
+				p[t/4] |= cl << (16 * (t % 4))
+			}
+			lenPack[sym] = p
+		}
+		// Assign each group to its cheapest table, the first on a tie.
 		for _, freq := range tableFreq {
 			clear(freq)
 		}
 		for g := 0; g < nGroups; g++ {
 			lo := g * groupSize
 			hi := min(lo+groupSize, len(syms))
-			best, bestCost := 0, int(^uint(0)>>1)
+			var cost [2]uint64
+			for _, s := range syms[lo:hi] {
+				cost[0] += lenPack[s][0]
+				cost[1] += lenPack[s][1]
+			}
+			best, bestCost := 0, uint64(1)<<16
 			for t := 0; t < nTables; t++ {
-				cost := 0
-				for _, s := range syms[lo:hi] {
-					cl := int(lengths[t][s])
-					if cl == 0 {
-						cl = 20 // unusable symbol: strongly discourage
-					}
-					cost += cl
-				}
-				if cost < bestCost {
-					best, bestCost = t, cost
+				if c := cost[t/4] >> (16 * (t % 4)) & 0xffff; c < bestCost {
+					best, bestCost = t, c
 				}
 			}
 			selectors[g] = uint8(best)
@@ -125,7 +139,7 @@ func buildTables(syms []uint16) (lengths [][]uint8, selectors []uint8, err error
 					freq[sym] = 1
 				}
 			}
-			newLens, err := huffcoding.BuildLengths(freq, huffcoding.MaxCodeLen)
+			newLens, err := hb.BuildLengths(freq, huffcoding.MaxCodeLen)
 			if err != nil {
 				return nil, nil, fmt.Errorf("bwt: table %d: %w", t, err)
 			}

@@ -26,11 +26,31 @@ var ErrBadLengths = errors.New("huffcoding: invalid code lengths")
 // then symbol or creation order), so the merge sequence is the one a
 // heap ordered by (frequency, node index) gives.
 func BuildLengths(freq []int64, maxLen int) ([]uint8, error) {
+	var b Builder
+	return b.BuildLengths(freq, maxLen)
+}
+
+// Builder runs BuildLengths with scratch kept between calls, for callers
+// that build many trees in a row. The zero value is ready to use. A
+// Builder is not safe for concurrent use.
+type Builder struct {
+	syms   []int // leaf j codes symbol syms[j]
+	weight []int64
+	parent []int32
+	depth  []int32
+	leaves []int32
+	keys   []uint64
+}
+
+// BuildLengths is the package-level BuildLengths on b's scratch. Once
+// the scratch has grown to the input's size, only the returned lengths
+// are newly allocated.
+func (b *Builder) BuildLengths(freq []int64, maxLen int) ([]uint8, error) {
 	if maxLen <= 0 || maxLen > MaxCodeLen {
 		maxLen = MaxCodeLen
 	}
 	lengths := make([]uint8, len(freq))
-	syms := make([]int, 0, len(freq)) // leaf j codes symbol syms[j]
+	syms := resize(&b.syms, len(freq))[:0]
 	for sym, f := range freq {
 		if f > 0 {
 			syms = append(syms, sym)
@@ -47,18 +67,34 @@ func BuildLengths(freq []int64, maxLen int) ([]uint8, error) {
 
 	// Nodes 0..m-1 are the leaves, m..2m-2 the merged nodes in creation
 	// order; the root is the last.
-	weight := make([]int64, 2*m-1)
-	parent := make([]int32, 2*m-1)
-	depth := make([]int, 2*m-1)
-	leaves := make([]int32, m)
+	weight := resize(&b.weight, 2*m-1)
+	parent := resize(&b.parent, 2*m-1)
+	depth := resize(&b.depth, 2*m-1)
+	leaves := resize(&b.leaves, m)
+	// Leaves sort as weight<<16 | index keys when both fit, which orders
+	// them as the stable sort by weight does. Halving never raises a
+	// weight, so the check holds for every attempt.
+	packed := m <= 1<<16
 	for j, sym := range syms {
 		weight[j] = freq[sym]
+		packed = packed && weight[j] < 1<<47
 	}
 	for attempt := 0; ; attempt++ {
-		for j := range leaves {
-			leaves[j] = int32(j)
+		if packed {
+			keys := resize(&b.keys, m)
+			for j := range keys {
+				keys[j] = uint64(weight[j])<<16 | uint64(j)
+			}
+			slices.Sort(keys)
+			for j, k := range keys {
+				leaves[j] = int32(k & 0xffff)
+			}
+		} else {
+			for j := range leaves {
+				leaves[j] = int32(j)
+			}
+			slices.SortStableFunc(leaves, func(a, b int32) int { return cmp.Compare(weight[a], weight[b]) })
 		}
-		slices.SortStableFunc(leaves, func(a, b int32) int { return cmp.Compare(weight[a], weight[b]) })
 		// lightest pops the lighter of the two queue heads. next is the
 		// node about to be created, so merged nodes qi..next-1 are queued.
 		li, qi := 0, m
@@ -84,7 +120,7 @@ func BuildLengths(freq []int64, maxLen int) ([]uint8, error) {
 		}
 		over := false
 		for j, sym := range syms {
-			d := depth[j]
+			d := int(depth[j])
 			if d > maxLen {
 				over = true
 				d = maxLen
@@ -102,6 +138,14 @@ func BuildLengths(freq []int64, maxLen int) ([]uint8, error) {
 			weight[j] = weight[j]/2 + 1
 		}
 	}
+}
+
+// resize returns (*s)[:n], growing *s first when it is too short.
+func resize[T any](s *[]T, n int) []T {
+	if cap(*s) < n {
+		*s = make([]T, n)
+	}
+	return (*s)[:n]
 }
 
 // CanonicalCodes assigns canonical codes (MSB-first) to the given

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"github.com/zipchannel/zipchannel/internal/compress/huffcoding"
 )
@@ -200,7 +201,9 @@ type token struct {
 // bits. (Unlike real DEFLATE there is a single dynamic block and lengths
 // are stored flat — documented divergence, see DESIGN.md.)
 func Compress(src []byte, opts Options) ([]byte, error) {
-	tokens := tokenize(src, opts)
+	head := heads.Get().(*[HashSize]int32)
+	tokens := tokenize(head, src, opts)
+	heads.Put(head)
 	if s := opts.Stats; s != nil {
 		s.Tokens += int64(len(tokens))
 		for _, t := range tokens {
@@ -231,11 +234,12 @@ func Compress(src []byte, opts Options) ([]byte, error) {
 		distFreq[0] = 1 // keep the distance tree valid
 	}
 
-	litLens, err := huffcoding.BuildLengths(litFreq, huffcoding.MaxCodeLen)
+	var hb huffcoding.Builder
+	litLens, err := hb.BuildLengths(litFreq, huffcoding.MaxCodeLen)
 	if err != nil {
 		return nil, fmt.Errorf("lz77: literal tree: %w", err)
 	}
-	distLens, err := huffcoding.BuildLengths(distFreq, huffcoding.MaxCodeLen)
+	distLens, err := hb.BuildLengths(distFreq, huffcoding.MaxCodeLen)
 	if err != nil {
 		return nil, fmt.Errorf("lz77: distance tree: %w", err)
 	}
@@ -280,15 +284,18 @@ func Compress(src []byte, opts Options) ([]byte, error) {
 	return w.Bytes(), nil
 }
 
+// heads holds head tables between Compress calls, so a call refills
+// 128 KiB instead of allocating it.
+var heads = sync.Pool{New: func() any { return new([HashSize]int32) }}
+
 // tokenize runs the hash-chain matcher, firing the gadget tracer on every
-// INSERT_STRING.
-func tokenize(src []byte, opts Options) []token {
+// INSERT_STRING. It refills head, so any earlier contents are ignored.
+func tokenize(head *[HashSize]int32, src []byte, opts Options) []token {
 	var tokens []token
 	if len(src) == 0 {
 		return tokens
 	}
 
-	head := make([]int32, HashSize)
 	prev := make([]int32, len(src))
 	for i := range head {
 		head[i] = -1

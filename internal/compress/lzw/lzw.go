@@ -13,6 +13,8 @@ package lzw
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 
 	"github.com/zipchannel/zipchannel/internal/compress/huffcoding"
 )
@@ -40,34 +42,43 @@ type Tracer interface {
 
 // dict is the shared compressor state: Compress and Replayer step it
 // identically, so the recovery replay cannot diverge from the encoder.
+//
+// Each htab slot holds gen<<24 | fcode, where fcode = ent<<8 | c fits in
+// 24 bits. A slot tagged with another generation is free, so a reset is
+// gen++ and the 2^17-slot table is cleared only when gen wraps: a call
+// pays for the slots its input fills, not for the whole table.
 type dict struct {
-	htab    []int64 // stored fcode, -1 = free
+	htab    []uint32
 	codetab []uint16
+	gen     uint32 // 1..255; 0 never tags a live slot
 	ent     uint32
 	next    int
 	started bool
 	tracer  Tracer
 }
 
-func newDict(tracer Tracer) *dict {
-	d := &dict{
-		htab:    make([]int64, HTabSize),
+func newDict() *dict {
+	return &dict{
+		htab:    make([]uint32, HTabSize),
 		codetab: make([]uint16, HTabSize),
+		gen:     1,
 		next:    firstFree,
-		tracer:  tracer,
 	}
-	for i := range d.htab {
-		d.htab[i] = -1
-	}
-	return d
 }
 
+// reset frees every slot and restarts code assignment, both at a
+// mid-stream CLEAR and between calls.
 func (d *dict) reset() {
-	for i := range d.htab {
-		d.htab[i] = -1
+	d.gen++
+	if d.gen == 1<<8 {
+		clear(d.htab)
+		d.gen = 1
 	}
 	d.next = firstFree
 }
+
+// dicts holds compressor tables between Compress calls.
+var dicts = sync.Pool{New: func() any { return newDict() }}
 
 // step consumes one input byte. It returns (emit, code, full): when emit
 // is true the compressor outputs code before switching to the new string;
@@ -79,16 +90,16 @@ func (d *dict) step(c byte) (emit bool, code uint16, full bool) {
 		d.ent = uint32(c)
 		return false, 0, false
 	}
-	fcode := int64(d.ent)<<8 | int64(c)
+	key := d.gen<<24 | d.ent<<8 | uint32(c)
 	hp := (uint64(c) << ProbeShift) ^ uint64(d.ent)
 	if d.tracer != nil {
 		d.tracer.Probe(hp, true)
 	}
-	if d.htab[hp] == fcode {
+	if d.htab[hp] == key {
 		d.ent = uint32(d.codetab[hp])
 		return false, 0, false
 	}
-	if d.htab[hp] >= 0 {
+	if d.htab[hp]>>24 == d.gen {
 		// Secondary probing, ncompress style. ncompress relies on a prime
 		// HSIZE so that any displacement cycles through the whole table;
 		// with our power-of-two table the displacement must be odd for
@@ -103,11 +114,11 @@ func (d *dict) step(c byte) (emit bool, code uint16, full bool) {
 			if d.tracer != nil {
 				d.tracer.Probe(hp, false)
 			}
-			if d.htab[hp] == fcode {
+			if d.htab[hp] == key {
 				d.ent = uint32(d.codetab[hp])
 				return false, 0, false
 			}
-			if d.htab[hp] < 0 {
+			if d.htab[hp]>>24 != d.gen {
 				break
 			}
 		}
@@ -115,7 +126,7 @@ func (d *dict) step(c byte) (emit bool, code uint16, full bool) {
 	// Free slot: output the current string's code, insert, restart at c.
 	code = uint16(d.ent)
 	if d.next < MaxCodes {
-		d.htab[hp] = fcode
+		d.htab[hp] = key
 		d.codetab[hp] = uint16(d.next)
 		d.next++
 	}
@@ -127,9 +138,19 @@ func (d *dict) step(c byte) (emit bool, code uint16, full bool) {
 // Compress encodes src: a 4-byte length header, then variable-width
 // (9..16 bit) codes, with CLEAR emitted when the code space fills.
 func Compress(src []byte, tracer Tracer) ([]byte, error) {
+	d := dicts.Get().(*dict)
+	out := d.compress(src, tracer)
+	dicts.Put(d)
+	return out, nil
+}
+
+// compress is Compress on d. It first resets d, so nothing an earlier
+// call left in d can reach this call's output or probes.
+func (d *dict) compress(src []byte, tracer Tracer) []byte {
+	d.reset()
+	d.ent, d.started, d.tracer = 0, false, tracer
 	var w huffcoding.BitWriter
 	w.WriteBits(uint32(len(src)), 32)
-	d := newDict(tracer)
 	width := uint(initWidth)
 
 	emit := func(code uint16) {
@@ -153,7 +174,8 @@ func Compress(src []byte, tracer Tracer) ([]byte, error) {
 	if d.started {
 		emit(uint16(d.ent))
 	}
-	return w.Bytes(), nil
+	d.tracer = nil
+	return w.Bytes()
 }
 
 // ErrCorrupt reports a malformed stream.
@@ -182,68 +204,59 @@ func Decompress(data []byte) ([]byte, error) {
 		return out, nil
 	}
 
-	prefix := make([]uint16, MaxCodes)
-	suffix := make([]byte, MaxCodes)
+	// Each code takes at least initWidth bits and defines at most one
+	// entry, so the stream cannot reach past this many codes.
+	nCodes := min(firstFree+8*len(data)/initWidth+1, MaxCodes)
+	prefix := make([]uint16, nCodes)
+	suffix := make([]byte, nCodes)
 	next := firstFree
 	width := uint(initWidth)
 
-	expand := func(code int) ([]byte, error) {
-		var stack []byte
-		for code >= 256 {
-			if code >= next {
-				return nil, fmt.Errorf("%w: code %d >= next %d", ErrCorrupt, code, next)
-			}
-			stack = append(stack, suffix[code])
-			code = int(prefix[code])
-		}
-		stack = append(stack, byte(code))
-		// Reverse.
-		for i, j := 0, len(stack)-1; i < j; i, j = i+1, j-1 {
-			stack[i], stack[j] = stack[j], stack[i]
-		}
-		return stack, nil
-	}
-
-	readCode := func() (int, error) {
-		v, err := r.ReadBits(width)
-		return int(v), err
-	}
-
 	prevCode := -1
-	var prevStr []byte
+	prevStart := 0 // out[prevStart:start] is the previous code's string
 	for uint32(len(out)) < size {
-		code, err := readCode()
+		v, err := r.ReadBits(width)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
+		code := int(v)
 		if code == clearCode {
 			next = firstFree
 			width = initWidth
 			prevCode = -1
 			continue
 		}
-		var str []byte
+		start := len(out)
 		switch {
 		case prevCode < 0:
 			if code > 255 {
 				return nil, fmt.Errorf("%w: first code %d not a literal", ErrCorrupt, code)
 			}
-			str = []byte{byte(code)}
+			out = append(out, byte(code))
 		case code < next:
-			str, err = expand(code)
-			if err != nil {
-				return nil, err
+			// Walk the prefix chain, appending the string backwards,
+			// then reverse it in place.
+			for c := code; ; c = int(prefix[c]) {
+				if c < 256 {
+					out = append(out, byte(c))
+					break
+				}
+				if c >= next {
+					return nil, fmt.Errorf("%w: code %d >= next %d", ErrCorrupt, c, next)
+				}
+				out = append(out, suffix[c])
 			}
+			slices.Reverse(out[start:])
 		case code == next:
 			// KwKwK: the code being defined right now.
-			str = append(append([]byte{}, prevStr...), prevStr[0])
+			out = append(out, out[prevStart:start]...)
+			out = append(out, out[prevStart])
 		default:
 			return nil, fmt.Errorf("%w: code %d ahead of dictionary (%d)", ErrCorrupt, code, next)
 		}
-		out = append(out, str...)
 		if prevCode >= 0 && next < MaxCodes {
 			prefix[next] = uint16(prevCode)
-			suffix[next] = str[0]
+			suffix[next] = out[start]
 			next++
 			// Mirror the encoder's width growth: the encoder is one
 			// insert ahead of the decoder at each code boundary.
@@ -252,7 +265,7 @@ func Decompress(data []byte) ([]byte, error) {
 			}
 		}
 		prevCode = code
-		prevStr = str
+		prevStart = start
 	}
 	if uint32(len(out)) != size {
 		return nil, fmt.Errorf("%w: size mismatch %d != %d", ErrCorrupt, len(out), size)
@@ -270,7 +283,7 @@ type Replayer struct {
 
 // NewReplayer starts a replay with the (guessed) first plaintext byte.
 func NewReplayer(first byte) *Replayer {
-	rep := &Replayer{d: newDict(nil)}
+	rep := &Replayer{d: newDict()}
 	rep.d.step(first)
 	return rep
 }
