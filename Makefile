@@ -27,11 +27,11 @@ test:
 
 # The concurrency contracts: the telemetry layer, the worker pool, the
 # HTTP compression service and the fleet tests that boot it (zipserverd
-# from its flags; zipload clusters through a peer's death and revival),
-# the experiment scheduler (fake-runner + cheap real-runner tests), the
-# attack stack, whose single-goroutine counters a -progress reader
-# snapshots mid-run, and the lzw and lz77 codecs, whose pooled tables
-# the server's workers share.
+# from its flags; zipload clusters through an instance's death and
+# revival), the experiment scheduler (fake-runner + cheap real-runner
+# tests), the attack stack, whose single-goroutine counters a -progress
+# reader snapshots mid-run, and the lzw and lz77 codecs, whose pooled
+# tables the server's workers share.
 race:
 	$(GO) test -race ./internal/obs/... ./internal/par/... ./internal/server/... ./internal/pagestore/... ./internal/taint/ ./internal/core/
 	$(GO) test -race ./internal/compress/lzw/ ./internal/compress/lz77/

@@ -1,12 +1,12 @@
 package main
 
 // Cluster-mode support for zipload: a consistent-hash router over N
-// zipserverd instances, plus the order-insensitive response digest that
-// proves a tiered, peered cluster serves byte-for-byte the same
-// responses as a single-LRU baseline. Routing is
-// a pure function of the request (codec name + body), so it never
-// consumes a client's RNG stream — the request sequence is identical
-// whether it lands on 1 instance or 10.
+// zipserverd instances, each with its own cache hierarchy, plus the
+// order-insensitive response digest that proves a ring-routed cluster of
+// tiered instances serves byte-for-byte the same responses as a
+// single-LRU baseline. Routing is a pure function of the request (codec
+// name + body), so it never consumes a client's RNG stream — the request
+// sequence is identical whether it lands on 1 instance or 10.
 
 import (
 	"crypto/sha256"

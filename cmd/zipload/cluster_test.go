@@ -78,11 +78,10 @@ func TestXorDigestOrderInsensitive(t *testing.T) {
 }
 
 // tieredCore builds the server `zipserverd -cache-mb 4 -cache-cold-mb 64
-// -cache-dir dir [-cache-peer peerURL]` runs: a hot LRU over a disk cold
-// tier in dir, under a peer tier fronting peerURL when that is set.
-func tieredCore(t *testing.T, dir, peerURL string) *server.Server {
+// -cache-dir dir` runs: a hot LRU over a disk cold tier in dir.
+func tieredCore(t *testing.T, dir string) *server.Server {
 	t.Helper()
-	s, err := newTieredCore(dir, peerURL)
+	s, err := newTieredCore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,36 +89,28 @@ func tieredCore(t *testing.T, dir, peerURL string) *server.Server {
 }
 
 // newTieredCore is tieredCore for goroutines other than the test's.
-func newTieredCore(dir, peerURL string) (*server.Server, error) {
+func newTieredCore(dir string) (*server.Server, error) {
 	reg := obs.NewRegistry()
-	localPrefix := "server.cache"
-	if peerURL != "" {
-		localPrefix = "server.cache.local"
-	}
 	hot := server.NewLRUBackend(4<<20, reg, "server.cache.hot")
 	cold, err := server.NewDiskBackend(dir, 64<<20, reg, "server.cache.cold", nil)
 	if err != nil {
 		return nil, err
 	}
-	cache := server.CacheBackend(server.NewTiered(hot, cold, reg, localPrefix))
-	if peerURL != "" {
-		peer := server.NewPeerBackend(peerURL, 0, reg, "server.cache.peer", nil)
-		cache = server.NewTiered(cache, peer, reg, "server.cache")
-	}
+	cache := server.NewTiered(hot, cold, reg, "server.cache")
 	return server.New(server.Config{Workers: 2, Registry: reg, Cache: cache}), nil
 }
 
 // TestRunLoadClusterMatchesSingleBaseline: the same seeded, Zipf-skewed
 // request stream driven (a) across two consistent-hash-routed instances,
-// each a hot LRU over a disk cold tier, the second mounting the first's
-// cache as a peer tier, and (b) against one plain-LRU instance. Zero
-// errors on both, per-tier hit rates in the cluster report, and the
-// order-insensitive response digests must be identical: the cluster may
-// change where bytes come from, never the bytes.
+// each a hot LRU over its own disk cold tier, and (b) against one
+// plain-LRU instance. Zero errors on both, per-tier hit rates in the
+// cluster report, and the order-insensitive response digests must be
+// identical: the cluster may change where bytes come from, never the
+// bytes.
 func TestRunLoadClusterMatchesSingleBaseline(t *testing.T) {
-	tsA := httptest.NewServer(tieredCore(t, t.TempDir(), ""))
+	tsA := httptest.NewServer(tieredCore(t, t.TempDir()))
 	defer tsA.Close()
-	tsB := httptest.NewServer(tieredCore(t, t.TempDir(), tsA.URL))
+	tsB := httptest.NewServer(tieredCore(t, t.TempDir()))
 	defer tsB.Close()
 
 	base := loadConfig{

@@ -5,7 +5,6 @@ package main
 // Retry-After honoring on shed responses.
 
 import (
-	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
@@ -71,7 +70,7 @@ func TestHealthViewProbation(t *testing.T) {
 			t.Fatalf("instance up during probation (consult %d)", i)
 		}
 		if !hv.up(1) {
-			t.Fatal("healthy instance affected by peer's probation")
+			t.Fatal("healthy instance affected by another instance's probation")
 		}
 	}
 	if !hv.up(0) {
@@ -215,18 +214,19 @@ func TestRunLoadFailsOverAroundMidRunDeath(t *testing.T) {
 	}
 }
 
-// TestRunLoadSurvivesPeerDeathAndRevival: two tiered instances, B
-// mounting A's cache as its peer tier, under a verifying, hedging,
-// retrying load. A dies mid-run: its connections are cut and its cache
-// is never closed, as a SIGKILL leaves it. After B has carried a further
-// stretch of the load alone, A comes back on the same address as a fresh
-// server over the same disk directory, so its startup scrub runs. Death
-// and revival are triggered by request counts over both instances (A's
-// own share depends on where the ring places its ephemeral port). The
-// load must end with zero errors; B's peer probation must have opened
-// during the outage and be closed again once traffic has probed the
-// revived A.
-func TestRunLoadSurvivesPeerDeathAndRevival(t *testing.T) {
+// TestRunLoadSurvivesInstanceDeathAndRevival: two tiered instances, each
+// with its own cache hierarchy, under a verifying, hedging, retrying
+// load. A dies mid-run: its connections are cut and its cache is never
+// closed, as a SIGKILL leaves it. After B has carried a further stretch
+// of the load alone, A comes back on the same address as a fresh server
+// over the same disk directory, so its startup scrub runs. Death and
+// revival are triggered by request counts over both instances (A's own
+// share depends on where the ring places its ephemeral port). The load
+// must end with zero errors, and its clients must have failed over
+// around the dead A. The same stream from fresh clients, whose health
+// views never saw A die, must then run error-free with the revived A
+// serving its share.
+func TestRunLoadSurvivesInstanceDeathAndRevival(t *testing.T) {
 	// Of the ~480 /v1 requests the load sends (compress + verify).
 	const killAt, reviveAt = 60, 160
 	var served atomic.Int64
@@ -241,18 +241,19 @@ func TestRunLoadSurvivesPeerDeathAndRevival(t *testing.T) {
 	}
 
 	dirA := t.TempDir()
-	a := httptest.NewServer(countV1(tieredCore(t, dirA, ""), count))
+	a := httptest.NewServer(countV1(tieredCore(t, dirA), count))
 	t.Cleanup(a.Close)
 	addrA := a.Listener.Addr().String()
-	coreB := tieredCore(t, t.TempDir(), a.URL)
-	b := httptest.NewServer(countV1(coreB, count))
+	b := httptest.NewServer(countV1(tieredCore(t, t.TempDir()), count))
 	t.Cleanup(b.Close)
 
 	// The supervisor kills and revives A; its outcome is the revived
-	// server (nil if the load ended first) or the error that stopped it.
+	// server and its core (nil if the load ended first) or the error
+	// that stopped it.
 	type revived struct {
-		ts  *httptest.Server
-		err error
+		ts   *httptest.Server
+		core *server.Server
+		err  error
 	}
 	loadDone := make(chan struct{})
 	supervised := make(chan revived, 1)
@@ -271,7 +272,7 @@ func TestRunLoadSurvivesPeerDeathAndRevival(t *testing.T) {
 			supervised <- revived{}
 			return
 		}
-		coreA, err := newTieredCore(dirA, "")
+		coreA, err := newTieredCore(dirA)
 		if err != nil {
 			supervised <- revived{err: err}
 			return
@@ -285,10 +286,10 @@ func TestRunLoadSurvivesPeerDeathAndRevival(t *testing.T) {
 		a2.Listener.Close()
 		a2.Listener = ln
 		a2.Start()
-		supervised <- revived{ts: a2}
+		supervised <- revived{ts: a2, core: coreA}
 	}()
 
-	res, err := runLoad(loadConfig{
+	cfg := loadConfig{
 		URLs:      []string{a.URL, b.URL},
 		Clients:   4,
 		Requests:  60,
@@ -301,7 +302,8 @@ func TestRunLoadSurvivesPeerDeathAndRevival(t *testing.T) {
 		RetryBase: time.Millisecond,
 		RetryMax:  20 * time.Millisecond,
 		Hedge:     100 * time.Millisecond,
-	})
+	}
+	res, err := runLoad(cfg)
 	close(loadDone)
 	sup := <-supervised
 	if sup.ts != nil {
@@ -319,25 +321,19 @@ func TestRunLoadSurvivesPeerDeathAndRevival(t *testing.T) {
 	if res.Errors > 0 {
 		t.Fatalf("%d errors through A's death and revival (first: %s)", res.Errors, res.FirstError)
 	}
-	if opens := coreB.Registry().Snapshot().Counters["server.cache.peer.probation.opens"]; opens == 0 {
-		t.Fatal("B's peer probation never opened while A was dead")
+	if fo := res.Registry.Snapshot().Counters["zipload.failovers"]; fo == 0 {
+		t.Fatal("no failovers counted while A was dead")
 	}
 
-	// Fresh bodies miss B's local tiers, so each one is a peer exchange;
-	// the probation breaker admits a probe within a bounded number.
-	for i := 0; peerState(t, b.URL) != "closed"; i++ {
-		if i == 2*server.DefaultPeerProbeAfter {
-			t.Fatalf("B's peer probation still %q after %d fresh requests to the revived A", peerState(t, b.URL), i)
-		}
-		resp, err := http.Post(b.URL+"/v1/lz77/compress", "application/octet-stream",
-			strings.NewReader(fmt.Sprintf("probe %d for the revived peer", i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("probe request to B: %d", resp.StatusCode)
-		}
+	res, err = runLoad(cfg)
+	if err != nil {
+		t.Fatalf("runLoad after the revival: %v", err)
+	}
+	if res.Errors > 0 {
+		t.Fatalf("%d errors after A's revival (first: %s)", res.Errors, res.FirstError)
+	}
+	if got := sup.core.Registry().Snapshot().Counters["server.requests"]; got == 0 {
+		t.Fatal("the revived A served none of the fresh clients' requests")
 	}
 }
 
@@ -349,25 +345,6 @@ func countV1(core http.Handler, count func()) http.Handler {
 		}
 		core.ServeHTTP(w, r)
 	})
-}
-
-// peerState reads the peer tier's probation state from /healthz.
-func peerState(t *testing.T, base string) string {
-	t.Helper()
-	resp, err := http.Get(base + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var h struct {
-		Cache struct {
-			PeerState string `json:"peer_state"`
-		} `json:"cache"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-		t.Fatal(err)
-	}
-	return h.Cache.PeerState
 }
 
 // TestRetryAfterHonored: a shed (503 + Retry-After: 1) response stretches

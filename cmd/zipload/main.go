@@ -697,7 +697,7 @@ func (r *loadResult) report(w io.Writer, cfg loadConfig) {
 			hits, misses, rate, r.ServerSnap.Counters["server.cache.evictions"])
 		// Tier breakdown, present only when instances run composed
 		// backends (zeros are elided — a plain LRU prints nothing here).
-		for _, tier := range []string{"hot", "cold", "local", "peer"} {
+		for _, tier := range []string{"hot", "cold"} {
 			th := r.ServerSnap.Counters["server.cache."+tier+".hits"]
 			tm := r.ServerSnap.Counters["server.cache."+tier+".misses"]
 			if th+tm == 0 {

@@ -21,15 +21,12 @@
 //	zipserverd -access-log access.ndjson -trace-file spans.ndjson -pprof
 //
 // The cache topology follows from the tier budgets: a hot in-memory LRU
-// when -cache-mb > 0 (default 64), a disk cold tier under it when
-// -cache-cold-mb > 0 (default 0), and a peer instance's cache as a
-// read-only outermost tier when -cache-peer is set (DESIGN.md §10):
+// when -cache-mb > 0 (default 64) and a disk cold tier under it when
+// -cache-cold-mb > 0 (default 0). The hierarchy belongs to this process
+// alone: no cache tier is reachable from outside it except through /v1
+// (DESIGN.md §10):
 //
-//	zipserverd -cache-mb 4 -cache-cold-mb 64 -cache-dir /var/cache/zip -cache-peer http://10.0.0.2:8321
-//
-// Every instance serves its local tiers read-only on GET /internal/cache:
-// a peered instance reads entries the peer computed itself and never
-// writes to the peer.
+//	zipserverd -cache-mb 4 -cache-cold-mb 64 -cache-dir /var/cache/zip
 //
 // For scripting, -addr supports port 0 and -addr-file writes the
 // actually-bound address once listening.
@@ -77,40 +74,29 @@ func main() {
 }
 
 // cacheConfig collects the -cache-* flags that shape the backend
-// hierarchy. Each tier exists when its budget or URL is set.
+// hierarchy. Each tier exists when its budget is set.
 type cacheConfig struct {
-	HotBytes    int64 // in-memory LRU budget; <= 0 means no hot tier
-	ColdBytes   int64 // disk tier budget; <= 0 means no cold tier
-	Dir         string
-	Peer        string
-	PeerTimeout time.Duration
+	HotBytes  int64 // in-memory LRU budget; <= 0 means no hot tier
+	ColdBytes int64 // disk tier budget; <= 0 means no cold tier
+	Dir       string
 }
 
 // buildCache composes the configured backend hierarchy (DESIGN.md §10).
-// It returns the full lookup chain (nil when no tier is configured) and a
-// cleanup for any temp dir it created. The server finds a peer tier in
-// the chain itself and serves only the local tiers to peers.
+// It returns the lookup chain (nil when no tier is configured) and a
+// cleanup for any temp dir it created.
 //
 // Metric prefixes: a single-backend setup keeps the classic server.cache
 // series; a hierarchy puts the aggregate there and per-tier series under
-// server.cache.{hot,cold,local,peer}.
+// server.cache.{hot,cold}.
 func buildCache(cc cacheConfig, reg *obs.Registry, freg *fault.Registry) (cache server.CacheBackend, cleanup func(), err error) {
 	cleanup = func() {}
-	// localPrefix is where the innermost composition hangs its aggregate
-	// counters: the classic name when it IS the whole cache, a sub-name
-	// when a peer tier wraps it.
-	localPrefix := "server.cache"
-	if cc.Peer != "" {
-		localPrefix = "server.cache.local"
-	}
-	hotPrefix, coldPrefix := localPrefix, localPrefix
+	hotPrefix, coldPrefix := "server.cache", "server.cache"
 	if cc.HotBytes > 0 && cc.ColdBytes > 0 {
 		hotPrefix, coldPrefix = "server.cache.hot", "server.cache.cold"
 	}
 
-	var local server.CacheBackend
 	if cc.HotBytes > 0 {
-		local = server.NewLRUBackend(cc.HotBytes, reg, hotPrefix)
+		cache = server.NewLRUBackend(cc.HotBytes, reg, hotPrefix)
 	}
 	if cc.ColdBytes > 0 {
 		dir := cc.Dir
@@ -124,21 +110,13 @@ func buildCache(cc cacheConfig, reg *obs.Registry, freg *fault.Registry) (cache 
 		if err != nil {
 			return nil, cleanup, err
 		}
-		if local == nil {
-			local = cold
+		if cache == nil {
+			cache = cold
 		} else {
-			local = server.NewTiered(local, cold, reg, localPrefix)
+			cache = server.NewTiered(cache, cold, reg, "server.cache")
 		}
 	}
-
-	if cc.Peer == "" {
-		return local, cleanup, nil
-	}
-	if local == nil {
-		return nil, cleanup, fmt.Errorf("-cache-peer needs a local tier (-cache-mb or -cache-cold-mb > 0)")
-	}
-	peer := server.NewPeerBackend(cc.Peer, cc.PeerTimeout, reg, "server.cache.peer", freg)
-	return server.NewTiered(local, peer, reg, "server.cache"), cleanup, nil
+	return cache, cleanup, nil
 }
 
 // runScrub is the -cache-scrub mode: one offline pass over a disk-cache
@@ -221,8 +199,6 @@ func start(args []string, stderr io.Writer) (_ *daemon, err error) {
 		cacheMB     = fs.Int64("cache-mb", 64, "in-memory (hot) LRU tier budget in MiB (0 or negative: no hot tier)")
 		cacheColdMB = fs.Int64("cache-cold-mb", 0, "disk (cold) tier budget in MiB (0: no disk tier)")
 		cacheDir    = fs.String("cache-dir", "", "directory for the disk tier (empty = private temp dir, removed on exit)")
-		cachePeer   = fs.String("cache-peer", "", "base URL of a peer zipserverd whose cache becomes this instance's outermost cold tier (read-only: no writes go to the peer)")
-		peerTimeout = fs.Duration("cache-peer-timeout", server.DefaultPeerTimeout, "per-exchange deadline for the peer tier")
 		cacheMaxAge = fs.Int("cache-max-age", 0, "max-age seconds advertised in Cache-Control on /v1 responses (0 = default, negative disables)")
 		cacheScrub  = fs.Bool("cache-scrub", false, "scrub -cache-dir (verify entries, quarantine torn ones, remove temps), print the report, and exit")
 		metrics     = fs.String("metrics", "", "write a final obs snapshot to this file on shutdown")
@@ -313,11 +289,9 @@ func start(args []string, stderr io.Writer) (_ *daemon, err error) {
 	}
 
 	cache, cleanup, err := buildCache(cacheConfig{
-		HotBytes:    *cacheMB << 20,
-		ColdBytes:   *cacheColdMB << 20,
-		Dir:         *cacheDir,
-		Peer:        *cachePeer,
-		PeerTimeout: *peerTimeout,
+		HotBytes:  *cacheMB << 20,
+		ColdBytes: *cacheColdMB << 20,
+		Dir:       *cacheDir,
 	}, reg, freg)
 	d.closers = append(d.closers, cleanup)
 	if err != nil {

@@ -47,6 +47,24 @@ func TestRunRejectsNegativeQueueLimit(t *testing.T) {
 	}
 }
 
+// TestRunRejectsPeerFlags: zipserverd owns one cache chain and peers
+// with no other instance, so -cache-peer and -cache-peer-timeout are
+// unknown flags; run fails before it listens.
+func TestRunRejectsPeerFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"-cache-peer", "http://127.0.0.1:1"},
+		{"-cache-peer-timeout", "1s"},
+	} {
+		t.Run(args[0], func(t *testing.T) {
+			var stderr strings.Builder
+			err := run(context.Background(), append([]string{"-addr", "127.0.0.1:0"}, args...), &stderr)
+			if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+args[0]) {
+				t.Fatalf("run with %s: err = %v, want an undefined-flag error", args[0], err)
+			}
+		})
+	}
+}
+
 // chaosFaults arms roughly one injected fault per ten requests across
 // the codecs, the cache (response bit-flips, disk tier I/O errors) and
 // the worker gate.

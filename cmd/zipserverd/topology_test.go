@@ -33,12 +33,9 @@ type topology struct {
 // and the metric names a dashboard would scrape, against
 // testdata/topology.golden.json. The golden was recorded from the
 // -cache-backend selector this flag spelling replaced (lru, disk,
-// tiered, tiered with a peer, caching disabled): the tiers that follow
-// from the budgets must look the same from outside.
+// tiered, caching disabled): the tiers that follow from the budgets must
+// look the same from outside.
 func TestCacheTopologies(t *testing.T) {
-	peer := httptest.NewServer(server.New(server.Config{}))
-	defer peer.Close()
-
 	modes := []struct {
 		name string
 		args []string
@@ -46,7 +43,6 @@ func TestCacheTopologies(t *testing.T) {
 		{"lru", []string{"-cache-mb", "4"}},
 		{"disk", []string{"-cache-mb", "0", "-cache-cold-mb", "8"}},
 		{"tiered", []string{"-cache-mb", "4", "-cache-cold-mb", "8"}},
-		{"tiered+peer", []string{"-cache-mb", "4", "-cache-cold-mb", "8", "-cache-peer", peer.URL}},
 		{"disabled", []string{"-cache-mb", "0"}},
 	}
 	path := filepath.Join("testdata", "topology.golden.json")

@@ -120,13 +120,10 @@ type instanceStats struct {
 	Breakers map[string]string `json:"breakers,omitempty"` // codec/op -> state
 	Faults   map[string]uint64 `json:"faults,omitempty"`   // fault.* counters
 
-	// Overload mirrors the healthz admission section; PeerState is the
-	// peer tier's probation breaker ("closed", "open", "trial"; absent
-	// without one).
+	// Overload mirrors the healthz admission section.
 	OverloadState string `json:"overload_state,omitempty"`
 	ShedTotal     uint64 `json:"shed_total"`
 	QueueDepth    int    `json:"queue_depth"`
-	PeerState     string `json:"peer_state,omitempty"`
 
 	// sampledAt feeds the watch-mode RPS delta; not part of the JSON
 	// contract.
@@ -144,9 +141,6 @@ type health struct {
 		QueueDepth int    `json:"queue_depth"`
 		Shed       uint64 `json:"shed_total"`
 	} `json:"overload"`
-	Cache struct {
-		PeerState string `json:"peer_state"`
-	} `json:"cache"`
 }
 
 // collectAll polls every target, computing RPS against the matching entry
@@ -207,7 +201,6 @@ func collect(httpc *http.Client, target string) instanceStats {
 	st.OverloadState = h.Overload.State
 	st.QueueDepth = h.Overload.QueueDepth
 	st.ShedTotal = h.Overload.Shed
-	st.PeerState = h.Cache.PeerState
 
 	st.Requests = snap.Counters["server.requests"]
 	st.CacheHits = snap.Counters["server.cache.hits"]
@@ -265,9 +258,8 @@ func renderTable(w io.Writer, stats []instanceStats) {
 			st.Target, st.Requests, st.RPS, 100*st.HitRate,
 			st.LatencyP50US, st.LatencyP95US, st.LatencyP99US, breakerSummary(st.Breakers))
 	}
-	// Degraded-mode detail lines: only instances that are actually shedding,
-	// saturated, or holding a non-closed peer breaker get one, so a healthy
-	// fleet's table is unchanged.
+	// Degraded-mode detail lines: only instances that are actually shedding
+	// or saturated get one, so a healthy fleet's table is unchanged.
 	for _, st := range stats {
 		var parts []string
 		if st.OverloadState != "" && st.OverloadState != "ok" {
@@ -275,9 +267,6 @@ func renderTable(w io.Writer, stats []instanceStats) {
 		}
 		if st.ShedTotal > 0 {
 			parts = append(parts, fmt.Sprintf("shed=%d queue=%d", st.ShedTotal, st.QueueDepth))
-		}
-		if st.PeerState != "" && st.PeerState != "closed" {
-			parts = append(parts, "peer="+st.PeerState)
 		}
 		if len(parts) > 0 {
 			fmt.Fprintf(w, "\n%s degraded: %s\n", st.Target, strings.Join(parts, " "))

@@ -150,11 +150,11 @@ func TestUnreachableTargets(t *testing.T) {
 	}
 }
 
-// TestCollectOverloadAndPeerState: the healthz overload section and peer
-// probation state surface in the row (and its degraded detail line) so
-// dashboards see shedding without scraping raw metrics. An idle server
-// already lists all six codec/op breakers, closed.
-func TestCollectOverloadAndPeerState(t *testing.T) {
+// TestCollectOverload: the healthz overload section surfaces in the row
+// (and its degraded detail line) so dashboards see shedding without
+// scraping raw metrics. An idle server already lists all six codec/op
+// breakers, closed.
+func TestCollectOverload(t *testing.T) {
 	srv := server.New(server.Config{Workers: 1, QueueLimit: 1})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -172,10 +172,10 @@ func TestCollectOverloadAndPeerState(t *testing.T) {
 	// from the live server does not.
 	var buf bytes.Buffer
 	degraded := instanceStats{Target: "http://x:1", Healthy: true,
-		OverloadState: "saturated", ShedTotal: 7, QueueDepth: 3, PeerState: "open"}
+		OverloadState: "saturated", ShedTotal: 7, QueueDepth: 3}
 	renderTable(&buf, []instanceStats{st, degraded})
 	out := buf.String()
-	if !strings.Contains(out, "http://x:1 degraded: overload=saturated shed=7 queue=3 peer=open") {
+	if !strings.Contains(out, "http://x:1 degraded: overload=saturated shed=7 queue=3\n") {
 		t.Fatalf("degraded detail line missing:\n%s", out)
 	}
 	if strings.Contains(out, ts.URL+" degraded:") {

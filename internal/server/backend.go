@@ -1,10 +1,10 @@
 package server
 
 // This file defines the pluggable cache-backend contract (DESIGN.md §10).
-// The server composes backends into a hot/cold hierarchy; every writable
-// implementation — in-memory LRU, disk, tiered composite — obeys the same
-// observable semantics, pinned by the internal/server/cachetest
-// conformance suite:
+// The server composes backends into one hot/cold hierarchy per process,
+// reachable only through /v1; every implementation — in-memory LRU,
+// disk, tiered composite — obeys the same observable semantics, pinned
+// by the internal/server/cachetest conformance suite:
 //
 //   - content-addressed Get/Put under a byte budget with LRU-order
 //     eviction and hit/miss/eviction counters,
@@ -14,14 +14,9 @@ package server
 //   - safety under concurrent use (the conformance suite runs every
 //     backend under -race).
 //
-// The remote peer backend is the exception: it is read-only, its Put and
-// CorruptStored are no-ops, and it keeps only the Get-side contract
-// (verified bytes or a miss, counters, safety under concurrent Gets).
-//
-// Backends register their fault points (server.cache.disk.*,
-// server.cache.peer.*) with the same internal/fault registry the rest of
-// the server uses; with faults disarmed a backend's byte behavior is
-// identical to a fault-free build.
+// Backends register their fault points (server.cache.disk.*) with the
+// same internal/fault registry the rest of the server uses; with faults
+// disarmed a backend's byte behavior is identical to a fault-free build.
 
 import (
 	"crypto/sha256"
@@ -38,7 +33,7 @@ type Key = [sha256.Size]byte
 // treats a nil CacheBackend as "caching disabled"; implementations do not
 // need to support nil receivers through the interface.
 type CacheBackend interface {
-	// Name identifies the backend ("lru", "disk", "peer", "tiered") for
+	// Name identifies the backend ("lru", "disk", "tiered") for
 	// /healthz and logs.
 	Name() string
 	// Get returns the value stored under key and whether it was present
@@ -58,7 +53,7 @@ type CacheBackend interface {
 	// integrity checksum keeps the original digest, so the next Get must
 	// detect it. No-op when key is absent.
 	CorruptStored(key Key, in fault.Injection)
-	// Close releases backend resources (files, idle connections).
+	// Close releases backend resources (files).
 	// Backends remain usable as always-miss stores after Close.
 	Close() error
 }

@@ -8,25 +8,24 @@ import "sync"
 // deadline rejections do not — they say nothing about codec health.
 //
 // States: closed (normal), open (fast-fail), trial (half-open). The
-// breaker trips open after `threshold` consecutive failures; while open it
-// rejects `cooldown` requests outright, then admits trial traffic: one
-// success closes it, one failure re-opens it. Counting requests instead of
-// wall-clock keeps the breaker's behavior a pure function of the request
-// sequence — chaos runs with a fixed fault seed replay exactly.
+// breaker trips open after breakerThreshold consecutive failures; while
+// open it rejects breakerCooldown requests outright, then admits trial
+// traffic: one success closes it, one failure re-opens it. Counting
+// requests instead of wall-clock keeps the breaker's behavior a pure
+// function of the request sequence — chaos runs with a fixed fault seed
+// replay exactly.
 //
-// Each codec/op pair gets its breaker when the server is built, with the
-// fixed breakerThreshold and breakerCooldown; a peer cache tier guards
-// its peer with one of its own (peer.go).
+// Each codec/op pair gets its breaker when the server is built; the zero
+// value is a closed breaker.
 type breaker struct {
-	mu        sync.Mutex
-	threshold int
-	cooldown  int
-
+	mu       sync.Mutex
 	state    breakerState
 	consec   int // consecutive transient failures while closed
 	openLeft int // rejections remaining before trial
 }
 
+// breakerState doubles as the server.breaker.<codec>.<op>.state gauge
+// value: 0 closed, 1 open, 2 trial.
 type breakerState int
 
 const (
@@ -35,8 +34,17 @@ const (
 	bkTrial
 )
 
-func newBreaker(threshold, cooldown int) *breaker {
-	return &breaker{threshold: threshold, cooldown: cooldown}
+// String names the state for health endpoints and dashboards: "closed",
+// "open", or "trial".
+func (st breakerState) String() string {
+	switch st {
+	case bkOpen:
+		return "open"
+	case bkTrial:
+		return "trial"
+	default:
+		return "closed"
+	}
 }
 
 // allow reports whether the request may execute the codec. While open it
@@ -58,26 +66,11 @@ func (b *breaker) allow() bool {
 	}
 }
 
-// stateName reports the breaker's current state for health endpoints
-// and dashboards: "closed", "open", or "trial".
-func (b *breaker) stateName() string {
+// current reports the breaker's state.
+func (b *breaker) current() breakerState {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	switch b.state {
-	case bkOpen:
-		return "open"
-	case bkTrial:
-		return "trial"
-	default:
-		return "closed"
-	}
-}
-
-// stateCode is stateName as a gauge value: 0 closed, 1 open, 2 trial.
-func (b *breaker) stateCode() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return int(b.state)
+	return b.state
 }
 
 // record feeds one execution outcome back. ok=true means the codec
@@ -95,9 +88,9 @@ func (b *breaker) record(ok bool) (tripped bool) {
 		return false
 	}
 	b.consec++
-	if b.state == bkTrial || (b.state == bkClosed && b.consec >= b.threshold) {
+	if b.state == bkTrial || (b.state == bkClosed && b.consec >= breakerThreshold) {
 		b.state = bkOpen
-		b.openLeft = b.cooldown
+		b.openLeft = breakerCooldown
 		b.consec = 0
 		return true
 	}

@@ -1,10 +1,8 @@
 package cachetest_test
 
-// The backend roster: every writable CacheBackend implementation the
-// server ships, plus the two-tier composite, run through the full
-// conformance battery. The read-only peer tier has no store to conform;
-// its read path is tested in internal/server (TestPeerTierReadPath).
-// Adding a future backend to the suite is one Factory literal in this
+// The backend roster: every CacheBackend implementation the server
+// ships, plus the two-tier composite, run through the full conformance
+// battery. Adding a future backend to the suite is one Factory literal in this
 // table.
 
 import (

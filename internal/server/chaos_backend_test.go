@@ -1,17 +1,16 @@
 package server
 
 // Backend chaos scenarios (picked up by `make test-chaos` via the
-// TestChaos name prefix): a failing disk, a hanging peer, and a
-// corrupted cold tier. The contract under every one of them is the
-// same — the hierarchy degrades (skipped store, miss, slower path),
-// it never serves corrupt bytes and never takes the request down.
+// TestChaos name prefix): a failing disk and a corrupted cold tier. The
+// contract under both is the same — the hierarchy degrades (skipped
+// store, miss, slower path), it never serves corrupt bytes and never
+// takes the request down.
 
 import (
 	"bytes"
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"github.com/zipchannel/zipchannel/internal/fault"
 	"github.com/zipchannel/zipchannel/internal/obs"
@@ -52,48 +51,6 @@ func TestChaosDiskWriteErrorDegradesToUncached(t *testing.T) {
 	got, ok := tiered.Get(key)
 	if !ok || !bytes.Equal(got, val) {
 		t.Fatal("tiered backend stopped serving because its cold tier cannot write")
-	}
-}
-
-// TestChaosPeerTimeoutIsAMiss: a peer that answers slower than the
-// client's deadline degrades to a miss within ~the timeout — a cold
-// tier slower than recomputing must never stall the request path.
-func TestChaosPeerTimeoutIsAMiss(t *testing.T) {
-	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		time.Sleep(300 * time.Millisecond)
-		w.WriteHeader(http.StatusOK)
-	}))
-	defer slow.Close()
-
-	reg := obs.NewRegistry()
-	peer := NewPeerBackend(slow.URL, 30*time.Millisecond, reg, "server.cache.peer", nil)
-	defer peer.Close()
-
-	key := cacheKey("compress", "lzw", "", []byte("slow peer"))
-	start := time.Now()
-	_, ok := peer.Get(key)
-	elapsed := time.Since(start)
-	if ok {
-		t.Fatal("timed-out peer read reported a hit")
-	}
-	if elapsed > 200*time.Millisecond {
-		t.Fatalf("peer miss took %v — the timeout did not bound the exchange", elapsed)
-	}
-	snap := reg.Snapshot()
-	if snap.Counters["server.cache.peer.errors"] == 0 || snap.Counters["server.cache.peer.misses"] == 0 {
-		t.Fatalf("peer timeout not accounted: %v", snap.Counters)
-	}
-
-	// The injected flavor: a latency fault plus short timeout, same
-	// degradation without a slow server in the loop.
-	faults := fault.NewRegistry(5)
-	if err := faults.ArmAll(FaultPeerGet + "=error:1"); err != nil {
-		t.Fatal(err)
-	}
-	peerDown := NewPeerBackend("http://127.0.0.1:1", 30*time.Millisecond, reg, "server.cache.peer", faults)
-	defer peerDown.Close()
-	if _, ok := peerDown.Get(key); ok {
-		t.Fatal("injected peer failure reported a hit")
 	}
 }
 
@@ -192,28 +149,54 @@ func TestChaosTieredServerEndToEnd(t *testing.T) {
 	}
 }
 
-// TestChaosCorruptLandsOnLocalTiers: on a peered chain the cold tier is
-// the read-only peer, so a server.cache.get bit-flip must land on the
-// local tiers instead. The damage is detected and the request recomputes
-// the same bytes.
+// TestChaosCorruptLandsOnLocalTiers: a server.cache.get bit-flip on a
+// hot LRU over a disk cold tier lands on the cold tier. The hot copy
+// still serves the same bytes; once the hot copy is evicted, the cold
+// read detects the damage and the request recomputes the same bytes,
+// which heal the entry.
 func TestChaosCorruptLandsOnLocalTiers(t *testing.T) {
-	_, a := newTestServer(t, Config{})
 	faults := fault.NewRegistry(1)
 	if err := faults.ArmAll("server.cache.get=corrupt@2"); err != nil {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	local := NewLRUBackend(1<<20, reg, "server.cache.local")
-	_, ts := newTestServer(t, Config{Registry: reg, Faults: faults,
-		Cache: NewTiered(local, NewPeerBackend(a.URL, 0, reg, "server.cache.peer", nil), reg, "server.cache")})
-
-	body := bytes.Repeat([]byte("peered chaos "), 40)
-	_, want := post(t, ts.URL+"/v1/lz77/compress", body)
-	resp, got := post(t, ts.URL+"/v1/lz77/compress", body)
-	if resp.StatusCode != http.StatusOK || !bytes.Equal(got, want) {
-		t.Fatalf("after the bit-flip: status %d, %d bytes; want 200 and the first response's %d bytes", resp.StatusCode, len(got), len(want))
+	hot := NewLRUBackend(1<<10, reg, "server.cache.hot") // 1 KB: easy to flush
+	cold, err := NewDiskBackend(t.TempDir(), 1<<20, reg, "server.cache.cold", nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := reg.Snapshot().Counters["server.cache.local.corruptions_detected"]; got != 1 {
-		t.Fatalf("server.cache.local.corruptions_detected = %d, want 1: the bit-flip missed the local tier", got)
+	tiered := NewTiered(hot, cold, reg, "server.cache")
+	t.Cleanup(func() { tiered.Close() })
+	_, ts := newTestServer(t, Config{Registry: reg, Faults: faults, Cache: tiered})
+
+	body := bytes.Repeat([]byte("local chaos "), 40)
+	key := cacheKey("compress", "lz77", "", body)
+	_, want := post(t, ts.URL+"/v1/lz77/compress", body)
+
+	// The second lookup fires the fault: the cold copy is damaged and the
+	// hot copy answers.
+	resp, got := post(t, ts.URL+"/v1/lz77/compress", body)
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "HIT" || !bytes.Equal(got, want) {
+		t.Fatalf("after the bit-flip: status %d, X-Cache %q, %d bytes; want a 200 HIT with the first response's %d bytes",
+			resp.StatusCode, resp.Header.Get("X-Cache"), len(got), len(want))
+	}
+
+	// Flush the hot tier so the damaged cold copy is the only one left.
+	for i := 0; i < 8; i++ {
+		hot.Put(cacheKey("compress", "lz77", "", []byte{byte(i)}), bytes.Repeat([]byte{byte(i)}, 256))
+	}
+	if _, ok := hot.Get(key); ok {
+		t.Fatal("test setup: the entry is still in the hot tier")
+	}
+	resp, got = post(t, ts.URL+"/v1/lz77/compress", body)
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "MISS" || !bytes.Equal(got, want) {
+		t.Fatalf("over the damaged cold copy: status %d, X-Cache %q, %d bytes; want a 200 MISS with the first response's %d bytes",
+			resp.StatusCode, resp.Header.Get("X-Cache"), len(got), len(want))
+	}
+	if got := reg.Snapshot().Counters["server.cache.cold.corruptions_detected"]; got != 1 {
+		t.Fatalf("server.cache.cold.corruptions_detected = %d, want 1: the bit-flip missed the cold tier", got)
+	}
+	if got, ok := cold.Get(key); !ok || !bytes.Equal(got, want) {
+		t.Fatalf("cold tier after the recompute: present %t, %d bytes; want the healed %d bytes", ok, len(got), len(want))
 	}
 }

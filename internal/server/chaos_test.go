@@ -283,7 +283,7 @@ func TestChaosRetryRecoversTransientFault(t *testing.T) {
 	if got := snap.Counters["server.codec.retries"]; got != 1 {
 		t.Errorf("codec.retries = %d, want 1", got)
 	}
-	if st := s.ops[opKey{"lz77", "compress"}].breaker.stateName(); st != "closed" {
+	if st := s.ops[opKey{"lz77", "compress"}].breaker.current().String(); st != "closed" {
 		t.Errorf("lz77/compress breaker %q after a recovered request, want closed", st)
 	}
 }

@@ -23,7 +23,7 @@ const DefaultCacheMaxAge = 300
 
 // LevelHeader is the request header selecting a compression level. The
 // codecs currently implement a single level, but the header partitions
-// the cache key space and the response Vary, so clients, peers, and
+// the cache key space and the response Vary, so clients and
 // intermediaries can never conflate responses across levels once
 // leveled codecs land. Valid values: "" (default) or "0".."9".
 const LevelHeader = "X-Zip-Level"

@@ -34,7 +34,8 @@ type goldenStep struct {
 // rejection, page PUT/GET/unknown GET — and compares the /metrics
 // snapshot against testdata/metrics.golden.json. So that one injected
 // failure trips a breaker, the built server is lowered white box to no
-// retries and a one-failure breaker threshold. The wall-clock latency
+// retries and an lzw decompress breaker one failure short of its
+// threshold. The wall-clock latency
 // histogram is the only series dropped; SLOLatency -1 keeps wall time
 // out of the SLO counters, so the document is a pure function of the
 // request sequence.
@@ -43,17 +44,13 @@ func TestMetricsGolden(t *testing.T) {
 	ps := pagestore.New(pagestore.Config{PageSize: 512, Obs: reg})
 	// Every second decompress hit fails transiently: the corrupt stream
 	// (hit 1) reaches the codec, the lzw decompress after it (hit 2)
-	// fails, trips the one-failure breaker, and the next one is rejected.
+	// fails, trips the primed breaker, and the next one is rejected.
 	freg := fault.NewRegistry(1)
 	freg.Arm("server.codec.decompress", fault.Spec{Kind: fault.KindError, Every: 2})
 	s := New(Config{Registry: reg, PageStore: ps, SLOLatency: -1, MaxBodyBytes: 4096, Workers: 2,
 		Faults: freg})
 	s.retries = 0
-	for _, m := range s.ops {
-		if m.breaker != nil {
-			m.breaker.threshold = 1
-		}
-	}
+	s.ops[opKey{"lzw", "decompress"}].breaker.consec = breakerThreshold - 1
 
 	payload := []byte(strings.Repeat("metrics golden payload ", 40))
 	steps := []goldenStep{

@@ -62,7 +62,7 @@ import (
 
 // Version identifies the server build in /healthz; bumped when the HTTP
 // surface changes shape.
-const Version = "0.10.0"
+const Version = "0.11.0"
 
 // Default limits; all overridable via Config.
 const (
@@ -110,8 +110,8 @@ type Config struct {
 	// negative disables caching entirely. Ignored when Cache is set.
 	CacheBytes int64
 	// Cache overrides the default single-LRU backend with any
-	// CacheBackend composition (disk, tiered, peer — see
-	// DESIGN.md §10). Nil means a byte-budgeted LRU of CacheBytes.
+	// CacheBackend composition (disk, tiered — see DESIGN.md §10). Nil
+	// means a byte-budgeted LRU of CacheBytes.
 	Cache CacheBackend
 	// CacheMaxAge is the max-age (seconds) advertised in the
 	// Cache-Control response header on /v1 responses; 0 means
@@ -162,14 +162,10 @@ type Config struct {
 
 // Server is the http.Handler. Create with New.
 type Server struct {
-	maxBody int64
-	reg     *obs.Registry
-	gate    *gate
-	cache   CacheBackend
-	// peer is the cache chain's remote tier (nil without one) and local
-	// the chain minus it, which /internal/cache serves (peerTier).
-	peer       *PeerBackend
-	local      CacheBackend
+	maxBody    int64
+	reg        *obs.Registry
+	gate       *gate
+	cache      CacheBackend
 	flight     flightGroup
 	maxAge     int
 	mux        *http.ServeMux
@@ -233,7 +229,6 @@ func New(cfg Config) *Server {
 		pages:      cfg.PageStore,
 		started:    time.Now(),
 	}
-	s.peer, s.local = peerTier(cache)
 	s.reg.SetSimClock(s.simSteps.Load)
 	if cfg.AccessLog != nil {
 		s.accessSink = obs.NewTraceSink(cfg.AccessLog)
@@ -258,11 +253,6 @@ func New(cfg Config) *Server {
 	}
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	// The peer cache surface, read-only: other zipserverd instances mount
-	// this server's cache as their cold tier (PeerBackend). Stays outside
-	// the traced /v1 path — peer exchanges advance no sim step.
-	s.mux.HandleFunc("GET /internal/cache", s.handleCacheIndex)
-	s.mux.HandleFunc("GET /internal/cache/{key}", s.handleCacheFetch)
 	if cfg.EnablePprof {
 		s.mux.HandleFunc("/debug/pprof/", pprof.Index)
 		s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -401,12 +391,11 @@ func (s *Server) handleCodec(w http.ResponseWriter, r *http.Request) {
 	if in := s.fpCacheGet.Hit(); in.Fired() {
 		switch in.Kind {
 		case fault.KindCorrupt:
-			// A storage bit-flip lands on this key's entry in the local
-			// tiers (the read-only peer tier takes no writes); the
+			// A storage bit-flip lands on this key's entry; the
 			// integrity check below turns it into a detected corruption
 			// + miss.
-			if s.local != nil {
-				s.local.CorruptStored(key, in)
+			if s.cache != nil {
+				s.cache.CorruptStored(key, in)
 			}
 		default:
 			// Cache backend unavailable: degrade to a full bypass for
@@ -512,11 +501,12 @@ func (s *Server) missOnce(r *http.Request, ri *reqInfo, cd codec.Codec, fp *faul
 	bk := m.breaker
 	_, bsp := s.tracer.StartSpan(r.Context(), "server.breaker.check")
 	allowed := bk.allow()
-	ri.breaker = bk.stateName()
+	st := bk.current()
+	ri.breaker = st.String()
 	bsp.SetAttr("state", ri.breaker)
 	bsp.SetAttr("allowed", allowed)
 	bsp.End()
-	m.breakerState.Set(float64(bk.stateCode()))
+	m.breakerState.Set(float64(st))
 	if !allowed {
 		return nil, errBreakerOpen
 	}
@@ -535,8 +525,9 @@ func (s *Server) missOnce(r *http.Request, ri *reqInfo, cd codec.Codec, fp *faul
 		// healthy.
 		bk.record(true)
 	}
-	ri.breaker = bk.stateName()
-	m.breakerState.Set(float64(bk.stateCode()))
+	st = bk.current()
+	ri.breaker = st.String()
+	m.breakerState.Set(float64(st))
 	if codecErr != nil {
 		return nil, codecErr
 	}
@@ -700,10 +691,6 @@ type healthCache struct {
 	Backend string `json:"backend,omitempty"`
 	Entries int    `json:"entries"`
 	Bytes   int64  `json:"bytes"`
-	// PeerState reports the peer tier's probation breaker when the
-	// hierarchy contains one ("closed", "open", "trial"); absent
-	// otherwise.
-	PeerState string `json:"peer_state,omitempty"`
 }
 
 // healthPages reports the mounted page store; absent when the server
@@ -722,7 +709,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	breakers := map[string]string{}
 	for _, m := range s.ops {
 		if m.breaker != nil {
-			breakers[m.codec+"/"+m.op] = m.breaker.stateName()
+			breakers[m.codec+"/"+m.op] = m.breaker.current().String()
 		}
 	}
 	cacheHealth := healthCache{}
@@ -733,9 +720,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			Backend: s.cache.Name(),
 			Entries: entries,
 			Bytes:   storedBytes,
-		}
-		if s.peer != nil {
-			cacheHealth.PeerState = s.peer.PeerState()
 		}
 	}
 	resp := healthResponse{

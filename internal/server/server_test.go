@@ -2,7 +2,9 @@ package server
 
 import (
 	"bytes"
+	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +14,7 @@ import (
 
 	"github.com/zipchannel/zipchannel/internal/compress/codec"
 	"github.com/zipchannel/zipchannel/internal/compress/huffcoding"
+	"github.com/zipchannel/zipchannel/internal/fault"
 	"github.com/zipchannel/zipchannel/internal/obs"
 )
 
@@ -275,5 +278,159 @@ func TestWorkersConfig(t *testing.T) {
 	s := New(Config{Workers: 3})
 	if s.Workers() != 3 {
 		t.Fatalf("Workers() = %d, want 3", s.Workers())
+	}
+}
+
+// TestCacheUnreachableFromOutside: no request reaches a cache tier except
+// through /v1, with or without a fault registry. Every method on every
+// /internal/cache path, .../corrupt included, is a 404; a stored entry
+// stays byte-exact; and a client that computes the key of a body other
+// clients will send cannot plant bytes under it, so that body's first
+// /v1 request is a miss answered with the codec's own bytes.
+func TestCacheUnreachableFromOutside(t *testing.T) {
+	cd, _ := codec.Lookup("lz77")
+	for _, faults := range []*fault.Registry{nil, fault.NewRegistry(7)} {
+		t.Run(fmt.Sprintf("faults=%t", faults != nil), func(t *testing.T) {
+			reg := obs.NewRegistry()
+			s, ts := newTestServer(t, Config{Registry: reg, Faults: faults})
+			stored := []byte(strings.Repeat("stored body ", 30))
+			storedKey := cacheKey("compress", "lz77", "", stored)
+			_, want := post(t, ts.URL+"/v1/lz77/compress", stored)
+			fresh := []byte(strings.Repeat("poisoned body ", 30))
+			freshKey := cacheKey("compress", "lz77", "", fresh)
+
+			// Each subtest pins one property; they run in order, so
+			// "stored" and "fresh" see the cache the routes left behind.
+			t.Run("routes", func(t *testing.T) {
+				var paths []string
+				for _, key := range []Key{storedKey, freshKey} {
+					hexKey := hex.EncodeToString(key[:])
+					paths = append(paths, "/internal/cache/"+hexKey, "/internal/cache/"+hexKey+"/corrupt?rand=1")
+				}
+				for _, path := range append(paths, "/internal/cache") {
+					for _, method := range []string{http.MethodGet, http.MethodPut, http.MethodPost, http.MethodPatch, http.MethodDelete} {
+						req, err := http.NewRequest(method, ts.URL+path, strings.NewReader("GARBAGE"))
+						if err != nil {
+							t.Fatal(err)
+						}
+						resp, err := http.DefaultClient.Do(req)
+						if err != nil {
+							t.Fatalf("%s %s: %v", method, path, err)
+						}
+						resp.Body.Close()
+						if resp.StatusCode != http.StatusNotFound {
+							t.Errorf("%s %s: status %d, want 404", method, path, resp.StatusCode)
+						}
+					}
+				}
+			})
+
+			t.Run("stored", func(t *testing.T) {
+				if got, ok := s.cache.Get(storedKey); !ok || !bytes.Equal(got, want) {
+					t.Fatalf("stored entry after the requests: present %t, %d bytes; want the first response's %d bytes", ok, len(got), len(want))
+				}
+				resp, out := post(t, ts.URL+"/v1/lz77/compress", stored)
+				if resp.Header.Get("X-Cache") != "HIT" || !bytes.Equal(out, want) {
+					t.Fatalf("/v1 of the stored body: X-Cache %q, %d bytes; want a HIT with the first response's %d bytes",
+						resp.Header.Get("X-Cache"), len(out), len(want))
+				}
+				if got := reg.Snapshot().Counters["server.cache.corruptions_detected"]; got != 0 {
+					t.Fatalf("the requests damaged the entry: %d corruptions detected", got)
+				}
+			})
+
+			t.Run("fresh", func(t *testing.T) {
+				if _, ok := s.cache.Get(freshKey); ok {
+					t.Fatal("an entry appeared under the fresh body's key")
+				}
+				resp, out := post(t, ts.URL+"/v1/lz77/compress", fresh)
+				if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "MISS" {
+					t.Fatalf("/v1 of the fresh body: status %d, X-Cache %q; want 200 MISS", resp.StatusCode, resp.Header.Get("X-Cache"))
+				}
+				if codecOut, err := cd.Compress(fresh); err != nil || !bytes.Equal(out, codecOut) {
+					t.Fatalf("/v1 of the fresh body served %d bytes, want the codec's own %d bytes (err %v)", len(out), len(codecOut), err)
+				}
+			})
+		})
+	}
+}
+
+// TestHealthzReportsChainStats: /healthz reports the occupancy of the
+// whole cache chain the server owns (a tiered chain sums its tiers), and
+// its cache block carries only the enabled, backend, entries and bytes
+// keys, on every topology zipserverd can build.
+func TestHealthzReportsChainStats(t *testing.T) {
+	chains := []struct {
+		name  string
+		build func(t *testing.T, reg *obs.Registry) CacheBackend
+	}{
+		{"lru", func(t *testing.T, reg *obs.Registry) CacheBackend {
+			return NewLRUBackend(1<<20, reg, "server.cache")
+		}},
+		{"disk", func(t *testing.T, reg *obs.Registry) CacheBackend {
+			d, err := NewDiskBackend(t.TempDir(), 1<<20, reg, "server.cache", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return d
+		}},
+		{"tiered", func(t *testing.T, reg *obs.Registry) CacheBackend {
+			cold, err := NewDiskBackend(t.TempDir(), 1<<20, reg, "server.cache.cold", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return NewTiered(NewLRUBackend(1<<20, reg, "server.cache.hot"), cold, reg, "server.cache")
+		}},
+		{"disabled", func(*testing.T, *obs.Registry) CacheBackend { return nil }},
+	}
+	for _, c := range chains {
+		t.Run(c.name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			cache := c.build(t, reg)
+			cfg := Config{Registry: reg, Cache: cache}
+			if cache == nil {
+				cfg.CacheBytes = -1
+			} else {
+				t.Cleanup(func() { cache.Close() })
+			}
+			_, ts := newTestServer(t, cfg)
+			for i := 0; i < 3; i++ {
+				post(t, ts.URL+"/v1/lz77/compress", []byte(strings.Repeat(fmt.Sprint("healthz body ", i, " "), 20)))
+			}
+
+			resp, err := http.Get(ts.URL + "/healthz")
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			var raw struct {
+				Cache map[string]json.RawMessage `json:"cache"`
+			}
+			var h healthResponse
+			if err := json.Unmarshal(body, &raw); err != nil {
+				t.Fatalf("/healthz is not JSON: %v\n%s", err, body)
+			}
+			if err := json.Unmarshal(body, &h); err != nil {
+				t.Fatal(err)
+			}
+			for k := range raw.Cache {
+				if k != "enabled" && k != "backend" && k != "entries" && k != "bytes" {
+					t.Errorf("healthz cache block has key %q; want only enabled, backend, entries, bytes", k)
+				}
+			}
+
+			if cache == nil {
+				if h.Cache != (healthCache{}) {
+					t.Fatalf("healthz cache = %+v, want the zero block of a disabled cache", h.Cache)
+				}
+				return
+			}
+			entries, n := cache.Stats()
+			want := healthCache{Enabled: true, Backend: cache.Name(), Entries: entries, Bytes: n}
+			if h.Cache != want || entries == 0 {
+				t.Fatalf("healthz cache = %+v, want %+v after three stored responses", h.Cache, want)
+			}
+		})
 	}
 }

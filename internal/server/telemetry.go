@@ -150,7 +150,7 @@ func (s *Server) resolveOp(name, op string, withBreaker bool) {
 		burnRate: s.reg.Gauge("server.slo." + key + ".burn_rate"),
 	}
 	if withBreaker {
-		m.breaker = newBreaker(breakerThreshold, breakerCooldown)
+		m.breaker = &breaker{}
 		m.breakerState = s.reg.Gauge("server.breaker." + key + ".state")
 	}
 	s.ops[opKey{name, op}] = m

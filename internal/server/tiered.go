@@ -6,14 +6,12 @@ import (
 )
 
 // TieredBackend composes a small fast hot tier over a large slow cold
-// tier (in the default hierarchy: in-memory LRU over disk; in a cluster:
-// local tiers over a remote peer). Semantics:
+// tier (in zipserverd: an in-memory LRU over disk). Semantics:
 //
 //   - Get: hot hit wins; a cold hit is promoted into the hot tier on its
 //     way out (so a re-hit is cheap); a double miss is a miss.
 //   - Put: write-through to both tiers, so hot evictions never lose a
-//     still-warm entry that the cold tier can hold (a read-only peer
-//     cold tier ignores the write).
+//     still-warm entry that the cold tier can hold.
 //   - Integrity: each tier carries its own SHA-256 verification. A
 //     corrupt hot entry degrades to the cold tier; a corrupt cold entry
 //     degrades to a miss. Corrupt bytes can never cross a tier boundary
